@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet lint build test cover cover-cluster cover-export cover-shard cover-coord fuzz-seeds bench bench-parallel bench-cache bench-hotpath bench-hotpath-check bench-shard bench-shard-check bench-coord bench-coord-check serve-smoke bench-serve coord-smoke clean
+.PHONY: tier1 vet lint build test stress cover cover-cluster cover-export cover-shard cover-coord fuzz-seeds bench bench-parallel bench-cache bench-hotpath bench-hotpath-check bench-shard bench-shard-check bench-coord bench-coord-check serve-smoke bench-serve coord-smoke clean
 
 # BENCHTIME tunes the hot-path benchmark arms; 1s x 3 counts balances
 # noise robustness (benchjson keeps the fastest repetition) against CI
@@ -31,8 +31,15 @@ build:
 test:
 	$(GO) test -race ./...
 
+# stress repeats the suites of the concurrent packages under the race
+# detector, so an interleaving-dependent flake (a torn lock-free
+# snapshot, a racy claim) surfaces before merge rather than as an
+# intermittent tier-1 failure.
+stress:
+	$(GO) test -race -count=20 ./internal/obs/... ./internal/serve/ ./internal/cache/ ./internal/shard/ ./internal/coord/
+
 fuzz-seeds:
-	$(GO) test -run Fuzz -v ./internal/trace/ ./internal/cache/ ./internal/serve/ ./internal/cluster/ ./internal/shard/
+	$(GO) test -run Fuzz -v ./internal/trace/ ./internal/cache/ ./internal/serve/ ./internal/cluster/ ./internal/shard/ ./internal/gpu/
 
 # cover enforces the result cache's coverage floor: the subsystem that
 # silently serves stale or corrupt results when wrong earns the

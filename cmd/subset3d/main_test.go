@@ -126,6 +126,26 @@ func TestManifestEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Each parent pricing pass of the validation sweep is a price-grid
+	// child counting draws x configs; the counters carry the same sums,
+	// so ns per draw x config can be read from the manifest alone.
+	var passes, priced int64
+	for _, c := range byName["validation-sweep"].Children {
+		if c.Name == "price-grid" {
+			passes++
+			priced += c.Items
+		}
+	}
+	if passes == 0 || priced == 0 || priced%9 != 0 {
+		t.Errorf("validation-sweep has %d price-grid passes over %d draw x configs, want >= 1 pass over 9 configs", passes, priced)
+	}
+	if got := m.Metrics.Counters["sweep.pricing_passes"]; got != passes {
+		t.Errorf("sweep.pricing_passes = %d, price-grid spans = %d", got, passes)
+	}
+	if got := m.Metrics.Counters["sweep.draw_configs_priced"]; got != priced {
+		t.Errorf("sweep.draw_configs_priced = %d, price-grid items = %d", got, priced)
+	}
+
 	if len(m.Metrics.Counters) == 0 {
 		t.Fatal("metrics snapshot has no counters")
 	}

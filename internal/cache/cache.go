@@ -97,12 +97,12 @@ type Cache struct {
 	flightMu sync.Mutex
 	flight   map[Key]chan struct{}
 
-	hits, memHits, diskHits atomic.Int64
-	misses                  atomic.Int64
-	evictions               atomic.Int64
-	corrupt                 atomic.Int64
-	errs                    atomic.Int64
-	staleClaims             atomic.Int64
+	memHits, diskHits atomic.Int64 // Stats.Hits is their sum
+	misses            atomic.Int64
+	evictions         atomic.Int64
+	corrupt           atomic.Int64
+	errs              atomic.Int64
+	staleClaims       atomic.Int64
 }
 
 // New builds a cache, creating the disk directory when one is
@@ -128,10 +128,15 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
+	// Hits is derived from the per-tier counts rather than kept as its
+	// own counter: separately loaded counters can tear under concurrent
+	// lookups, and Hits == MemHits + DiskHits must hold in every
+	// snapshot.
+	mem, disk := c.memHits.Load(), c.diskHits.Load()
 	return Stats{
-		Hits:        c.hits.Load(),
-		MemHits:     c.memHits.Load(),
-		DiskHits:    c.diskHits.Load(),
+		Hits:        mem + disk,
+		MemHits:     mem,
+		DiskHits:    disk,
 		Misses:      c.misses.Load(),
 		Evictions:   c.evictions.Load(),
 		Corrupt:     c.corrupt.Load(),
@@ -177,7 +182,6 @@ func (c *Cache) path(key Key) string {
 func (c *Cache) lookup(ctx context.Context, key Key) ([]byte, bool) {
 	run := obs.RunFromContext(ctx)
 	if data, ok := c.mem.get(key); ok {
-		c.hits.Add(1)
 		c.memHits.Add(1)
 		run.Metrics().Counter("cache.hit").Inc()
 		run.Metrics().Counter("cache.hit_mem").Inc()
@@ -185,7 +189,6 @@ func (c *Cache) lookup(ctx context.Context, key Key) ([]byte, bool) {
 	}
 	if c.dir != "" {
 		if data, ok := c.diskLookup(ctx, key); ok {
-			c.hits.Add(1)
 			c.diskHits.Add(1)
 			run.Metrics().Counter("cache.hit").Inc()
 			run.Metrics().Counter("cache.hit_disk").Inc()

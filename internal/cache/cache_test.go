@@ -347,9 +347,29 @@ func TestSingleFlightLeaderFailureReleasesWaiters(t *testing.T) {
 	}
 }
 
+// TestGetOrComputeConcurrentStress hammers one cache from many
+// goroutines while a reader snapshots Stats: every snapshot must keep
+// the cross-field invariant Hits == MemHits + DiskHits.
 func TestGetOrComputeConcurrentStress(t *testing.T) {
 	c := mustCache(t, Config{Dir: t.TempDir(), MaxMemBytes: 1 << 16})
 	ctx := context.Background()
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if st := c.Stats(); st.Hits != st.MemHits+st.DiskHits {
+				t.Errorf("torn stats: hits %d != mem %d + disk %d", st.Hits, st.MemHits, st.DiskHits)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-scraped }()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -118,32 +118,22 @@ func GroupIndices(names ...string) ([]int, error) {
 // Shader mixes are analyzed once per program; extraction is then O(1)
 // per draw. Safe for concurrent use after construction.
 //
-// Construction flattens every per-draw lookup into dense arrays
-// indexed by resource id — shader op counts, texture footprints,
-// render-target pixel counts and their log transforms — so the
-// per-draw inner loop is pure arithmetic with no map probes or
-// interface calls. When a workload's shader ids are pathologically
-// sparse (hostile uploads), extraction falls back to the map.
+// Construction flattens every per-draw lookup into tables indexed by
+// resource id — shader op counts, texture footprints, render-target
+// pixel counts and their log transforms — so the per-draw inner loop
+// is pure arithmetic with no interface calls. The shader table is
+// dense unless a workload's shader ids are pathologically sparse
+// (hostile uploads), where it falls back to a map (shader.Table).
 type Extractor struct {
-	w     *trace.Workload
-	mixes map[shader.ID]shader.Mix
+	w *trace.Workload
 
-	// Flat lookup tables, indexed by id (entry 0 unused). shaderOps is
-	// nil when ids are too sparse to flatten; opsByID is the sparse
-	// fallback, precomputed so neither path allocates per draw.
-	shaderOps   [][shader.NumOpKinds]float64
-	shaderKnown []bool
-	opsByID     map[shader.ID]*[shader.NumOpKinds]float64
+	// Lookup tables, indexed by id (entry 0 unused for textures and
+	// render targets), precomputed so extraction never allocates.
+	shaderOps   *shader.Table[[shader.NumOpKinds]float64]
 	texFoot     []float64 // float64(Texture.Footprint()), by TextureID
 	rtPixels    []float64 // float64(RenderTarget.Pixels()), by RTID
 	rtLogPixels []float64 // math.Log1p(rtPixels), by RTID
 }
-
-// flatSparsityCap bounds the flat shader table: if the largest id
-// exceeds this multiple of the program count (plus slack), ids are
-// sparse enough that a dense table would waste memory, and extraction
-// keeps the map path.
-const flatSparsityCap = 4
 
 // NewExtractor validates the workload and pre-analyzes its shaders.
 func NewExtractor(w *trace.Workload) (*Extractor, error) {
@@ -162,34 +152,13 @@ func NewShellExtractor(w *trace.Workload) (*Extractor, error) {
 	if w.Shaders == nil {
 		return nil, fmt.Errorf("features: workload %q has nil shader registry", w.Name)
 	}
-	mixes := make(map[shader.ID]shader.Mix, w.Shaders.Len())
-	maxID := shader.ID(0)
-	for _, p := range w.Shaders.Programs() {
-		mixes[p.ID] = p.Analyze()
-		if p.ID > maxID {
-			maxID = p.ID
+	e := &Extractor{w: w, shaderOps: shader.NewTable(w.Shaders, func(p *shader.Program) (ops [shader.NumOpKinds]float64) {
+		mix := p.Analyze()
+		for op := range ops {
+			ops[op] = float64(mix.Count(shader.Op(op)))
 		}
-	}
-	e := &Extractor{w: w, mixes: mixes}
-	if int64(maxID) <= int64(flatSparsityCap)*int64(len(mixes))+64 {
-		e.shaderOps = make([][shader.NumOpKinds]float64, maxID+1)
-		e.shaderKnown = make([]bool, maxID+1)
-		for id, mix := range mixes {
-			for op := 0; op < shader.NumOpKinds; op++ {
-				e.shaderOps[id][op] = float64(mix.Count(shader.Op(op)))
-			}
-			e.shaderKnown[id] = true
-		}
-	} else {
-		e.opsByID = make(map[shader.ID]*[shader.NumOpKinds]float64, len(mixes))
-		for id, mix := range mixes {
-			ops := new([shader.NumOpKinds]float64)
-			for op := 0; op < shader.NumOpKinds; op++ {
-				ops[op] = float64(mix.Count(shader.Op(op)))
-			}
-			e.opsByID[id] = ops
-		}
-	}
+		return ops
+	})}
 	e.texFoot = make([]float64, len(w.Textures)+1)
 	for i, tex := range w.Textures {
 		e.texFoot[i+1] = float64(tex.Footprint())
@@ -270,19 +239,12 @@ func (e *Extractor) DrawInto(d *trace.DrawCall, dst []float64) {
 	dst[fStateTriList] = b2f(d.Topology == trace.TriangleList)
 }
 
-// ops resolves a shader id to its precomputed per-category op counts:
-// one bounds check plus one bool load on the dense path, one map probe
-// on the sparse fallback. A dangling reference is a corrupted subset,
-// not a runtime condition: it panics either way.
+// ops resolves a shader id to its precomputed per-category op counts.
+// A dangling reference is a corrupted subset, not a runtime condition:
+// it panics.
 func (e *Extractor) ops(id shader.ID, stage string) *[shader.NumOpKinds]float64 {
-	if e.shaderOps != nil {
-		if int(id) < len(e.shaderOps) && e.shaderKnown[id] {
-			return &e.shaderOps[id]
-		}
-		panic(fmt.Sprintf("features: draw references unknown %s %d", stage, id))
-	}
-	ops, ok := e.opsByID[id]
-	if !ok {
+	ops := e.shaderOps.Get(id)
+	if ops == nil {
 		panic(fmt.Sprintf("features: draw references unknown %s %d", stage, id))
 	}
 	return ops

@@ -162,14 +162,15 @@ func (c Config) WithMemClock(ghz float64) Config {
 
 // ShaderRate returns shader-element throughput in elements x
 // instructions per core clock: the denominator of all shader timing.
-func (c Config) ShaderRate() float64 {
-	return float64(c.NumEUs * c.SIMDWidth)
-}
+func (c Config) ShaderRate() float64 { return c.shaderRate() }
 
 // BandwidthGBs returns effective DRAM bandwidth in GB/s.
-func (c Config) BandwidthGBs() float64 {
-	return c.DRAMBytesPerClk * c.MemClockGHz
-}
+func (c Config) BandwidthGBs() float64 { return c.bandwidth() }
+
+// shaderRate and bandwidth are ShaderRate and BandwidthGBs without
+// copying the config — the pricing loop's forms.
+func (c *Config) shaderRate() float64 { return float64(c.NumEUs * c.SIMDWidth) }
+func (c *Config) bandwidth() float64  { return c.DRAMBytesPerClk * c.MemClockGHz }
 
 // Validate reports the first structural problem with the config.
 func (c Config) Validate() error {

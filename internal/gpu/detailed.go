@@ -36,8 +36,8 @@ func (s *Simulator) DetailedTexTraffic(d *trace.DrawCall, maxSamples int) (Detai
 	if maxSamples <= 0 {
 		return DetailedTexResult{}, fmt.Errorf("gpu: maxSamples %d <= 0", maxSamples)
 	}
-	psPC, ok := s.progs[d.PS]
-	if !ok {
+	psPC := s.t.progs.Get(d.PS)
+	if psPC == nil {
 		return DetailedTexResult{}, fmt.Errorf("gpu: draw references unknown PS %d", d.PS)
 	}
 	rt, err := s.w.RenderTarget(d.RT)

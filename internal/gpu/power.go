@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/trace"
@@ -126,20 +127,9 @@ func (s *Simulator) DrawTotals(d *trace.DrawCall) (totalNs, computeNs, memoryNs,
 }
 
 // RunTotals prices the whole workload and returns both the per-frame
-// result and the aggregate totals the power model consumes.
+// result and the aggregate totals the power model consumes. It is a
+// one-config PriceGrid pass.
 func (s *Simulator) RunTotals() (RunResult, Totals) {
-	res := RunResult{ConfigName: s.cfg.Name, FrameNs: make([]float64, len(s.w.Frames))}
-	var tot Totals
-	for i := range s.w.Frames {
-		f := &s.w.Frames[i]
-		var frameNs float64
-		for di := range f.Draws {
-			dc := s.DrawCost(&f.Draws[di])
-			tot.Add(dc, 1)
-			frameNs += dc.TotalNs
-		}
-		res.FrameNs[i] = frameNs
-		res.TotalNs += frameNs
-	}
-	return res, tot
+	runs, _ := s.PriceGrid(context.Background(), []Config{s.cfg}) // never canceled; cfg validated at construction
+	return runs[0].RunResult, runs[0].Totals
 }

@@ -48,18 +48,18 @@ func (s *Simulator) FrameDetailed(f *trace.Frame, maxSamplesPerDraw int) (Detail
 
 	for di := range f.Draws {
 		d := &f.Draws[di]
-		dc := s.DrawCost(d) // analytic stage costs + isolated texture model
+		var t drawTerms
+		var dc DrawCost // analytic stage costs + isolated texture model
+		s.price(d, &t, &dc)
 		res.ContextFreeNs += dc.TotalNs
 
-		psPC := s.progs[d.PS]
-		samples := dc.ShadedPixels * psPC.texPerElem
-		if samples > 0 {
-			measured, err := s.replayShared(cache, d, samples, maxSamplesPerDraw, regionBytes)
+		if t.samples > 0 {
+			measured, err := s.replayShared(cache, d, t.samples, maxSamplesPerDraw, regionBytes)
 			if err != nil {
 				return DetailedFrameResult{}, err
 			}
 			dc.TexBytes = measured
-			s.finalize(&dc, d)
+			s.cfg.finalize(&dc, t.noiseZ)
 		}
 		res.DrawNs[di] = dc.TotalNs
 		res.TotalNs += dc.TotalNs

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/parallel"
-	"repro/internal/shader"
 	"repro/internal/trace"
 )
 
@@ -41,7 +40,11 @@ type DrawCost struct {
 }
 
 // TrafficBytes returns total DRAM traffic for the draw.
-func (dc DrawCost) TrafficBytes() float64 {
+func (dc DrawCost) TrafficBytes() float64 { return dc.traffic() }
+
+// traffic is TrafficBytes without copying the struct — the pricing
+// loop's form.
+func (dc *DrawCost) traffic() float64 {
 	return dc.VertexBytes + dc.TexBytes + dc.RTBytes + dc.DepthBytes
 }
 
@@ -66,16 +69,18 @@ func (dc DrawCost) BottleneckStage() string {
 }
 
 // Simulator prices draw calls of one workload on one config. It
-// pre-analyzes every shader program once; pricing a draw is then O(1).
-// A Simulator is safe for concurrent DrawCost calls after construction.
+// flattens the workload's per-draw lookups into tables once (program
+// cost by shader id, resource facts by resource id); pricing a draw is
+// then O(1). A Simulator is safe for concurrent DrawCost calls after
+// construction.
 type Simulator struct {
-	cfg   Config
-	w     *trace.Workload
-	progs map[shader.ID]programCost
+	cfg Config
+	w   *trace.Workload
+	t   *tables
 }
 
-// NewSimulator validates the config and workload and pre-prices all
-// shader programs.
+// NewSimulator validates the config and workload and builds the
+// workload's pricing tables.
 func NewSimulator(cfg Config, w *trace.Workload) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -83,20 +88,16 @@ func NewSimulator(cfg Config, w *trace.Workload) (*Simulator, error) {
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("gpu: %w", err)
 	}
-	progs := make(map[shader.ID]programCost, w.Shaders.Len())
-	for _, p := range w.Shaders.Programs() {
-		progs[p.ID] = analyzeProgram(p)
-	}
-	return &Simulator{cfg: cfg, w: w, progs: progs}, nil
+	return &Simulator{cfg: cfg, w: w, t: newTables(w)}, nil
 }
 
 // Config returns the simulated configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
 // WithConfig derives a simulator for another configuration over the
-// same workload. Workload validation and shader analysis depend only
-// on the workload, so both are shared with the receiver: deriving a
-// config is O(1) where NewSimulator walks every draw. Grid sweeps
+// same workload. Workload validation and the pricing tables depend
+// only on the workload, so both are shared with the receiver: deriving
+// a config is O(1) where NewSimulator walks every draw. Grid sweeps
 // construct one base simulator and derive the rest — without this, a
 // warm result cache would still pay a full workload walk per config
 // just to build the thing it never asks to price.
@@ -104,7 +105,7 @@ func (s *Simulator) WithConfig(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Simulator{cfg: cfg, w: s.w, progs: s.progs}, nil
+	return &Simulator{cfg: cfg, w: s.w, t: s.t}, nil
 }
 
 // DrawCost prices one draw call. The draw must reference resources of
@@ -112,90 +113,18 @@ func (s *Simulator) WithConfig(cfg Config) (*Simulator, error) {
 // parent's resource tables). It panics on dangling references because
 // those indicate a corrupted subset, not a runtime condition.
 func (s *Simulator) DrawCost(d *trace.DrawCall) DrawCost {
-	cfg := &s.cfg
-	vsPC, ok := s.progs[d.VS]
-	if !ok {
-		panic(fmt.Sprintf("gpu: draw references unknown VS %d", d.VS))
-	}
-	psPC, ok := s.progs[d.PS]
-	if !ok {
-		panic(fmt.Sprintf("gpu: draw references unknown PS %d", d.PS))
-	}
-	rt, err := s.w.RenderTarget(d.RT)
-	if err != nil {
-		panic(fmt.Sprintf("gpu: %v", err))
-	}
-
+	var t drawTerms
 	var dc DrawCost
-	verts := float64(d.TotalVertices())
-	prims := float64(d.TotalPrimitives())
-	covered := d.CoverageFrac * float64(rt.Pixels())
-	dc.ShadedPixels = covered * d.Overdraw
-
-	// Core domain: each stage is a throughput; the pipeline runs at the
-	// rate of its slowest stage.
-	rate := cfg.ShaderRate()
-	dc.VSCycles = verts * vsPC.clocksPerElem / rate
-	dc.SetupCycles = prims / cfg.PrimSetupRate
-	dc.RasterCycles = dc.ShadedPixels / cfg.RasterRate
-	dc.PSCycles = dc.ShadedPixels * psPC.clocksPerElem / rate
-	ropPixels := dc.ShadedPixels
-	if d.BlendEnable {
-		ropPixels *= 2 // read-modify-write
-	}
-	dc.ROPCycles = ropPixels / cfg.ROPRate
-	dc.CoreCycles = max5(dc.VSCycles, dc.SetupCycles, dc.RasterCycles, dc.PSCycles, dc.ROPCycles)
-	dc.ComputeNs = dc.CoreCycles / cfg.CoreClockGHz
-
-	// Memory domain.
-	dc.VertexBytes = verts * float64(cfg.VertexSizeB)
-	samples := dc.ShadedPixels * psPC.texPerElem
-	if samples > 0 {
-		var ws float64
-		for _, tid := range d.Textures {
-			if tid == 0 {
-				continue
-			}
-			tex, err := s.w.Texture(tid)
-			if err != nil {
-				panic(fmt.Sprintf("gpu: %v", err))
-			}
-			ws += float64(tex.Footprint())
-		}
-		ws *= d.TexLocality
-		// A draw cannot touch more unique texels than it samples: cap
-		// the working set by the sample count (at ~1 texel per sample;
-		// bilinear neighbours share cache lines). Without this cap,
-		// small-coverage draws bound to large textures are charged for
-		// footprints they never touch.
-		if maxWS := samples * texelBytes; ws > maxWS {
-			ws = maxWS
-		}
-		tt := modelTexTraffic(samples, ws, cfg.TexCacheKB*1024, cfg.TexCacheLineB)
-		dc.TexBytes = tt.Bytes
-		dc.TexHitRate = tt.HitRate
-	} else {
-		dc.TexHitRate = 1
-	}
-	rtBytes := covered * float64(rt.BytesPerPixel)
-	if d.BlendEnable {
-		rtBytes *= 2 // destination read + write
-	}
-	dc.RTBytes = rtBytes * cfg.ColorCompression
-	if d.DepthEnable && rt.HasDepth {
-		dc.DepthBytes = dc.ShadedPixels * 4 * 2 * cfg.DepthCompression // 32-bit Z read + write
-	}
-	s.finalize(&dc, d)
+	s.price(d, &t, &dc)
 	return dc
 }
 
 // finalize derives MemoryNs and TotalNs from the traffic fields and
 // ComputeNs — shared by the analytic path and the shared-cache
 // detailed path (which overrides TexBytes with measured traffic before
-// re-finalizing).
-func (s *Simulator) finalize(dc *DrawCost, d *trace.DrawCall) {
-	cfg := &s.cfg
-	dc.MemoryNs = dc.TrafficBytes() / cfg.BandwidthGBs() // GB/s == bytes/ns
+// re-finalizing). z is the draw's drawNoiseZ.
+func (cfg *Config) finalize(dc *DrawCost, z float64) {
+	dc.MemoryNs = dc.traffic() / cfg.bandwidth() // GB/s == bytes/ns
 
 	// Bottleneck combination with partial overlap.
 	tc, tm := dc.ComputeNs, dc.MemoryNs
@@ -211,7 +140,7 @@ func (s *Simulator) finalize(dc *DrawCost, d *trace.DrawCall) {
 		if sigma > 0.5 {
 			sigma = 0.5
 		}
-		dc.TotalNs *= math.Exp(sigma * drawNoiseZ(d))
+		dc.TotalNs *= math.Exp(sigma * z)
 	}
 }
 
@@ -275,18 +204,14 @@ func (s *Simulator) Run() RunResult {
 
 // RunContext prices every frame, checking for cancellation between
 // frames — pricing is the inner loop of every sweep, so this is where
-// a deadline has to land to stop a run promptly.
+// a deadline has to land to stop a run promptly. It is a one-config
+// PriceGrid pass.
 func (s *Simulator) RunContext(ctx context.Context) (RunResult, error) {
-	res := RunResult{ConfigName: s.cfg.Name, FrameNs: make([]float64, len(s.w.Frames))}
-	for i := range s.w.Frames {
-		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("gpu: run canceled at frame %d/%d: %w", i, len(s.w.Frames), err)
-		}
-		t := s.FrameNs(&s.w.Frames[i])
-		res.FrameNs[i] = t
-		res.TotalNs += t
+	runs, err := s.PriceGrid(ctx, []Config{s.cfg})
+	if err != nil {
+		return RunResult{}, err
 	}
-	return res, nil
+	return runs[0].RunResult, nil
 }
 
 // RunParallel prices every frame across at most workers goroutines

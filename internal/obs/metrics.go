@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -173,11 +172,12 @@ func (g *Gauge) Value() int64 {
 // Histogram accumulates float64 observations into power-of-two
 // buckets: bucket i counts observations v with upper bound
 // 2^(i+histMinExp) >= v. Observe is lock-free and safe for any number
-// of goroutines; the bucket counts and total count are exact, the sum
-// is a CAS-looped float accumulation whose value (not determinism of
-// rounding) is what the manifest reports. Nil-safe.
+// of goroutines; the bucket counts are exact, the sum is a CAS-looped
+// float accumulation whose value (not determinism of rounding) is what
+// the manifest reports. There is no separate total: the count is
+// always the sum of the buckets, so no snapshot can show a bucket
+// larger than the total. Nil-safe.
 type Histogram struct {
-	count   atomic.Int64
 	sumBits atomic.Uint64 // math.Float64bits of the running sum
 	minBits atomic.Uint64 // bits of the running minimum
 	maxBits atomic.Uint64 // bits of the running maximum
@@ -206,7 +206,6 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {
 		return
 	}
-	h.count.Add(1)
 	h.buckets[bucketFor(v)].Add(1)
 	for {
 		old := h.sumBits.Load()
@@ -269,28 +268,40 @@ type HistogramBucket struct {
 	Count      int64   `json:"count"`
 }
 
-// Snapshot captures the histogram's current state.
+// Snapshot captures the histogram's current state without a lock.
+// Count is the sum of the buckets read in the same walk, so the
+// exported histogram is always internally consistent (each bucket at
+// most the total) even while Observe runs concurrently. Min and Max
+// are read before the walk: Observe counts a sample's bucket before it
+// updates the extremes, so every extreme read belongs to a counted
+// sample. A counted sample's extreme may not have landed yet — on the
+// first observations the extremes still hold their ±Inf sentinels, and
+// those are reported as absent (0) rather than as infinities, which
+// JSON cannot encode.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	s := HistogramSnapshot{
-		Count: h.count.Load(),
-		Sum:   math.Float64frombits(h.sumBits.Load()),
-	}
-	if s.Count > 0 {
-		s.Min = math.Float64frombits(h.minBits.Load())
-		s.Max = math.Float64frombits(h.maxBits.Load())
-	}
+	lo := math.Float64frombits(h.minBits.Load())
+	hi := math.Float64frombits(h.maxBits.Load())
+	s := HistogramSnapshot{Sum: math.Float64frombits(h.sumBits.Load())}
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
+			s.Count += n
 			s.Buckets = append(s.Buckets, HistogramBucket{
 				UpperBound: math.Ldexp(1, i+histMinExp),
 				Count:      n,
 			})
 		}
 	}
-	sort.Slice(s.Buckets, func(a, b int) bool { return s.Buckets[a].UpperBound < s.Buckets[b].UpperBound })
+	if s.Count > 0 {
+		if !math.IsInf(lo, 1) {
+			s.Min = lo
+		}
+		if !math.IsInf(hi, -1) {
+			s.Max = hi
+		}
+	}
 	return s
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"sync"
 	"testing"
@@ -208,5 +209,28 @@ func TestSnapshotUnderLoad(t *testing.T) {
 	}
 	if total < lastTotal {
 		t.Fatalf("final total %d below last scrape %d", total, lastTotal)
+	}
+}
+
+// TestSnapshotMidObserve freezes a histogram inside Observe — the
+// sample's bucket counted, its min/max not yet landed — and checks the
+// snapshot stays consistent and encodable: the count includes the
+// bucket, and the extremes' ±Inf sentinels are reported as absent.
+func TestSnapshotMidObserve(t *testing.T) {
+	h := newHistogram()
+	h.buckets[bucketFor(3)].Add(1)
+	s := h.Snapshot()
+	if s.Count != 1 || len(s.Buckets) != 1 || s.Buckets[0].Count != 1 {
+		t.Fatalf("snapshot %+v, want one sample in one bucket", s)
+	}
+	if s.Min != 0 || s.Max != 0 {
+		t.Fatalf("min/max = %v/%v before they landed, want absent (0)", s.Min, s.Max)
+	}
+	if _, err := json.Marshal(s); err != nil {
+		t.Fatalf("snapshot not encodable: %v", err)
+	}
+	h.Observe(5)
+	if s := h.Snapshot(); s.Count != 2 || s.Min != 5 || s.Max != 5 {
+		t.Fatalf("after a full Observe: %+v, want count 2, min = max = 5", s)
 	}
 }

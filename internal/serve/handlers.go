@@ -493,15 +493,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) computeSweep(ctx context.Context, e *workloadEntry, req SweepRequest) (SweepResponse, error) {
 	cfgs := sweep.Grid(gpu.BaseConfig(), req.CoreClocks, req.MemClocks)
 	resp := SweepResponse{Workload: e.FP.String(), Points: make([]SweepPoint, len(cfgs))}
+	base, err := gpu.NewSimulator(cfgs[0], e.W)
+	if err != nil {
+		return SweepResponse{}, err
+	}
 	for i, cfg := range cfgs {
 		if err := ctx.Err(); err != nil {
 			return SweepResponse{}, fmt.Errorf("sweep canceled at config %d/%d: %w", i, len(cfgs), err)
 		}
-		sim, err := gpu.NewSimulator(cfg, e.W)
-		if err != nil {
-			return SweepResponse{}, err
-		}
-		priced, err := sweep.PriceParent(ctx, sim, e.W, cfg)
+		_, priced, err := sweep.PriceConfig(ctx, base, e.W, cfg, i, len(cfgs))
 		if err != nil {
 			return SweepResponse{}, err
 		}

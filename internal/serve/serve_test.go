@@ -15,8 +15,11 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/shader"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/tracetest"
 )
@@ -251,6 +254,57 @@ func TestSweepAndPrice(t *testing.T) {
 	rec = do(h, "POST", "/v1/sweep", bj)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("oversized grid: %d, want 400", rec.Code)
+	}
+}
+
+// TestSparseShaderIDsUploadAndPrice uploads a workload whose shader
+// ids span the whole uint32 range — subsetd accepts any id — and
+// prices it: no lookup table may be sized by the largest id, and the
+// answer must match pricing the same workload in process.
+func TestSparseShaderIDsUploadAndPrice(t *testing.T) {
+	w := tracetest.Tiny()
+	remap := map[shader.ID]shader.ID{1: 7, 2: 0x80000000, 3: 0xFFFFFFF0, 4: 0xFFFFFFFF}
+	progs := w.Shaders.Programs()
+	for _, p := range progs {
+		p.ID = remap[p.ID]
+	}
+	reg, err := shader.RestoreRegistry(progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Shaders = reg
+	for fi := range w.Frames {
+		for di := range w.Frames[fi].Draws {
+			d := &w.Frames[fi].Draws[di]
+			d.VS, d.PS = remap[d.VS], remap[d.PS]
+		}
+	}
+	sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sweep.PriceParent(context.Background(), sim, w, gpu.BaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Options{})
+	h := s.Handler()
+	fp := upload(t, h, streamBody(t, w))
+	rec := do(h, "POST", "/v1/price", []byte(fmt.Sprintf(`{"workload":%q}`, fp)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("price: %d: %s", rec.Code, rec.Body)
+	}
+	var pr PriceResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.TotalNs != want.TotalNs {
+		t.Errorf("served total %v ns, in-process %v ns", pr.TotalNs, want.TotalNs)
+	}
+	rec = do(h, "POST", "/v1/sweep", []byte(fmt.Sprintf(`{"workload":%q,"core_clocks":[1.0,2.0]}`, fp)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sweep: %d: %s", rec.Code, rec.Body)
 	}
 }
 

@@ -212,8 +212,10 @@ func Merge(ms []*Manifest) (*RunManifest, error) {
 // folds it with the same foldRun the merge path uses. This is the
 // reference the determinism suite compares every sharded run against;
 // it is also gpusim's single-process sweep mode. A non-nil cache is
-// consulted and populated exactly like a worker's, so sequential and
-// sharded runs interoperate on one cache directory.
+// consulted and populated exactly like a worker's, one config per
+// entry, so sequential and sharded runs interoperate on one cache
+// directory; without a cache the grid is priced in one pass over the
+// draws (sweep.PriceGrid), bit-identical to pricing each config alone.
 func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu.Config) (*RunManifest, error) {
 	fp := w.Fingerprint()
 	tasks, grid, err := Plan(fp, cfgs)
@@ -224,24 +226,24 @@ func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs 
 	if err != nil {
 		return nil, err
 	}
-	cctx := cache.WithWorkload(ctx, c, fp)
 	entries := make([]Entry, 0, len(tasks))
+	if c == nil {
+		parents, err := sweep.PriceGrid(ctx, base, w, cfgs, 1)
+		if err != nil {
+			return nil, err
+		}
+		for i, t := range tasks {
+			entries = append(entries, newEntry(t, parents[i]))
+		}
+		return foldRun(fp, grid, len(tasks), entries)
+	}
+	cctx := cache.WithWorkload(ctx, c, fp)
 	for _, t := range tasks {
 		_, priced, err := sweep.PriceConfig(cctx, base, w, t.Config, t.Seq, len(tasks))
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, Entry{
-			Seq:          t.Seq,
-			CoreClockGHz: t.Config.CoreClockGHz,
-			MemClockGHz:  t.Config.MemClockGHz,
-			ConfigFP:     t.Config.Fingerprint(),
-			Key:          t.Key,
-			Frames:       len(priced.FrameNs),
-			FrameDigest:  frameDigest(priced.FrameNs),
-			TotalNs:      priced.TotalNs,
-			Totals:       priced.Totals,
-		})
+		entries = append(entries, newEntry(t, priced))
 	}
 	return foldRun(fp, grid, len(tasks), entries)
 }

@@ -125,17 +125,7 @@ func (wk *Worker) Run(ctx context.Context, w *trace.Workload, cfgs []gpu.Config,
 		} else {
 			stats.CacheHits++
 		}
-		m.Entries = append(m.Entries, Entry{
-			Seq:          t.Seq,
-			CoreClockGHz: t.Config.CoreClockGHz,
-			MemClockGHz:  t.Config.MemClockGHz,
-			ConfigFP:     t.Config.Fingerprint(),
-			Key:          t.Key,
-			Frames:       len(priced.FrameNs),
-			FrameDigest:  frameDigest(priced.FrameNs),
-			TotalNs:      priced.TotalNs,
-			Totals:       priced.Totals,
-		})
+		m.Entries = append(m.Entries, newEntry(t, priced))
 	}
 	sp.AddItems(int64(stats.Owned))
 	mtr := obs.RunFromContext(ctx).Metrics()
@@ -144,6 +134,21 @@ func (wk *Worker) Run(ctx context.Context, w *trace.Workload, cfgs []gpu.Config,
 	mtr.Counter("shard.tasks_cache_hit").Add(int64(stats.CacheHits))
 	mtr.Counter("shard.claim_waits").Add(int64(stats.ClaimWaits))
 	return m, stats, nil
+}
+
+// newEntry records task t's priced parent as a manifest entry.
+func newEntry(t Task, priced sweep.PricedParent) Entry {
+	return Entry{
+		Seq:          t.Seq,
+		CoreClockGHz: t.Config.CoreClockGHz,
+		MemClockGHz:  t.Config.MemClockGHz,
+		ConfigFP:     t.Config.Fingerprint(),
+		Key:          t.Key,
+		Frames:       len(priced.FrameNs),
+		FrameDigest:  frameDigest(priced.FrameNs),
+		TotalNs:      priced.TotalNs,
+		Totals:       priced.Totals,
+	}
 }
 
 // resolve produces the priced parent for one task. Fast path: the

@@ -43,9 +43,10 @@ func RunEnergy(w *trace.Workload, s *subset.Subset, pm gpu.PowerModel, cfgs []gp
 }
 
 // RunEnergyParallel is RunEnergy with cancellation and at most workers
-// goroutines (<= 0 selects GOMAXPROCS), one config per task. The
-// min-EDP argmin is taken sequentially over the points in grid order,
-// so the decision is bit-identical at any worker count.
+// goroutines (<= 0 selects GOMAXPROCS); the parent is priced as in
+// RunParallel. The min-EDP argmin is taken sequentially over the
+// points in grid order, so the decision is bit-identical at any worker
+// count.
 func RunEnergyParallel(ctx context.Context, w *trace.Workload, s *subset.Subset, pm gpu.PowerModel, cfgs []gpu.Config, workers int) (EnergyResult, error) {
 	if err := pm.Validate(); err != nil {
 		return EnergyResult{}, err
@@ -57,11 +58,16 @@ func RunEnergyParallel(ctx context.Context, w *trace.Workload, s *subset.Subset,
 	if err != nil {
 		return EnergyResult{}, err
 	}
+	parents, err := priceParents(ctx, base, w, cfgs, workers)
+	if err != nil {
+		return EnergyResult{}, err
+	}
 	points, err := parallel.MapSlice(ctx, workers, cfgs, func(ctx context.Context, i int, cfg gpu.Config) (EnergyPoint, error) {
-		sim, priced, err := PriceConfig(ctx, base, w, cfg, i, len(cfgs))
+		sim, err := base.WithConfig(cfg)
 		if err != nil {
 			return EnergyPoint{}, err
 		}
+		priced := parents[i]
 		pe := pm.Energy(cfg, priced.Totals)
 
 		tn, cn, mn, tb := s.EstimateParentTotals(sim)

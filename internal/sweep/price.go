@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/gpu"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
@@ -41,26 +43,31 @@ func PriceKey(fp trace.Fingerprint, cfg gpu.Config) cache.Key {
 // fingerprint, config cost-model fingerprint, gpu.ModelVersion); a hit
 // skips the full per-draw pricing pass — the dominant cost of a grid
 // sweep. Without a binding it prices directly. sim must have been
-// built on w with cfg; the float accumulation order matches
-// Simulator.Run exactly, so cached and direct pricing are
-// bit-identical.
+// built on w with cfg. A miss is a one-config pricing pass, and every
+// pass folds in the same order (gpu.Simulator.PriceGrid), so cached,
+// direct and batched pricing are bit-identical.
 func PriceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfg gpu.Config) (PricedParent, error) {
+	price := func() (PricedParent, error) {
+		p, err := pricePass(ctx, sim, w, []gpu.Config{cfg})
+		if err != nil {
+			return PricedParent{}, err
+		}
+		return p[0], nil
+	}
 	c, fp, ok := cache.ForWorkload(ctx)
 	if !ok {
-		return priceParent(ctx, sim, w)
+		return price()
 	}
-	return cache.GetOrCompute(ctx, c, PriceKey(fp, cfg), func() (PricedParent, error) {
-		return priceParent(ctx, sim, w)
-	})
+	return cache.GetOrCompute(ctx, c, PriceKey(fp, cfg), price)
 }
 
-// PriceConfig is the one per-config setup path every grid consumer
-// shares: derive the per-config simulator from base (skipping
+// PriceConfig is the one per-config setup path every cache-bound grid
+// consumer shares: derive the per-config simulator from base (skipping
 // re-validation) and price the parent on it through the result cache
-// when ctx carries one. RunParallel, RunEnergyParallel and the shard
-// worker all go through it, so a distributed shard can never drift
-// from the sequential path's setup or fold order. i and n only shape
-// the error context ("config i+1/n").
+// when ctx carries one. Cached sweeps and the shard worker go through
+// it, so a distributed shard can never drift from the sequential
+// path's setup or fold order. i and n only shape the error context
+// ("config i+1/n").
 func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfg gpu.Config, i, n int) (*gpu.Simulator, PricedParent, error) {
 	sim, err := base.WithConfig(cfg)
 	if err != nil {
@@ -73,32 +80,66 @@ func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cf
 	return sim, priced, nil
 }
 
-// priceParent is one full pricing pass with per-frame cancellation.
-// Per-frame times sum draws in order and the total sums frames in
-// order — the same accumulation as Simulator.RunContext and RunTotals.
-func priceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload) (PricedParent, error) {
-	p := PricedParent{FrameNs: make([]float64, len(w.Frames))}
-	for i := range w.Frames {
-		if err := ctx.Err(); err != nil {
-			return PricedParent{}, fmt.Errorf("sweep: pricing canceled at frame %d/%d: %w", i, len(w.Frames), err)
-		}
-		f := &w.Frames[i]
-		var frameNs float64
-		for di := range f.Draws {
-			tn, cn, mn, tb := sim.DrawTotals(&f.Draws[di])
-			frameNs += tn
-			// Totals folds per draw (as Simulator.RunTotals does) while
-			// TotalNs folds per frame (as Simulator.RunContext does), so
-			// both views are bit-identical to their uncached originals.
-			p.Totals.TotalNs += tn
-			p.Totals.ComputeNs += cn
-			p.Totals.MemoryNs += mn
-			p.Totals.TrafficBytes += tb
-		}
-		p.FrameNs[i] = frameNs
-		p.TotalNs += frameNs
+// PriceGrid prices the parent w on every config of cfgs, bypassing
+// the result cache: the grid is cut into min(workers, len(cfgs))
+// contiguous chunks (workers <= 0 selects GOMAXPROCS), each priced in
+// one pass over the draws, with the chunks running in parallel. base
+// must have been built on w. Results land in grid order and are
+// bit-identical to pricing each config alone at any chunking.
+//
+// Only grids without a cache are batched. A cached grid prices one
+// config per cache entry (PriceConfig) so that each entry is computed,
+// stored and claimed on its own — the unit the shard layer distributes
+// and the cache deduplicates.
+func PriceGrid(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config, workers int) ([]PricedParent, error) {
+	n := min(parallel.Workers(workers), len(cfgs))
+	chunks, err := parallel.Map(ctx, n, n, func(ctx context.Context, k int) ([]PricedParent, error) {
+		return pricePass(ctx, base, w, cfgs[k*len(cfgs)/n:(k+1)*len(cfgs)/n])
+	})
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	out := make([]PricedParent, 0, len(cfgs))
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out, nil
+}
+
+// priceParents prices the parent on every config for a sweep: batched
+// through PriceGrid when ctx carries no cache binding, otherwise one
+// PriceConfig per config (and per cache entry) across the pool.
+func priceParents(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config, workers int) ([]PricedParent, error) {
+	if _, _, cached := cache.ForWorkload(ctx); !cached {
+		return PriceGrid(ctx, base, w, cfgs, workers)
+	}
+	return parallel.MapSlice(ctx, workers, cfgs, func(ctx context.Context, i int, cfg gpu.Config) (PricedParent, error) {
+		_, p, err := PriceConfig(ctx, base, w, cfg, i, len(cfgs))
+		return p, err
+	})
+}
+
+// pricePass is one gpu pricing pass over w's draws for cfgs, recorded
+// as a price-grid span with draws x configs as its item count and in
+// the sweep.pricing_passes / sweep.draw_configs_priced counters, from
+// which any run manifest yields ns per draw x config.
+func pricePass(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config) ([]PricedParent, error) {
+	ctx, sp := obs.StartSpan(ctx, "price-grid")
+	defer sp.End()
+	runs, err := sim.PriceGrid(ctx, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	items := int64(w.NumDraws()) * int64(len(cfgs))
+	sp.AddItems(items)
+	m := obs.RunFromContext(ctx).Metrics()
+	m.Counter("sweep.pricing_passes").Inc()
+	m.Counter("sweep.draw_configs_priced").Add(items)
+	out := make([]PricedParent, len(runs))
+	for i, r := range runs {
+		out[i] = PricedParent{FrameNs: r.FrameNs, TotalNs: r.TotalNs, Totals: r.Totals}
+	}
+	return out, nil
 }
 
 // RunResult converts the priced parent back to the simulator-level

@@ -96,14 +96,15 @@ func RunContext(ctx context.Context, w *trace.Workload, s *subset.Subset, cfgs [
 }
 
 // RunParallel prices the grid with at most workers goroutines
-// (<= 0 selects GOMAXPROCS), one configuration per task: pricing a
-// large grid on a long parent is the most expensive loop in the
-// system, and every configuration's pricing is independent — each task
-// builds its own simulator and writes only its own grid point. The
-// correlation statistics are folded sequentially over the points in
-// grid order, so the Result is bit-identical at any worker count.
-// Cancellation is checked once per parent frame inside each pricing
-// task.
+// (<= 0 selects GOMAXPROCS). Without a result cache the parent is
+// priced in min(workers, len(cfgs)) contiguous config chunks, one pass
+// over the draws each (PriceGrid); with one, each config is priced
+// through the cache on its own (PriceConfig). The subset's
+// reconstruction is ~100x cheaper and always priced fresh, one config
+// per task. The correlation statistics are folded sequentially over
+// the points in grid order, so the Result is bit-identical at any
+// worker count. Cancellation is checked once per parent frame inside
+// each pricing pass.
 func RunParallel(ctx context.Context, w *trace.Workload, s *subset.Subset, cfgs []gpu.Config, workers int) (Result, error) {
 	if len(cfgs) < 2 {
 		return Result{}, fmt.Errorf("sweep: need at least 2 configs, have %d", len(cfgs))
@@ -117,15 +118,16 @@ func RunParallel(ctx context.Context, w *trace.Workload, s *subset.Subset, cfgs 
 	if err != nil {
 		return Result{}, err
 	}
+	parents, err := priceParents(ctx, base, w, cfgs, workers)
+	if err != nil {
+		return Result{}, err
+	}
 	points, err := parallel.MapSlice(ctx, workers, cfgs, func(ctx context.Context, i int, cfg gpu.Config) (Point, error) {
-		// Parent pricing — the dominant cost — goes through the result
-		// cache when ctx carries one; the subset reconstruction is ~100x
-		// cheaper and always priced fresh.
-		sim, priced, err := PriceConfig(ctx, base, w, cfg, i, len(cfgs))
+		sim, err := base.WithConfig(cfg)
 		if err != nil {
 			return Point{}, err
 		}
-		return Point{Config: cfg, ParentNs: priced.TotalNs, SubsetNs: s.EstimateParentNs(sim)}, nil
+		return Point{Config: cfg, ParentNs: parents[i].TotalNs, SubsetNs: s.EstimateParentNs(sim)}, nil
 	})
 	if err != nil {
 		return Result{}, err

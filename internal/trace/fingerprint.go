@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"io"
 	"math"
 )
 
@@ -26,19 +27,43 @@ const fingerprintVersion = 1
 // fpWriter serializes workload content into a hash with a fixed field
 // order and fixed-width integer encoding, so the digest is independent
 // of map iteration, pointer values, or encoding-library internals.
+// Fields are staged in a fixed buffer and flushed to the hash in
+// order: the hashed byte stream is exactly the field sequence, but the
+// hash sees a few large writes instead of ~16 eight-byte writes per
+// draw.
 type fpWriter struct {
 	h   hash.Hash
-	buf [8]byte
+	buf [4096]byte
+	n   int // staged bytes in buf
 }
 
 func (w *fpWriter) u64(v uint64) {
-	binary.BigEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.BigEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
 }
 
-func (w *fpWriter) i(v int)      { w.u64(uint64(int64(v))) }
-func (w *fpWriter) f(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *fpWriter) str(s string) { w.u64(uint64(len(s))); w.h.Write([]byte(s)) }
+func (w *fpWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+func (w *fpWriter) i(v int)     { w.u64(uint64(int64(v))) }
+func (w *fpWriter) f(v float64) { w.u64(math.Float64bits(v)) }
+
+func (w *fpWriter) str(s string) {
+	w.u64(uint64(len(s)))
+	if len(s) > len(w.buf)-w.n {
+		w.flush()
+		if len(s) > len(w.buf) {
+			io.WriteString(w.h, s)
+			return
+		}
+	}
+	w.n += copy(w.buf[w.n:], s)
+}
 
 func (w *fpWriter) b(v bool) {
 	if v {
@@ -116,6 +141,7 @@ func (w *Workload) Fingerprint() Fingerprint {
 		}
 	}
 
+	fw.flush()
 	var fp Fingerprint
 	fw.h.Sum(fp[:0])
 	return fp

@@ -1,8 +1,10 @@
 package trace_test
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/tracetest"
 )
@@ -75,5 +77,41 @@ func TestFingerprintString(t *testing.T) {
 	s := tracetest.Tiny().Fingerprint().String()
 	if len(s) != 64 {
 		t.Fatalf("hex fingerprint length %d, want 64", len(s))
+	}
+}
+
+// TestFingerprintPinned pins digests computed before the writer was
+// buffered. The result cache and subsetd's persisted registry
+// (<cache-dir>/workloads/<fp>.s3dw) are addressed by fingerprints, so
+// any change to the hashed byte stream orphans every stored entry: it
+// must come with a fingerprintVersion bump, never silently. The long
+// names straddle and overflow the writer's staging buffer.
+func TestFingerprintPinned(t *testing.T) {
+	long := func() (*trace.Workload, error) {
+		w := tracetest.Tiny()
+		w.Name = strings.Repeat("n", 5000)
+		w.Frames[1].Scene = strings.Repeat("s", 4093)
+		return w, nil
+	}
+	for _, tc := range []struct {
+		name string
+		w    func() (*trace.Workload, error)
+		want string
+	}{
+		{"tiny", func() (*trace.Workload, error) { return tracetest.Tiny(), nil },
+			"12af0259583e44c2a5d2e042cd6427e8db215bdef97d08ce4d6569d2db66e333"},
+		{"long-names", long,
+			"3207e01eaa0c838adeee85dde6448623ac20acefdea4b2265b9ed1e22d3d0445"},
+		{"bioshock1-seed1", func() (*trace.Workload, error) {
+			return tracetest.CachedWorkload(synth.Bioshock1Profile(), 1)
+		}, "595e3122d32ae713bbd71a4d9e7e55e8cdcd913b8fc7eee03fdc5a98e5b2661a"},
+	} {
+		w, err := tc.w()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Fingerprint().String(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, pinned %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -245,6 +245,7 @@ type ReaderOptions struct {
 type StreamReader struct {
 	opt     ReaderOptions
 	shell   *Workload
+	checker drawChecker // over shell, built once with it
 	version int
 	diag    traceerr.Diagnostics
 	frames  int // frames delivered
@@ -297,7 +298,7 @@ func NewStreamReader(in io.Reader, opt ReaderOptions) (*StreamReader, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.shell = shell
+		r.shell, r.checker = shell, shell.newDrawChecker()
 		return r, nil
 	}
 
@@ -313,7 +314,7 @@ func NewStreamReader(in io.Reader, opt ReaderOptions) (*StreamReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.shell = shell
+	r.shell, r.checker = shell, shell.newDrawChecker()
 	r.dec = dec
 	return r, nil
 }
@@ -416,7 +417,7 @@ func (r *StreamReader) NextFrame() (Frame, error) {
 			continue
 		}
 		if r.opt.Lenient {
-			dropped, _ := r.shell.SanitizeFrame(&f)
+			dropped, _ := r.checker.sanitize(&f)
 			r.diag.DrawsDropped += dropped
 			if len(f.Draws) == 0 {
 				r.diag.FramesSkipped++
@@ -424,7 +425,7 @@ func (r *StreamReader) NextFrame() (Frame, error) {
 			}
 		} else {
 			for di := range f.Draws {
-				if err := r.shell.validateDraw(&f.Draws[di]); err != nil {
+				if err := r.checker.check(&f.Draws[di]); err != nil {
 					return Frame{}, fmt.Errorf("trace: streamed frame %d draw %d: %w", r.frames, di, &traceerr.RecordError{
 						Kind: traceerr.ErrInvalidFrame, Record: r.records - 1, Frame: r.frames, Offset: -1, Cause: err})
 				}

@@ -22,13 +22,14 @@ func (w *Workload) Validate() error {
 	if len(w.Frames) == 0 {
 		return fmt.Errorf("trace: workload %q has no frames", w.Name)
 	}
+	c := w.newDrawChecker()
 	for fi := range w.Frames {
 		f := &w.Frames[fi]
 		if len(f.Draws) == 0 {
 			return fmt.Errorf("trace: %q frame %d has no draws", w.Name, fi)
 		}
 		for di := range f.Draws {
-			if err := w.validateDraw(&f.Draws[di]); err != nil {
+			if err := c.check(&f.Draws[di]); err != nil {
 				return fmt.Errorf("trace: %q frame %d draw %d: %w", w.Name, fi, di, err)
 			}
 		}
@@ -53,13 +54,14 @@ func (w *Workload) ValidateAll() error {
 	if len(w.Frames) == 0 {
 		errs = append(errs, fmt.Errorf("trace: workload %q has no frames", w.Name))
 	}
+	c := w.newDrawChecker()
 	for fi := range w.Frames {
 		f := &w.Frames[fi]
 		if len(f.Draws) == 0 {
 			errs = append(errs, fmt.Errorf("trace: %q frame %d has no draws", w.Name, fi))
 		}
 		for di := range f.Draws {
-			if err := w.validateDraw(&f.Draws[di]); err != nil {
+			if err := c.check(&f.Draws[di]); err != nil {
 				errs = append(errs, fmt.Errorf("trace: %q frame %d draw %d: %w", w.Name, fi, di, err))
 			}
 		}
@@ -72,10 +74,14 @@ func (w *Workload) ValidateAll() error {
 // and their joined violations (nil when the frame was clean). The
 // receiver provides the resource tables; its own frames are untouched.
 func (w *Workload) SanitizeFrame(f *Frame) (int, error) {
+	return w.newDrawChecker().sanitize(f)
+}
+
+func (c drawChecker) sanitize(f *Frame) (int, error) {
 	var errs []error
 	kept := f.Draws[:0]
 	for di := range f.Draws {
-		if err := w.validateDraw(&f.Draws[di]); err != nil {
+		if err := c.check(&f.Draws[di]); err != nil {
 			errs = append(errs, fmt.Errorf("draw %d: %w", di, err))
 			continue
 		}
@@ -98,10 +104,11 @@ func (w *Workload) Sanitize() (traceerr.Diagnostics, error) {
 		// describe a usable workload.
 		return diag, fmt.Errorf("trace: workload beyond repair (%v): %w", w.Validate(), traceerr.ErrInvalidFrame)
 	}
+	c := w.newDrawChecker()
 	kept := w.Frames[:0]
 	for fi := range w.Frames {
 		f := &w.Frames[fi]
-		dropped, _ := w.SanitizeFrame(f)
+		dropped, _ := c.sanitize(f)
 		diag.DrawsDropped += dropped
 		if len(f.Draws) == 0 {
 			diag.FramesSkipped++
@@ -117,42 +124,70 @@ func (w *Workload) Sanitize() (traceerr.Diagnostics, error) {
 	return diag, nil
 }
 
-func (w *Workload) validateDraw(d *DrawCall) error {
+// drawChecker validates draws against one workload's resource tables
+// through an index of every program's stage and texture slots, built
+// once per validation call. Resolving a pixel shader's slots per draw
+// costs a map build and a sort; through the index the per-draw check
+// is table lookups. The index is per call, never stored on the
+// workload, so it can never go stale when a caller edits the exported
+// Frames or registry between validations.
+type drawChecker struct {
+	w     *Workload
+	progs *shader.Table[progFacts]
+}
+
+// progFacts is what draw validation needs to know about one program.
+type progFacts struct {
+	stage shader.Stage
+	slots []int // TextureSlots
+}
+
+func (w *Workload) newDrawChecker() drawChecker {
+	return drawChecker{w: w, progs: shader.NewTable(w.Shaders, func(p *shader.Program) progFacts {
+		return progFacts{stage: p.Stage, slots: p.TextureSlots()}
+	})}
+}
+
+func (c drawChecker) check(d *DrawCall) error {
+	w := c.w
 	if d.VertexCount <= 0 {
 		return fmt.Errorf("vertex count %d <= 0", d.VertexCount)
 	}
 	if d.InstanceCount <= 0 {
 		return fmt.Errorf("instance count %d <= 0", d.InstanceCount)
 	}
-	vs, err := w.Shaders.Lookup(d.VS)
-	if err != nil {
+	vs := c.progs.Get(d.VS)
+	if vs == nil {
+		_, err := w.Shaders.Lookup(d.VS)
 		return fmt.Errorf("vertex shader: %w", err)
 	}
-	if vs.Stage != shader.StageVertex {
-		return fmt.Errorf("shader %d bound as VS has stage %v", d.VS, vs.Stage)
+	if vs.stage != shader.StageVertex {
+		return fmt.Errorf("shader %d bound as VS has stage %v", d.VS, vs.stage)
 	}
-	ps, err := w.Shaders.Lookup(d.PS)
-	if err != nil {
+	ps := c.progs.Get(d.PS)
+	if ps == nil {
+		_, err := w.Shaders.Lookup(d.PS)
 		return fmt.Errorf("pixel shader: %w", err)
 	}
-	if ps.Stage != shader.StagePixel {
-		return fmt.Errorf("shader %d bound as PS has stage %v", d.PS, ps.Stage)
+	if ps.stage != shader.StagePixel {
+		return fmt.Errorf("shader %d bound as PS has stage %v", d.PS, ps.stage)
 	}
 	// Every texture slot the pixel shader samples must be bound.
-	for _, slot := range ps.TextureSlots() {
+	for _, slot := range ps.slots {
 		if slot >= len(d.Textures) || d.Textures[slot] == 0 {
 			return fmt.Errorf("pixel shader %d samples slot %d which is unbound", d.PS, slot)
 		}
 	}
+	// Resource ids are range-checked inline; the lookups run only to
+	// word the error.
 	for slot, tid := range d.Textures {
-		if tid == 0 {
-			continue
-		}
-		if _, err := w.Texture(tid); err != nil {
+		if int(tid) > len(w.Textures) {
+			_, err := w.Texture(tid)
 			return fmt.Errorf("slot %d: %w", slot, err)
 		}
 	}
-	if _, err := w.RenderTarget(d.RT); err != nil {
+	if d.RT == 0 || int(d.RT) > len(w.RenderTargets) {
+		_, err := w.RenderTarget(d.RT)
 		return err
 	}
 	if d.CoverageFrac < 0 || d.CoverageFrac > 1 {

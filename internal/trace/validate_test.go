@@ -1,9 +1,11 @@
 package trace_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/shader"
 	"repro/internal/trace"
 	"repro/internal/tracetest"
 )
@@ -15,7 +17,8 @@ func TestValidateAcceptsFixture(t *testing.T) {
 }
 
 // corrupt applies f to a fresh fixture and asserts Validate fails with
-// a message containing wantSub.
+// a message containing wantSub — the same message, byte for byte, as
+// the per-draw reference validator's.
 func corrupt(t *testing.T, wantSub string, f func(w *trace.Workload)) {
 	t.Helper()
 	w := tracetest.Tiny()
@@ -27,6 +30,86 @@ func corrupt(t *testing.T, wantSub string, f func(w *trace.Workload)) {
 	if !strings.Contains(err.Error(), wantSub) {
 		t.Fatalf("error %q does not mention %q", err, wantSub)
 	}
+	if ref := referenceValidate(w); ref == nil || ref.Error() != err.Error() {
+		t.Fatalf("corruption %q: indexed validator says %q, per-draw reference says %v", wantSub, err, ref)
+	}
+}
+
+// referenceValidate is the validator the indexed one replaced, kept as
+// the differential oracle: it resolves both shaders through the
+// registry and recomputes the pixel shader's texture slots on every
+// draw.
+func referenceValidate(w *trace.Workload) error {
+	if w.Name == "" {
+		return fmt.Errorf("trace: workload has empty name")
+	}
+	if w.Shaders == nil {
+		return fmt.Errorf("trace: workload %q has nil shader registry", w.Name)
+	}
+	if len(w.Frames) == 0 {
+		return fmt.Errorf("trace: workload %q has no frames", w.Name)
+	}
+	for fi := range w.Frames {
+		f := &w.Frames[fi]
+		if len(f.Draws) == 0 {
+			return fmt.Errorf("trace: %q frame %d has no draws", w.Name, fi)
+		}
+		for di := range f.Draws {
+			if err := referenceValidateDraw(w, &f.Draws[di]); err != nil {
+				return fmt.Errorf("trace: %q frame %d draw %d: %w", w.Name, fi, di, err)
+			}
+		}
+	}
+	return nil
+}
+
+func referenceValidateDraw(w *trace.Workload, d *trace.DrawCall) error {
+	if d.VertexCount <= 0 {
+		return fmt.Errorf("vertex count %d <= 0", d.VertexCount)
+	}
+	if d.InstanceCount <= 0 {
+		return fmt.Errorf("instance count %d <= 0", d.InstanceCount)
+	}
+	vs, err := w.Shaders.Lookup(d.VS)
+	if err != nil {
+		return fmt.Errorf("vertex shader: %w", err)
+	}
+	if vs.Stage != shader.StageVertex {
+		return fmt.Errorf("shader %d bound as VS has stage %v", d.VS, vs.Stage)
+	}
+	ps, err := w.Shaders.Lookup(d.PS)
+	if err != nil {
+		return fmt.Errorf("pixel shader: %w", err)
+	}
+	if ps.Stage != shader.StagePixel {
+		return fmt.Errorf("shader %d bound as PS has stage %v", d.PS, ps.Stage)
+	}
+	for _, slot := range ps.TextureSlots() {
+		if slot >= len(d.Textures) || d.Textures[slot] == 0 {
+			return fmt.Errorf("pixel shader %d samples slot %d which is unbound", d.PS, slot)
+		}
+	}
+	for slot, tid := range d.Textures {
+		if tid == 0 {
+			continue
+		}
+		if _, err := w.Texture(tid); err != nil {
+			return fmt.Errorf("slot %d: %w", slot, err)
+		}
+	}
+	if _, err := w.RenderTarget(d.RT); err != nil {
+		return err
+	}
+	if d.CoverageFrac < 0 || d.CoverageFrac > 1 {
+		return fmt.Errorf("coverage %v outside [0, 1]", d.CoverageFrac)
+	}
+	if d.Overdraw < 1 {
+		return fmt.Errorf("overdraw %v < 1", d.Overdraw)
+	}
+	if d.TexLocality <= 0 || d.TexLocality > 1 {
+		return fmt.Errorf("texture locality %v outside (0, 1]", d.TexLocality)
+	}
+	return nil
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
@@ -64,6 +147,9 @@ func TestValidateReportsCoordinates(t *testing.T) {
 	if !strings.Contains(err.Error(), "frame 2 draw 3") {
 		t.Errorf("error lacks coordinates: %v", err)
 	}
+	if ref := referenceValidate(w); ref == nil || ref.Error() != err.Error() {
+		t.Errorf("indexed validator says %q, per-draw reference says %v", err, ref)
+	}
 }
 
 func TestValidateAllCollectsEveryViolation(t *testing.T) {
@@ -89,8 +175,12 @@ func TestValidateAllCollectsEveryViolation(t *testing.T) {
 			t.Errorf("joined error missing %q:\n%v", want, err)
 		}
 	}
-	if first := w.Validate(); first == nil || strings.Contains(first.Error(), "overdraw") {
+	first := w.Validate()
+	if first == nil || strings.Contains(first.Error(), "overdraw") {
 		t.Errorf("Validate should stop at the first violation, got %v", first)
+	}
+	if ref := referenceValidate(w); ref == nil || first == nil || ref.Error() != first.Error() {
+		t.Errorf("indexed validator says %v, per-draw reference says %v", first, ref)
 	}
 }
 
@@ -104,6 +194,9 @@ func TestSanitizeFrameDropsOnlyInvalidDraws(t *testing.T) {
 	survivor := f.Draws[1] // untouched draw, must come through intact
 	f.Draws[0].CoverageFrac = 2
 	f.Draws[2].Overdraw = 0
+	if err, ref := w.Validate(), referenceValidate(w); err == nil || ref == nil || err.Error() != ref.Error() {
+		t.Fatalf("indexed validator says %v, per-draw reference says %v", err, ref)
+	}
 
 	dropped, err := w.SanitizeFrame(f)
 	if dropped != 2 {
