@@ -78,8 +78,6 @@ type config struct {
 	drainTimeout  time.Duration
 	maxBodyMiB    int
 	maxWorkloads  int
-	batchSize     int
-	batchWait     time.Duration
 	strict        bool
 	pidFile       string
 
@@ -102,8 +100,6 @@ func main() {
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 	flag.IntVar(&cfg.maxBodyMiB, "max-body", 256, "upload body cap in MiB")
 	flag.IntVar(&cfg.maxWorkloads, "max-workloads", 64, "registry capacity")
-	flag.IntVar(&cfg.batchSize, "batch-size", 8, "admission batcher: jobs per batch")
-	flag.DurationVar(&cfg.batchWait, "batch-wait", 2*time.Millisecond, "admission batcher: max wait to fill a batch")
 	flag.BoolVar(&cfg.strict, "strict", false, "reject damaged uploads instead of repairing them")
 	flag.StringVar(&cfg.pidFile, "pid-file", "", "write the daemon PID to this file (removed on exit)")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "structured logging to stderr: debug, info, warn, error or off")
@@ -145,8 +141,6 @@ func execute(ctx context.Context, cfg config) error {
 		QueueDepth:     cfg.queueDepth,
 		QueueWait:      cfg.queueWait,
 		ReadyMaxQueue:  cfg.readyMaxQ,
-		BatchSize:      cfg.batchSize,
-		BatchMaxWait:   cfg.batchWait,
 		Workers:        cfg.workers,
 		MaxWorkloads:   cfg.maxWorkloads,
 		Strict:         cfg.strict,

@@ -17,6 +17,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
+	"repro/internal/parallel"
 	"repro/internal/subset"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -597,7 +598,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"admitted":  m.Counter("serve.admitted").Value(),
 		"shed":      m.Counter("serve.shed").Value(),
 		"coalesced": m.Counter("serve.coalesced").Value(),
-		"batches":   m.Counter("serve.batches").Value(),
 		"panics":    m.Counter("serve.panics").Value(),
 	}
 	if s.opt.Cache != nil {
@@ -607,16 +607,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // runQuery is the execution path every compute query rides:
-// single-flight coalescing over the response bytes, then the admission
-// batcher, then (inside fn) the result cache. Followers of a coalesced
-// computation get the leader's bytes with X-Subsetd-Coalesced set.
+// single-flight coalescing over the response bytes, then (inside fn)
+// the result cache. Followers of a coalesced computation get the
+// leader's bytes with X-Subsetd-Coalesced set. The computation runs
+// under its own panic shield: a panic must end as the leader's error,
+// which releases its followers and clears the flight key, instead of
+// unwinding past the flight group.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, flightKey string, fn func(ctx context.Context) (any, error)) {
-	data, shared, err := s.flight.do(r.Context(), flightKey, func() ([]byte, error) {
-		v, err := s.bat.submit(r.Context(), fn)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(v)
+	data, shared, err := s.flight.do(r.Context(), flightKey, func() (data []byte, err error) {
+		err = parallel.Call(-1, func() error {
+			v, err := fn(r.Context())
+			if err == nil {
+				data, err = json.Marshal(v)
+			}
+			return err
+		})
+		return data, err
 	})
 	if shared {
 		s.run.Metrics().Counter("serve.coalesced").Inc()

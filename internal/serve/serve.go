@@ -18,18 +18,15 @@
 //   - Single-flight coalescing. Identical in-flight queries share one
 //     execution and one marshaled response (X-Subsetd-Coalesced marks
 //     the followers).
-//   - Admission batching. Query computations funnel through a
-//     channel-fed batcher (BatchSize/BatchMaxWait) into the
-//     deterministic parallel engine, so a burst of queries becomes a
-//     bounded set of well-packed batches.
-//   - Panic containment. A panicking handler or batch task answers
-//     500 to its own request (stack logged server-side) and leaves
-//     every other request untouched.
+//   - Panic containment. A panicking handler answers 500 to its own
+//     request (stack logged server-side) and leaves every other
+//     request untouched; a panicking query computation answers 500 to
+//     its request and to the followers coalesced onto it.
 //   - Typed failure mapping. Every error class in the traceerr
 //     taxonomy maps onto a specific HTTP status; clients branch on
 //     the machine-readable "class" field, not message strings.
 //   - Graceful drain. Drain stops admitting, waits out in-flight
-//     requests, stops the batcher, and flushes the result cache;
+//     requests, and flushes the result cache;
 //     subsetd drives it from SIGTERM and then emits the final run
 //     manifest.
 package serve
@@ -81,14 +78,8 @@ type Options struct {
 	// RetryAfter is the hint sent with 429/503 responses (default 1s).
 	RetryAfter time.Duration
 
-	// BatchSize and BatchMaxWait shape the admission batcher: a batch
-	// dispatches to the parallel engine when it reaches BatchSize jobs
-	// or the oldest job has waited BatchMaxWait (defaults 8, 2ms).
-	BatchSize    int
-	BatchMaxWait time.Duration
-
-	// Workers bounds the parallel engine inside one batch and inside
-	// each pipeline run (default GOMAXPROCS).
+	// Workers bounds the parallel engine inside each pipeline run
+	// (default GOMAXPROCS).
 	Workers int
 
 	// MaxWorkloads caps the registry (default 64). Uploads beyond it
@@ -133,12 +124,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
 	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 8
-	}
-	if o.BatchMaxWait <= 0 {
-		o.BatchMaxWait = 2 * time.Millisecond
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -156,7 +141,6 @@ type Server struct {
 	run    *obs.Run
 	reg    *registry
 	adm    *admitter
-	bat    *batcher
 	flight *flightGroup
 	events *eventRing
 	mux    *http.ServeMux
@@ -175,7 +159,7 @@ type Server struct {
 	inflight sync.WaitGroup
 }
 
-// New builds a server and starts its batcher.
+// New builds a server.
 func New(opt Options) *Server {
 	opt = opt.withDefaults()
 	s := &Server{
@@ -183,14 +167,12 @@ func New(opt Options) *Server {
 		run:    opt.Run,
 		reg:    newRegistry(opt.MaxWorkloads),
 		adm:    newAdmitter(opt.MaxConcurrent, opt.QueueDepth, opt.QueueWait, opt.Run),
-		bat:    newBatcher(opt.BatchSize, opt.BatchMaxWait, opt.Workers, opt.Run),
 		flight: &flightGroup{},
 		events: newEventRing(256),
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
 	}
 	s.routes()
-	s.bat.start()
 	return s
 }
 
@@ -254,7 +236,7 @@ func (s *Server) Draining() bool {
 
 // Drain is the graceful-shutdown sequence: stop admitting (new
 // requests answer 503 + Retry-After), wait for in-flight requests to
-// finish, stop the batcher, and flush the result cache's disk tier.
+// finish, and flush the result cache's disk tier.
 // If ctx expires first the remaining in-flight requests are abandoned
 // and the context's error returned; the caller (subsetd) still emits
 // its final manifest either way. Drain is idempotent.
@@ -272,10 +254,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		s.bat.stop()
 		return fmt.Errorf("serve: drain interrupted with requests in flight: %w", ctx.Err())
 	}
-	s.bat.stop()
 	s.opt.Cache.Flush()
 	s.run.Logger().Info("drain complete",
 		"requests", s.run.Metrics().Counter("serve.requests").Value(),

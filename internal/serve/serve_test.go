@@ -17,7 +17,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/gpu"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/shader"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -643,98 +642,173 @@ func TestAdmitterHonorsContext(t *testing.T) {
 	}
 }
 
-// --- batcher unit tests ---
+// --- query execution path ---
 
-func TestBatcherRunsJobs(t *testing.T) {
-	b := newBatcher(4, time.Millisecond, 2, nil)
-	b.start()
-	defer b.stop()
+// query runs one compute query through runQuery under ctx.
+func query(s *Server, ctx context.Context, key string, fn func(context.Context) (any, error)) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.runQuery(rec, httptest.NewRequest("POST", "/v1/subset", nil).WithContext(ctx), key, fn)
+	return rec
+}
 
-	const n = 10
-	var wg sync.WaitGroup
-	results := make([]any, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = b.submit(context.Background(), func(context.Context) (any, error) {
-				return i * i, nil
-			})
-		}(i)
+// parkedOn waits until n followers are parked on key's in-flight call.
+func parkedOn(t *testing.T, g *flightGroup, key string, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		g.mu.Lock()
+		c := g.m[key]
+		g.mu.Unlock()
+		if c != nil && c.waiters.Load() >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
+	t.Fatalf("%d followers never parked on %q", n, key)
+}
+
+// TestQueryPanicReleasesFollowers: a panicking computation answers 500
+// (class panic, value withheld) to its leader and to every follower
+// parked on it, leaves a concurrent query on another key untouched,
+// clears its flight key, and the next identical request computes
+// afresh.
+func TestQueryPanicReleasesFollowers(t *testing.T) {
+	s := newTestServer(t, Options{})
+	const key, followers = "subset:poisoned", 3
+	inLeader := make(chan struct{})
+	release := make(chan struct{})
+	recs := make([]*httptest.ResponseRecorder, followers+1)
+	var sibling *httptest.ResponseRecorder
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		recs[0] = query(s, context.Background(), key, func(context.Context) (any, error) {
+			close(inLeader)
+			<-release
+			panic("secret internal state 0xdeadbeef")
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		sibling = query(s, context.Background(), "subset:sibling", func(context.Context) (any, error) {
+			<-release
+			return "sibling", nil
+		})
+	}()
+	<-inLeader
+	for i := 1; i <= followers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i] = query(s, context.Background(), key, func(context.Context) (any, error) {
+				return "recomputed", nil
+			})
+		}()
+	}
+	parkedOn(t, s.flight, key, followers)
+	close(release)
 	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil || results[i] != i*i {
-			t.Errorf("job %d: (%v, %v), want (%d, nil)", i, results[i], errs[i], i*i)
+
+	for i, rec := range recs {
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("request %d: %v: %s", i, err, rec.Body)
+		}
+		if rec.Code != http.StatusInternalServerError || eb.Class != "panic" {
+			t.Errorf("request %d: %d class %q, want 500 class panic", i, rec.Code, eb.Class)
+		}
+		if bytes.Contains(rec.Body.Bytes(), []byte("0xdeadbeef")) {
+			t.Errorf("request %d: panic value leaked to the client", i)
 		}
 	}
-}
-
-// TestBatcherPanicIsolation: one job panicking fails only that job.
-func TestBatcherPanicIsolation(t *testing.T) {
-	b := newBatcher(4, time.Millisecond, 2, nil)
-	b.start()
-	defer b.stop()
-
-	var wg sync.WaitGroup
-	var okCount atomic.Int64
-	panicErr := make(chan error, 1)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := b.submit(context.Background(), func(context.Context) (any, error) {
-				if i == 0 {
-					panic("job zero poisoned")
-				}
-				return "ok", nil
-			})
-			if i == 0 {
-				panicErr <- err
-			} else if err == nil && v == "ok" {
-				okCount.Add(1)
-			}
-		}(i)
+	if sibling.Code != http.StatusOK || sibling.Body.String() != `"sibling"` {
+		t.Errorf("sibling query: %d %s, want 200 \"sibling\"", sibling.Code, sibling.Body)
 	}
-	wg.Wait()
-	err := <-panicErr
-	var pe *parallel.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("poisoned job error = %v, want *parallel.PanicError", err)
+	s.flight.mu.Lock()
+	left := len(s.flight.m)
+	s.flight.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d flight keys left after the panic, want 0", left)
 	}
-	if okCount.Load() != 3 {
-		t.Errorf("%d sibling jobs succeeded, want 3", okCount.Load())
-	}
-}
 
-func TestBatcherCanceledJobSkipped(t *testing.T) {
-	b := newBatcher(2, time.Millisecond, 1, nil)
-	b.start()
-	defer b.stop()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	_, err := b.submit(ctx, func(context.Context) (any, error) {
-		ran = true
-		return nil, nil
+	rec := query(s, context.Background(), key, func(context.Context) (any, error) {
+		return "fresh", nil
 	})
-	if err != context.Canceled {
-		t.Errorf("submit on canceled ctx: %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Error("canceled job still ran")
+	if rec.Code != http.StatusOK || rec.Body.String() != `"fresh"` {
+		t.Errorf("identical request after the panic: %d %s, want 200 \"fresh\"", rec.Code, rec.Body)
 	}
 }
 
-func TestBatcherStopFailsNewSubmits(t *testing.T) {
-	b := newBatcher(2, time.Millisecond, 1, nil)
-	b.start()
-	b.stop()
-	if _, err := b.submit(context.Background(), func(context.Context) (any, error) {
-		return nil, nil
-	}); err != ErrDraining {
-		t.Errorf("submit after stop: %v, want ErrDraining", err)
+// TestQueryFollowerOutlivesLeader: a live follower coalesced onto a
+// leader whose own request died — client gone or deadline passed — is
+// answered from a computation of its own, while a genuine computation
+// error stays shared with the follower.
+func TestQueryFollowerOutlivesLeader(t *testing.T) {
+	cases := []struct {
+		name         string
+		cancelLeader bool
+		leader       func(ctx context.Context) error // the leader's computation result
+		leaderCode   int
+		followerCode int
+		coalesced    bool
+	}{
+		{"leader canceled", true, func(ctx context.Context) error { return ctx.Err() }, 499, http.StatusOK, false},
+		{"leader deadline", false, func(context.Context) error {
+			return fmt.Errorf("pricing: %w", context.DeadlineExceeded)
+		}, http.StatusGatewayTimeout, http.StatusOK, false},
+		{"computation error", false, func(context.Context) error {
+			return errors.New("computation failed")
+		}, http.StatusInternalServerError, http.StatusInternalServerError, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Options{})
+			const key = "subset:k"
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			inLeader := make(chan struct{})
+			release := make(chan struct{})
+			leaderRec := make(chan *httptest.ResponseRecorder, 1)
+			go func() {
+				leaderRec <- query(s, ctx, key, func(ctx context.Context) (any, error) {
+					close(inLeader)
+					<-release
+					return nil, tc.leader(ctx)
+				})
+			}()
+			<-inLeader
+			var followerRan atomic.Bool
+			followerRec := make(chan *httptest.ResponseRecorder, 1)
+			go func() {
+				followerRec <- query(s, context.Background(), key, func(context.Context) (any, error) {
+					followerRan.Store(true)
+					return "follower", nil
+				})
+			}()
+			parkedOn(t, s.flight, key, 1)
+			if tc.cancelLeader {
+				cancel()
+			}
+			close(release)
+
+			if lr := <-leaderRec; lr.Code != tc.leaderCode {
+				t.Errorf("leader: %d, want %d", lr.Code, tc.leaderCode)
+			}
+			fr := <-followerRec
+			if fr.Code != tc.followerCode {
+				t.Errorf("follower: %d %s, want %d", fr.Code, fr.Body, tc.followerCode)
+			}
+			if got := fr.Header().Get("X-Subsetd-Coalesced") == "true"; got != tc.coalesced {
+				t.Errorf("follower coalesced = %v, want %v", got, tc.coalesced)
+			}
+			if followerRan.Load() == tc.coalesced {
+				t.Errorf("follower computed = %v, want %v", followerRan.Load(), !tc.coalesced)
+			}
+			if tc.followerCode == http.StatusOK && fr.Body.String() != `"follower"` {
+				t.Errorf("follower body %s, want its own computation", fr.Body)
+			}
+		})
 	}
 }
 
@@ -778,16 +852,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	}
 	// Release the leader only after every follower is parked on its
 	// done channel, so all of them must ride the coalesced result.
-	g.mu.Lock()
-	call := g.m["k"]
-	g.mu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for call.waiters.Load() < followers && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if call.waiters.Load() < followers {
-		t.Fatalf("only %d/%d followers parked", call.waiters.Load(), followers)
-	}
+	parkedOn(t, g, "k", followers)
 	close(releaseLeader)
 	wg.Wait()
 	<-leaderDone

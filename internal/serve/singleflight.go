@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -27,7 +28,10 @@ type flightCall struct {
 // identical call is in flight; shared reports whether this caller rode
 // a leader's computation. A follower whose ctx dies stops waiting (the
 // leader keeps going for the others). Leader errors are shared too —
-// the herd gets the same failure, not a retry storm.
+// the herd gets the same failure, not a retry storm — except the
+// leader's own cancellation or deadline: that ended the leader's
+// request, not the computation, so a live follower calls do again and
+// joins the current flight or leads a new one.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]byte, error)) (data []byte, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -36,13 +40,18 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() ([]byte, err
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		c.waiters.Add(1)
-		defer c.waiters.Add(-1)
 		select {
 		case <-c.done:
-			return c.data, true, c.err
 		case <-ctx.Done():
-			return nil, true, ctx.Err()
 		}
+		c.waiters.Add(-1)
+		if err := ctx.Err(); err != nil {
+			return nil, true, err
+		}
+		if errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded) {
+			return g.do(ctx, key, fn)
+		}
+		return c.data, true, c.err
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.m[key] = c

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -58,12 +57,11 @@ func (h Header) Shell() (*Workload, error) {
 }
 
 // StreamEncoder writes a workload as header + one record per frame, so
-// arbitrarily long captures encode in bounded memory. New streams are
-// written in format v2 (checksummed, resyncable); NewStreamEncoderV1
-// keeps the legacy raw-gob writer for compatibility tooling.
+// arbitrarily long captures encode in bounded memory. Streams are
+// written in format v2 (checksummed, resyncable); v1 is read-only.
 type StreamEncoder struct {
-	writeFrame func(*Frame) error
-	frames     int
+	w      *streamWriterV2
+	frames int
 }
 
 // NewStreamEncoder writes the v2 container header and stream header
@@ -73,26 +71,12 @@ func NewStreamEncoder(out io.Writer, h Header) (*StreamEncoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StreamEncoder{writeFrame: w.writeFrame}, nil
-}
-
-// NewStreamEncoderV1 writes the legacy v1 format: a bare gob stream of
-// header then frames, with no magic, framing or checksums. It exists so
-// compatibility with already-captured fleets can be tested; new
-// captures should use NewStreamEncoder.
-func NewStreamEncoderV1(out io.Writer, h Header) (*StreamEncoder, error) {
-	enc := gob.NewEncoder(out)
-	if err := enc.Encode(h); err != nil {
-		return nil, fmt.Errorf("trace: encoding stream header: %w", err)
-	}
-	return &StreamEncoder{writeFrame: func(f *Frame) error {
-		return enc.Encode(f)
-	}}, nil
+	return &StreamEncoder{w: w}, nil
 }
 
 // WriteFrame appends one frame record.
 func (e *StreamEncoder) WriteFrame(f *Frame) error {
-	if err := e.writeFrame(f); err != nil {
+	if err := e.w.writeFrame(f); err != nil {
 		return fmt.Errorf("trace: encoding frame %d: %w", e.frames, err)
 	}
 	e.frames++
@@ -117,10 +101,10 @@ func EncodeStream(out io.Writer, w *Workload) error {
 	return nil
 }
 
-// StreamDecoder reads header + frames written by StreamEncoder (either
-// format version), failing fast on the first problem. It is the strict
-// face of StreamReader; use NewStreamReader directly for lenient
-// ingestion of damaged captures.
+// StreamDecoder reads header + frames in either format version (v2 as
+// StreamEncoder writes it, or legacy v1), failing fast on the first
+// problem. It is the strict face of StreamReader; use NewStreamReader
+// directly for lenient ingestion of damaged captures.
 type StreamDecoder struct {
 	r *StreamReader
 }

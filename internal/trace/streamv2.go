@@ -1,6 +1,6 @@
 // Stream format v2 — the fault-tolerant frame-stream container.
 //
-// The v1 format (NewStreamEncoderV1) is a bare gob stream: no magic,
+// The v1 format (read-only now) is a bare gob stream: no magic,
 // no framing, no checksums. One flipped byte anywhere poisons the gob
 // decoder state and aborts the rest of the capture. At fleet scale —
 // hundreds of captures streamed off disks and networks — truncation

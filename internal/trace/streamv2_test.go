@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -73,36 +75,31 @@ func TestStreamV2RoundTrip(t *testing.T) {
 }
 
 func TestStreamV1BackwardCompat(t *testing.T) {
-	// Streams written by the seed code (bare gob, no container) must
-	// still read through both the strict decoder and the new reader.
-	w := tracetest.Tiny()
-	var buf bytes.Buffer
-	enc, err := trace.NewStreamEncoderV1(&buf, trace.HeaderOf(w))
+	// testdata/tiny.v1.stream is tracetest.Tiny() as the legacy v1
+	// writer (bare gob, no container) encoded it; such streams must
+	// still read through both the strict decoder and the lenient reader.
+	v1, err := os.ReadFile("testdata/tiny.v1.stream")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w.Frames {
-		if err := enc.WriteFrame(&w.Frames[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1 := buf.Bytes()
+	w := tracetest.Tiny()
 
 	dec, err := trace.NewStreamDecoder(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatalf("v1 stream rejected by StreamDecoder: %v", err)
 	}
-	n := 0
+	var strict []trace.Frame
 	for {
-		if _, err := dec.NextFrame(); errors.Is(err, io.EOF) {
+		f, err := dec.NextFrame()
+		if errors.Is(err, io.EOF) {
 			break
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		n++
+		strict = append(strict, f)
 	}
-	if n != w.NumFrames() {
-		t.Fatalf("decoded %d v1 frames, want %d", n, w.NumFrames())
+	if !reflect.DeepEqual(strict, w.Frames) {
+		t.Fatalf("strict decoder: v1 frames differ from Tiny's:\n got %+v\nwant %+v", strict, w.Frames)
 	}
 
 	r, err := trace.NewStreamReader(bytes.NewReader(v1), trace.ReaderOptions{Lenient: true})
@@ -112,8 +109,8 @@ func TestStreamV1BackwardCompat(t *testing.T) {
 	if r.Version() != 1 {
 		t.Fatalf("Version = %d, want 1", r.Version())
 	}
-	if got := drainFrames(t, r); len(got) != w.NumFrames() {
-		t.Fatalf("lenient reader got %d v1 frames, want %d", len(got), w.NumFrames())
+	if got := drainFrames(t, r); !reflect.DeepEqual(got, w.Frames) {
+		t.Fatalf("lenient reader: v1 frames differ from Tiny's:\n got %+v\nwant %+v", got, w.Frames)
 	}
 }
 
