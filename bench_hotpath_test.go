@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -16,7 +17,7 @@ import (
 
 // hotpathWorkload is one reduced game (single-thread benchmark target:
 // the per-draw hot path, not the fan-out).
-func hotpathWorkload(b *testing.B) *trace.Workload {
+func hotpathWorkload(b testing.TB) *trace.Workload {
 	b.Helper()
 	p := synth.Bioshock1Profile()
 	p.Frames = 8
@@ -91,11 +92,88 @@ func naiveDrawInto(w *trace.Workload, mixes map[shader.ID]shader.Mix, d *trace.D
 	}
 }
 
+// naiveLeader freezes exact leader clustering as the linear scan it
+// was before the norm-sorted leader index: every draw is compared with
+// every live leader in founding order, then centroids are member
+// means. cluster.Leader returns the same bits faster, so the naive arm
+// must not call it.
+func naiveLeader(x *linalg.Matrix, threshold float64) cluster.Result {
+	limit := threshold * threshold
+	assign := make([]int, x.Rows)
+	var leaders []int
+	for i := range assign {
+		row := x.Row(i)
+		best := -1
+		bestD := limit
+		for c, li := range leaders {
+			lrow := x.Row(li)
+			var d float64
+			for j, v := range row {
+				diff := v - lrow[j]
+				d += diff * diff
+				if d > bestD {
+					break
+				}
+			}
+			if d <= bestD {
+				best = c
+				bestD = d
+			}
+		}
+		if best == -1 {
+			best = len(leaders)
+			leaders = append(leaders, i)
+		}
+		assign[i] = best
+	}
+	k := len(leaders)
+	cent := linalg.NewMatrix(k, x.Cols)
+	counts := make([]float64, k)
+	for i, c := range assign {
+		crow := cent.Row(c)
+		for j, v := range x.Row(i) {
+			crow[j] += v
+		}
+		counts[c]++
+	}
+	for c := 0; c < k; c++ {
+		linalg.Scale(1/counts[c], cent.Row(c))
+	}
+	return cluster.Result{Assign: assign, K: k, Centroids: cent}
+}
+
+// TestNaiveLeaderMatchesLeader keeps the frozen naive arm a faithful
+// replica: on the hot-path corpus it must cluster exactly as
+// cluster.Leader does, or the speedup ratios compare different work.
+func TestNaiveLeaderMatchesLeader(t *testing.T) {
+	w := hotpathWorkload(t)
+	ex, err := features.NewExtractor(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi := range w.Frames {
+		x := ex.Frame(&w.Frames[fi])
+		var z linalg.ZScore
+		z.Fit(x)
+		for i := 0; i < x.Rows; i++ {
+			z.Apply(x.Row(i))
+		}
+		want, err := cluster.Leader(x, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := naiveLeader(x, 0.5)
+		if got.K != want.K || !slices.Equal(got.Assign, want.Assign) || !slices.Equal(got.Centroids.Data, want.Centroids.Data) {
+			t.Fatalf("frame %d: naive leader differs from cluster.Leader (K %d vs %d)", fi, got.K, want.K)
+		}
+	}
+}
+
 // naiveClusterFrames is the frozen pre-optimization per-frame path: a
 // fresh feature matrix per frame filled by naiveDrawInto, batch
-// z-score, exact leader clustering, medoids. It exists to stay slow
-// the way the code used to be, so BENCH_hotpath.json's speedup ratios
-// measure real improvement machine-independently.
+// z-score, exact leader clustering by linear scan, medoids. It exists
+// to stay slow the way the code used to be, so BENCH_hotpath.json's
+// speedup ratios measure real improvement machine-independently.
 func naiveClusterFrames(b *testing.B, w *trace.Workload, mixes map[shader.ID]shader.Mix, threshold float64) int {
 	b.Helper()
 	clusters := 0
@@ -110,10 +188,7 @@ func naiveClusterFrames(b *testing.B, w *trace.Workload, mixes map[shader.ID]sha
 		for i := 0; i < m.Rows; i++ {
 			z.Apply(m.Row(i))
 		}
-		res, err := cluster.Leader(m, threshold)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := naiveLeader(m, threshold)
 		res.Medoids(m)
 		clusters += res.K
 	}
@@ -124,7 +199,7 @@ func naiveClusterFrames(b *testing.B, w *trace.Workload, mixes map[shader.ID]sha
 // throughput across the hot-path arms:
 //
 //	path=naive      frozen pre-optimization reference (per-draw allocs,
-//	                exact leader)
+//	                exact leader by linear scan)
 //	path=exact      current exact path (flat extraction, scratch reuse)
 //	path=bucketed   signature-bucketed leader
 //	path=sampled    mini-batch k-means

@@ -14,8 +14,8 @@ import (
 // Lance-Williams updates with lazy minima, so this is an ablation arm
 // for per-frame use (n ~ 1-2K), not a corpus-scale default.
 func Agglomerative(x *linalg.Matrix, threshold float64) (Result, error) {
-	if threshold <= 0 {
-		return Result{}, fmt.Errorf("cluster: agglomerative threshold %v <= 0", threshold)
+	if !(threshold > 0) {
+		return Result{}, fmt.Errorf("cluster: agglomerative threshold %v is not positive", threshold)
 	}
 	n := x.Rows
 	// active[i]: cluster i still live. size[i]: member count.

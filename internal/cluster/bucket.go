@@ -29,9 +29,10 @@ type BucketStats struct {
 	// Points is the number of points clustered.
 	Points int64
 	// Comparisons is the number of candidate distance computations the
-	// inner loop performed. The exact leader loop performs
+	// inner loop performed. A linear leader scan would perform
 	// sum-over-points(live clusters) comparisons; the ratio of the two
-	// is the pruning payoff.
+	// is the pruning payoff. Exact Leader prunes too, through its
+	// norm-sorted index, so this is not the gap between the two modes.
 	Comparisons int64
 }
 
@@ -142,8 +143,8 @@ func quantizeCell(x, invCell float64) int64 {
 // cell) while shrinking the candidate set from "all leaders" to a
 // handful.
 func LeaderBucketed(x *linalg.Matrix, threshold float64) (Result, BucketStats, error) {
-	if threshold <= 0 {
-		return Result{}, BucketStats{}, fmt.Errorf("cluster: bucketed leader threshold %v <= 0", threshold)
+	if !(threshold > 0) {
+		return Result{}, BucketStats{}, fmt.Errorf("cluster: bucketed leader threshold %v is not positive", threshold)
 	}
 	n := x.Rows
 	invCell := 1 / threshold
@@ -201,8 +202,8 @@ func LeaderBucketed(x *linalg.Matrix, threshold float64) (Result, BucketStats, e
 // permutation-invariant: the signature of a point depends only on the
 // point, and the within-bucket clustering is itself order-free.
 func AgglomerativeBucketed(x *linalg.Matrix, threshold float64) (Result, BucketStats, error) {
-	if threshold <= 0 {
-		return Result{}, BucketStats{}, fmt.Errorf("cluster: bucketed agglomerative threshold %v <= 0", threshold)
+	if !(threshold > 0) {
+		return Result{}, BucketStats{}, fmt.Errorf("cluster: bucketed agglomerative threshold %v is not positive", threshold)
 	}
 	n := x.Rows
 	invCell := 1 / threshold

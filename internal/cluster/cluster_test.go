@@ -115,6 +115,29 @@ func TestLeaderErrors(t *testing.T) {
 	}
 }
 
+// TestThresholdNaNRejected: a NaN threshold fails every `<= 0` test,
+// so each entry point must reject it explicitly instead of clustering
+// every point alone.
+func TestThresholdNaNRejected(t *testing.T) {
+	x, _ := blobs(10, 2, 1, 4)
+	nan := math.NaN()
+	if _, err := Leader(x, nan); err == nil {
+		t.Error("Leader accepted a NaN threshold")
+	}
+	if _, _, err := LeaderBucketed(x, nan); err == nil {
+		t.Error("LeaderBucketed accepted a NaN threshold")
+	}
+	if _, err := Agglomerative(x, nan); err == nil {
+		t.Error("Agglomerative accepted a NaN threshold")
+	}
+	if _, _, err := AgglomerativeBucketed(x, nan); err == nil {
+		t.Error("AgglomerativeBucketed accepted a NaN threshold")
+	}
+	if _, err := NewStreamingLeader(2, nan); err == nil {
+		t.Error("NewStreamingLeader accepted a NaN threshold")
+	}
+}
+
 func TestKMeansRecoverBlobs(t *testing.T) {
 	x, want := blobs(300, 4, 0.3, 5)
 	res, err := KMeans(x, 4, dcmath.NewRNG(1), 100)

@@ -38,8 +38,8 @@ func NewStreamingLeader(dim int, threshold float64) (*StreamingLeader, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("cluster: streaming leader dim %d <= 0", dim)
 	}
-	if threshold <= 0 {
-		return nil, fmt.Errorf("cluster: streaming leader threshold %v <= 0", threshold)
+	if !(threshold > 0) {
+		return nil, fmt.Errorf("cluster: streaming leader threshold %v is not positive", threshold)
 	}
 	return &StreamingLeader{
 		dim:       dim,

@@ -125,14 +125,14 @@ func DefaultMethod() Method {
 func (m Method) validate() error {
 	switch m.Algo {
 	case AlgoLeader, AlgoAgglomerative:
-		if m.Threshold <= 0 {
-			return fmt.Errorf("subset: %v threshold %v <= 0", m.Algo, m.Threshold)
+		if !(m.Threshold > 0) {
+			return fmt.Errorf("subset: %v threshold %v is not positive", m.Algo, m.Threshold)
 		}
 	case AlgoKMeans:
 		if m.K < 0 {
 			return fmt.Errorf("subset: kmeans K %d < 0", m.K)
 		}
-		if m.K == 0 && m.Threshold <= 0 {
+		if m.K == 0 && !(m.Threshold > 0) {
 			return fmt.Errorf("subset: kmeans with K=0 needs a positive threshold to derive K")
 		}
 		if m.MaxIter <= 0 {

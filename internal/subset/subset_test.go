@@ -153,6 +153,23 @@ func TestNewFrameClustererErrors(t *testing.T) {
 	}
 }
 
+// TestMethodRejectsNaNThreshold: NaN fails every `<= 0` test, so each
+// threshold algorithm, and k-means deriving K from the threshold, must
+// reject it explicitly instead of clustering every draw alone.
+func TestMethodRejectsNaNThreshold(t *testing.T) {
+	w := testGame(t)
+	for _, m := range []Method{
+		{Algo: AlgoLeader, Threshold: math.NaN()},
+		{Algo: AlgoAgglomerative, Threshold: math.NaN()},
+		{Algo: AlgoKMeans, Threshold: math.NaN(), MaxIter: 10},
+		{Algo: AlgoLeader, Threshold: math.NaN(), Mode: ModeStreaming},
+	} {
+		if _, err := NewFrameClusterer(w, m); err == nil {
+			t.Errorf("%v (mode %v) accepted a NaN threshold", m.Algo, m.Mode)
+		}
+	}
+}
+
 func TestBuildSubset(t *testing.T) {
 	w := testGame(t)
 	s, err := Build(w, DefaultOptions())
