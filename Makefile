@@ -16,9 +16,14 @@ tier1: vet build test fuzz-seeds serve-smoke
 vet:
 	$(GO) vet ./...
 
-# lint runs vet plus staticcheck when the binary is available; the
-# gate stays green on machines (and CI images) without it.
+# lint runs vet, fails when any Go file is not gofmt-formatted, and
+# runs staticcheck when the binary is available; the staticcheck step
+# stays green on machines (and CI images) without it.
 lint: vet
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -50,9 +55,10 @@ cover:
 	echo "internal/cache coverage: $$total%"; \
 	awk -v t="$$total" 'BEGIN { exit !(t + 0 >= 70) }' || { echo "FAIL: internal/cache coverage $$total% below the 70% gate"; exit 1; }
 
-# cover-cluster gates the clustering hot path (bucketing, streaming,
-# mini-batch): approximate modes that silently cluster wrong corrupt
-# every downstream result, so the algorithms carry their own floor.
+# cover-cluster gates the clustering algorithms (the exact leader
+# index, k-means, agglomerative): a clustering that silently goes
+# wrong corrupts every downstream result, so they carry their own
+# floor.
 cover-cluster:
 	$(GO) test -coverprofile=cover-cluster.out ./internal/cluster/
 	@total=$$($(GO) tool cover -func=cover-cluster.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
@@ -108,27 +114,25 @@ bench-cache:
 	$(GO) run ./cmd/benchjson -match '^CacheSweep' -o BENCH_cache.json < bench-cache.out
 
 # bench-hotpath regenerates BENCH_hotpath.json: per-draw clustering
-# throughput of each hot-path arm against the frozen pre-optimization
-# reference (path=naive), recorded as machine-independent
-# speedup_vs_naive ratios. Run it on a quiet machine when updating the
+# throughput of the exact path against the frozen pre-optimization
+# reference (path=naive), recorded as a machine-independent
+# speedup_vs_naive ratio. Run it on a quiet machine when updating the
 # checked-in baseline.
 bench-hotpath:
 	$(GO) test -bench='^BenchmarkHotPath$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee bench-hotpath.out
 	$(GO) run ./cmd/benchjson -match '^HotPath' -o BENCH_hotpath.json < bench-hotpath.out
 
 # bench-hotpath-check is the CI regression gate: re-measure the
-# speedup ratios and compare against the checked-in BENCH_hotpath.json.
+# speedup ratio and compare against the checked-in BENCH_hotpath.json.
 # The baseline tolerance is 25% — measured min-of-3 ratios swing ~12%
 # run to run on shared VMs, so a 10% window flakes on noise alone —
-# and the floors pin what must hold regardless of noise: the exact
+# and the floor pins what must hold regardless of noise: the exact
 # path's leader index well clear of the frozen linear scan (exact >=
-# 2x naive; a regression back to the scan measures ~1x), the
-# bucketed arm still decisively sub-linear (>= 3.5x), streaming still
-# ahead of naive (>= 1.3x).
+# 2x naive; a regression back to the scan measures ~1x).
 bench-hotpath-check:
 	$(GO) test -bench='^BenchmarkHotPath$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | $(GO) run ./cmd/benchjson -match '^HotPath' -o bench-hotpath-new.json
 	$(GO) run ./cmd/benchguard -in bench-hotpath-new.json -baseline BENCH_hotpath.json -max-regress 0.25 \
-	  -min HotPath/exact=2.0 -min HotPath/bucketed=3.5 -min HotPath/streaming=1.3
+	  -min HotPath/exact=2.0
 
 # bench-shard regenerates BENCH_shard.json: the 32-config grid sweep
 # split across 2/4/8 shard workers versus the sequential path

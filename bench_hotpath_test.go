@@ -196,14 +196,12 @@ func naiveClusterFrames(b *testing.B, w *trace.Workload, mixes map[shader.ID]sha
 }
 
 // BenchmarkHotPath measures single-thread per-draw clustering
-// throughput across the hot-path arms:
+// throughput on two arms:
 //
-//	path=naive      frozen pre-optimization reference (per-draw allocs,
-//	                exact leader by linear scan)
-//	path=exact      current exact path (flat extraction, scratch reuse)
-//	path=bucketed   signature-bucketed leader
-//	path=sampled    mini-batch k-means
-//	path=streaming  one-pass streaming leader, no materialized matrix
+//	path=naive  frozen pre-optimization reference (per-draw allocs,
+//	            exact leader by linear scan)
+//	path=exact  current path (flat extraction, scratch reuse, the
+//	            exact leader index)
 //
 // `make bench-hotpath` renders this into BENCH_hotpath.json; the
 // speedup_vs_naive ratios are the tracked result, and
@@ -228,36 +226,25 @@ func BenchmarkHotPath(b *testing.B) {
 		b.ReportMetric(draws*float64(b.N)/b.Elapsed().Seconds(), "draws/s")
 	})
 
-	arms := []struct {
-		name   string
-		method subset.Method
-	}{
-		{"exact", subset.Method{Algo: subset.AlgoLeader, Threshold: threshold, Normalizer: "zscore", Mode: subset.ModeExact}},
-		{"bucketed", subset.Method{Algo: subset.AlgoLeader, Threshold: threshold, Normalizer: "zscore", Mode: subset.ModeBucketed}},
-		{"sampled", subset.Method{Algo: subset.AlgoKMeans, Threshold: threshold, MaxIter: 50, Normalizer: "zscore", Mode: subset.ModeSampled}},
-		{"streaming", subset.Method{Algo: subset.AlgoLeader, Threshold: threshold, Normalizer: "zscore", Mode: subset.ModeStreaming}},
-	}
-	for _, arm := range arms {
-		b.Run("path="+arm.name, func(b *testing.B) {
-			fc, err := subset.NewFrameClusterer(w, arm.method)
-			if err != nil {
-				b.Fatal(err)
-			}
-			clusters := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clusters = 0
-				for fi := range w.Frames {
-					cf, err := fc.ClusterFrame(&w.Frames[fi], fi)
-					if err != nil {
-						b.Fatal(err)
-					}
-					clusters += cf.Result.K
+	b.Run("path=exact", func(b *testing.B) {
+		fc, err := subset.NewFrameClusterer(w, subset.Method{Algo: subset.AlgoLeader, Threshold: threshold, Normalizer: "zscore"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		clusters := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clusters = 0
+			for fi := range w.Frames {
+				cf, err := fc.ClusterFrame(&w.Frames[fi], fi)
+				if err != nil {
+					b.Fatal(err)
 				}
+				clusters += cf.Result.K
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(clusters), "clusters")
-			b.ReportMetric(draws*float64(b.N)/b.Elapsed().Seconds(), "draws/s")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(clusters), "clusters")
+		b.ReportMetric(draws*float64(b.N)/b.Elapsed().Seconds(), "draws/s")
+	})
 }

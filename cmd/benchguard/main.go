@@ -11,7 +11,7 @@
 // Usage:
 //
 //	benchguard -in BENCH_new.json -baseline BENCH_hotpath.json [-max-regress 0.10]
-//	benchguard -in BENCH_new.json -min HotPath/bucketed=4.0
+//	benchguard -in BENCH_new.json -min HotPath/exact=2.0
 //
 // -baseline requires every ratio present in the baseline to be at
 // least (1 - max-regress) of its baseline value in -in. -min (may
@@ -157,7 +157,7 @@ func main() {
 		maxRegress = flag.Float64("max-regress", 0.10, "allowed fractional regression vs the baseline ratios")
 		mins       minFlags
 	)
-	flag.Var(&mins, "min", "absolute floor as group/path=ratio, e.g. HotPath/bucketed=4.0 (may repeat)")
+	flag.Var(&mins, "min", "absolute floor as group/path=ratio, e.g. HotPath/exact=2.0 (may repeat)")
 	flag.Parse()
 	if *inPath == "" {
 		fmt.Fprintln(os.Stderr, "benchguard: -in is required")

@@ -75,7 +75,7 @@ type Output struct {
 
 	// SpeedupVsNaive maps a benchmark group (the name up to "/path=")
 	// to path -> ns/op(path=naive) / ns/op(path), e.g.
-	// {"HotPath": {"bucketed": 5.6}}. Only present when the group has a
+	// {"HotPath": {"exact": 2.9}}. Only present when the group has a
 	// path=naive arm to normalize against — this is how
 	// `make bench-hotpath` records the hot-path payoff in
 	// BENCH_hotpath.json, and what cmd/benchguard gates CI on. Being a

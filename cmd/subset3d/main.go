@@ -53,7 +53,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stream"
-	"repro/internal/subset"
 	"repro/internal/trace"
 )
 
@@ -62,7 +61,6 @@ import (
 type config struct {
 	tracePath string
 	streamIn  string
-	mode      string
 	threshold float64
 	interval  int
 	fast      bool
@@ -83,7 +81,6 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.tracePath, "trace", "", "input .trace file (required)")
 	flag.Float64Var(&cfg.threshold, "threshold", core.DefaultOptions().Subset.Method.Threshold, "leader clustering threshold")
-	flag.StringVar(&cfg.mode, "cluster-mode", "exact", "clustering hot-path strategy: exact, bucketed, sampled or streaming (non-exact modes are approximate but sub-linear)")
 	flag.IntVar(&cfg.interval, "interval", core.DefaultOptions().Subset.Phase.IntervalFrames, "phase detection interval (frames)")
 	flag.BoolVar(&cfg.fast, "fast", false, "skip per-frame clustering evaluation")
 	flag.StringVar(&cfg.streamIn, "stream", "", "frame-stream trace to subset in one bounded-memory pass")
@@ -155,13 +152,6 @@ func runStream(ctx context.Context, run *obs.Run, cfg config) error {
 	}
 	opt := stream.DefaultOptions()
 	opt.Method.Threshold = cfg.threshold
-	opt.Method.Mode, err = subset.ParseMode(cfg.mode)
-	if err != nil {
-		return err
-	}
-	if opt.Method.Mode == subset.ModeSampled {
-		opt.Method.Algo = subset.AlgoKMeans
-	}
 	opt.Phase.IntervalFrames = cfg.interval
 	opt.Lenient = cfg.lenient
 	res, err := stream.RunContext(ctx, r, opt)
@@ -204,13 +194,6 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 
 	opt := core.DefaultOptions()
 	opt.Subset.Method.Threshold = cfg.threshold
-	opt.Subset.Method.Mode, err = subset.ParseMode(cfg.mode)
-	if err != nil {
-		return err
-	}
-	if opt.Subset.Method.Mode == subset.ModeSampled {
-		opt.Subset.Method.Algo = subset.AlgoKMeans
-	}
 	opt.Subset.Phase.IntervalFrames = cfg.interval
 	opt.SkipClusteringEval = cfg.fast
 	opt.Lenient = cfg.lenient

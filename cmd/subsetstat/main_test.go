@@ -75,10 +75,10 @@ func TestRenderWindow(t *testing.T) {
 	out := render(prev, cur)
 
 	for _, want := range []string{
-		"req/s 5.0",       // (150-100)/10
-		"shed/s 1.0",      // (20-10)/10
-		"cache hit 75%",   // (70-40)/((70-40)+(50-40))
-		"heap 20.0 MiB",   // cur heap, not a delta
+		"req/s 5.0",     // (150-100)/10
+		"shed/s 1.0",    // (20-10)/10
+		"cache hit 75%", // (70-40)/((70-40)+(50-40))
+		"heap 20.0 MiB", // cur heap, not a delta
 		"goroutines 14",
 		"workloads 2",
 		"queue 3/8",

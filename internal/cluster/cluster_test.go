@@ -124,17 +124,8 @@ func TestThresholdNaNRejected(t *testing.T) {
 	if _, err := Leader(x, nan); err == nil {
 		t.Error("Leader accepted a NaN threshold")
 	}
-	if _, _, err := LeaderBucketed(x, nan); err == nil {
-		t.Error("LeaderBucketed accepted a NaN threshold")
-	}
 	if _, err := Agglomerative(x, nan); err == nil {
 		t.Error("Agglomerative accepted a NaN threshold")
-	}
-	if _, _, err := AgglomerativeBucketed(x, nan); err == nil {
-		t.Error("AgglomerativeBucketed accepted a NaN threshold")
-	}
-	if _, err := NewStreamingLeader(2, nan); err == nil {
-		t.Error("NewStreamingLeader accepted a NaN threshold")
 	}
 }
 

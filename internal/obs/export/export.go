@@ -66,11 +66,11 @@ type Sample struct {
 // HistSample is one histogram's exposition: cumulative buckets (the
 // +Inf bucket is implied by Count) plus sum and count.
 type HistSample struct {
-	Labels  [][2]string
-	Bounds  []float64 // finite upper bounds, ascending
-	Cum     []int64   // cumulative counts aligned with Bounds
-	Sum     float64
-	Count   int64
+	Labels [][2]string
+	Bounds []float64 // finite upper bounds, ascending
+	Cum    []int64   // cumulative counts aligned with Bounds
+	Sum    float64
+	Count  int64
 }
 
 // Family is every sample of one metric name, with its exposition type.
@@ -146,7 +146,7 @@ func Runtime() []Family {
 		Scalar("go_memstats_next_gc_bytes", "gauge", "Heap size target of the next GC cycle.", float64(ms.NextGC)),
 		Scalar("go_memstats_alloc_bytes_total", "counter", "Cumulative bytes allocated on the heap.", float64(ms.TotalAlloc)),
 		Scalar("go_gc_cycles_total", "counter", "Completed GC cycles.", float64(ms.NumGC)),
-		Scalar("go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.", float64(ms.PauseTotalNs) / 1e9),
+		Scalar("go_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.", float64(ms.PauseTotalNs)/1e9),
 	}
 }
 

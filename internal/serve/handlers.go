@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/parallel"
-	"repro/internal/subset"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/traceerr"
@@ -327,12 +326,6 @@ type SubsetRequest struct {
 
 	// Validate enables the frequency-scaling validation sweep.
 	Validate bool `json:"validate"`
-
-	// Mode selects the clustering hot-path strategy: "exact" (default),
-	// "bucketed", "sampled" or "streaming". Non-exact modes trade a
-	// slightly larger subset for sub-linear clustering work; see
-	// subset.Mode.
-	Mode string `json:"mode,omitempty"`
 }
 
 // SubsetResponse is the query result; it is also the unit the result
@@ -367,37 +360,23 @@ func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	mode, err := subset.ParseMode(req.Mode)
-	if err != nil {
-		s.writeErr(w, badRequest("%v", err))
-		return
-	}
-	// Key by the parsed mode, so "" and "exact" — the same computation
-	// — share one cache entry.
-	key := cache.NewKey("serve.subset", 2).
+	key := cache.NewKey("serve.subset", 3).
 		Bytes(e.FP[:]).
 		Bool(req.ClusteringEval).
 		Bool(req.Validate).
-		Uint(uint64(mode)).
 		Sum()
 	s.runQuery(w, r, "subset:"+key.String(), func(ctx context.Context) (any, error) {
 		return cachedQuery(ctx, s, e, key, func(ctx context.Context) (SubsetResponse, error) {
-			return s.computeSubset(ctx, e, req, mode)
+			return s.computeSubset(ctx, e, req)
 		})
 	})
 }
 
-func (s *Server) computeSubset(ctx context.Context, e *workloadEntry, req SubsetRequest, mode subset.Mode) (SubsetResponse, error) {
+func (s *Server) computeSubset(ctx context.Context, e *workloadEntry, req SubsetRequest) (SubsetResponse, error) {
 	opt := core.DefaultOptions()
 	opt.SkipClusteringEval = !req.ClusteringEval
 	if !req.Validate {
 		opt.ValidationClocks = nil
-	}
-	opt.Subset.Method.Mode = mode
-	if mode == subset.ModeSampled {
-		// Sampled mode is mini-batch k-means; K derives from the
-		// default leader threshold.
-		opt.Subset.Method.Algo = subset.AlgoKMeans
 	}
 	opt.Workers = s.opt.Workers
 	opt.Cache = s.opt.Cache

@@ -209,6 +209,42 @@ func TestSubsetColdWarmIdentical(t *testing.T) {
 	}
 }
 
+// TestSubsetRejectsModeField: clustering has one exact path, so a
+// "mode" in a subset query is an unknown field, answered 400
+// bad_request whatever its value, while the same query without it
+// succeeds.
+func TestSubsetRejectsModeField(t *testing.T) {
+	s := newTestServer(t, Options{})
+	h := s.Handler()
+	fp := upload(t, h, streamBody(t, tracetest.Tiny()))
+
+	for _, mode := range []string{"bucketed", "exact"} {
+		rec := do(h, "POST", "/v1/subset", []byte(fmt.Sprintf(`{"workload":%q,"mode":%q}`, fp, mode)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("mode %q: %d, want 400 (%s)", mode, rec.Code, rec.Body)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatal(err)
+		}
+		if eb.Class != "bad_request" {
+			t.Errorf("mode %q: class = %q, want bad_request", mode, eb.Class)
+		}
+	}
+
+	rec := do(h, "POST", "/v1/subset", []byte(fmt.Sprintf(`{"workload":%q}`, fp)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("no mode: %d: %s", rec.Code, rec.Body)
+	}
+	var resp SubsetResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.SubsetFrames) == 0 || resp.SizeRatio <= 0 {
+		t.Errorf("degenerate subset response: %+v", resp)
+	}
+}
+
 func TestSweepAndPrice(t *testing.T) {
 	s := newTestServer(t, Options{})
 	h := s.Handler()

@@ -26,8 +26,9 @@ import (
 // ClusteredFrame's key; bump it with any change that can move an
 // assignment, medoid or weight.
 //
-// v2: Method gained Mode and BatchSize (hot-path execution strategy).
-const ClusterVersion = 2
+// v2: Method gained a hot-path mode and a mini-batch size.
+// v3: Method lost both; every algorithm runs exact.
+const ClusterVersion = 3
 
 // CostOracle prices a draw call in nanoseconds. *gpu.Simulator
 // satisfies it; tests substitute analytical oracles.
@@ -92,22 +93,7 @@ type Method struct {
 	// faster distance computation; the E13 ablation quantifies the
 	// trade.
 	PCAComponents int
-
-	// Mode selects the hot-path execution strategy: exact (default),
-	// bucketed, sampled or streaming. Non-exact modes are approximate;
-	// see the Mode constants for the contracts each one keeps.
-	Mode Mode
-
-	// BatchSize is the per-iteration sample size for ModeSampled
-	// (mini-batch k-means). 0 selects DefaultBatchSize.
-	BatchSize int
 }
-
-// DefaultBatchSize is the mini-batch size ModeSampled uses when
-// Method.BatchSize is 0. Sculley's web-scale k-means paper found
-// quality saturates well below 1000; 256 keeps per-iteration work
-// constant-sized against multi-thousand-draw frames.
-const DefaultBatchSize = 256
 
 // DefaultMethod returns the configuration the experiments use: leader
 // clustering at threshold 0.5 over z-scored features — the operating
@@ -149,29 +135,6 @@ func (m Method) validate() error {
 	if m.PCAComponents < 0 {
 		return fmt.Errorf("subset: PCA components %d < 0", m.PCAComponents)
 	}
-	if m.BatchSize < 0 {
-		return fmt.Errorf("subset: batch size %d < 0", m.BatchSize)
-	}
-	switch m.Mode {
-	case ModeExact:
-	case ModeBucketed:
-		if m.Algo != AlgoLeader && m.Algo != AlgoAgglomerative {
-			return fmt.Errorf("subset: bucketed mode needs a threshold algorithm (leader or agglomerative), got %v", m.Algo)
-		}
-	case ModeSampled:
-		if m.Algo != AlgoKMeans {
-			return fmt.Errorf("subset: sampled mode is mini-batch k-means; algorithm must be kmeans, got %v", m.Algo)
-		}
-	case ModeStreaming:
-		if m.Algo != AlgoLeader {
-			return fmt.Errorf("subset: streaming mode is one-pass leader clustering; algorithm must be leader, got %v", m.Algo)
-		}
-		if m.PCAComponents > 0 {
-			return fmt.Errorf("subset: streaming mode cannot fit PCA (needs the full matrix); set PCA components to 0")
-		}
-	default:
-		return fmt.Errorf("subset: unknown cluster mode %v", m.Mode)
-	}
 	return nil
 }
 
@@ -186,9 +149,7 @@ func (m Method) keyInto(b *cache.KeyBuilder) *cache.KeyBuilder {
 		Int(int64(m.MaxIter)).
 		String(m.Normalizer).
 		Strings(m.FeatureGroups).
-		Int(int64(m.PCAComponents)).
-		Uint(uint64(m.Mode)).
-		Int(int64(m.BatchSize))
+		Int(int64(m.PCAComponents))
 }
 
 func (m Method) newNormalizer() linalg.Normalizer {
@@ -323,9 +284,6 @@ func (fc *FrameClusterer) ClusterFrameContext(ctx context.Context, f *trace.Fram
 var frameScratch = sync.Pool{New: func() any { return &linalg.Matrix{} }}
 
 func (fc *FrameClusterer) clusterFrame(ctx context.Context, f *trace.Frame, frameIndex int) (ClusteredFrame, error) {
-	if fc.method.Mode == ModeStreaming {
-		return fc.clusterFrameStreaming(ctx, f, frameIndex)
-	}
 	var x *linalg.Matrix
 	var err error
 	if _, _, cached := cache.ForWorkload(ctx); cached {
@@ -354,58 +312,27 @@ func (fc *FrameClusterer) clusterFrame(ctx context.Context, f *trace.Frame, fram
 	}
 
 	var res cluster.Result
-	var stats cluster.BucketStats
-	bucketed := fc.method.Mode == ModeBucketed
 	switch fc.method.Algo {
 	case AlgoLeader:
-		if bucketed {
-			res, stats, err = cluster.LeaderBucketed(x, fc.method.Threshold)
-		} else {
-			res, err = cluster.Leader(x, fc.method.Threshold)
-		}
+		res, err = cluster.Leader(x, fc.method.Threshold)
 	case AlgoKMeans:
 		k := fc.method.K
-		sampled := fc.method.Mode == ModeSampled
 		if k == 0 {
-			// Derive K from leader clustering at the threshold; the
-			// sampled mode uses the bucketed leader so K derivation is
-			// sub-linear too.
-			if sampled {
-				lead, lstats, lerr := cluster.LeaderBucketed(x, fc.method.Threshold)
-				if lerr != nil {
-					return ClusteredFrame{}, lerr
-				}
-				stats = lstats
-				k = lead.K
-			} else {
-				lead, lerr := cluster.Leader(x, fc.method.Threshold)
-				if lerr != nil {
-					return ClusteredFrame{}, lerr
-				}
-				k = lead.K
+			// Derive K from leader clustering at the threshold.
+			lead, lerr := cluster.Leader(x, fc.method.Threshold)
+			if lerr != nil {
+				return ClusteredFrame{}, lerr
 			}
+			k = lead.K
 		}
 		rng := dcmath.NewRNG(fc.method.Seed ^ uint64(frameIndex)*0x9e3779b97f4a7c15)
-		if sampled {
-			batch := fc.method.BatchSize
-			if batch == 0 {
-				batch = DefaultBatchSize
-			}
-			res, err = cluster.MiniBatchKMeans(x, k, rng, batch, fc.method.MaxIter)
-		} else {
-			res, err = cluster.KMeans(x, k, rng, fc.method.MaxIter)
-		}
+		res, err = cluster.KMeans(x, k, rng, fc.method.MaxIter)
 	case AlgoAgglomerative:
-		if bucketed {
-			res, stats, err = cluster.AgglomerativeBucketed(x, fc.method.Threshold)
-		} else {
-			res, err = cluster.Agglomerative(x, fc.method.Threshold)
-		}
+		res, err = cluster.Agglomerative(x, fc.method.Threshold)
 	}
 	if err != nil {
 		return ClusteredFrame{}, fmt.Errorf("subset: clustering frame %d: %w", frameIndex, err)
 	}
-	recordBucketStats(ctx, stats)
 	cf := ClusteredFrame{
 		FrameIndex: frameIndex,
 		Result:     res,

@@ -2,8 +2,10 @@ package subset
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/dcmath"
 	"repro/internal/gpu"
 	"repro/internal/synth"
@@ -57,6 +59,50 @@ func TestMethodValidation(t *testing.T) {
 		if m.validate() == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestCacheKeyCoversEveryMethodField: every Method field feeds the
+// clustering cache key. Each variant differs from DefaultMethod in one
+// field alone, and no two keys may collide. The field count ties the
+// variants to the struct, so a field added without a keyInto write
+// fails here instead of silently aliasing cache entries.
+func TestCacheKeyCoversEveryMethodField(t *testing.T) {
+	base := DefaultMethod()
+	variants := map[string]func(*Method){
+		"Algo":          func(m *Method) { m.Algo = AlgoKMeans },
+		"Threshold":     func(m *Method) { m.Threshold = 0.75 },
+		"K":             func(m *Method) { m.K = 7 },
+		"Seed":          func(m *Method) { m.Seed = 3 },
+		"MaxIter":       func(m *Method) { m.MaxIter = 9 },
+		"Normalizer":    func(m *Method) { m.Normalizer = "minmax" },
+		"FeatureGroups": func(m *Method) { m.FeatureGroups = []string{"geometry"} },
+		"PCAComponents": func(m *Method) { m.PCAComponents = 4 },
+	}
+	typ := reflect.TypeOf(Method{})
+	if typ.NumField() != len(variants) {
+		t.Fatalf("Method has %d fields, the test varies %d: give the new field a keyInto write and a variant",
+			typ.NumField(), len(variants))
+	}
+	seen := map[cache.Key]string{base.keyInto(cache.NewKey("test", 1)).Sum(): "DefaultMethod"}
+	for field, set := range variants {
+		m := base
+		set(&m)
+		bv, mv := reflect.ValueOf(base), reflect.ValueOf(m)
+		for i := 0; i < typ.NumField(); i++ {
+			differs := !reflect.DeepEqual(bv.Field(i).Interface(), mv.Field(i).Interface())
+			if differs != (typ.Field(i).Name == field) {
+				t.Fatalf("variant %s: field %s differs = %v", field, typ.Field(i).Name, differs)
+			}
+		}
+		k := m.keyInto(cache.NewKey("test", 1)).Sum()
+		if prev, dup := seen[k]; dup {
+			t.Errorf("variant %s shares a cache key with %s", field, prev)
+		}
+		seen[k] = field
+	}
+	if len(seen) != len(variants)+1 {
+		t.Errorf("got %d distinct keys, want %d", len(seen), len(variants)+1)
 	}
 }
 
@@ -162,10 +208,9 @@ func TestMethodRejectsNaNThreshold(t *testing.T) {
 		{Algo: AlgoLeader, Threshold: math.NaN()},
 		{Algo: AlgoAgglomerative, Threshold: math.NaN()},
 		{Algo: AlgoKMeans, Threshold: math.NaN(), MaxIter: 10},
-		{Algo: AlgoLeader, Threshold: math.NaN(), Mode: ModeStreaming},
 	} {
 		if _, err := NewFrameClusterer(w, m); err == nil {
-			t.Errorf("%v (mode %v) accepted a NaN threshold", m.Algo, m.Mode)
+			t.Errorf("%v accepted a NaN threshold", m.Algo)
 		}
 	}
 }
