@@ -9,9 +9,10 @@
 //	subset3d -trace game.trace -manifest run.json -log-level info
 //
 // -fast skips the per-frame clustering evaluation (the expensive part)
-// and only builds and validates the subset. -stream consumes a
-// frame-stream trace in one bounded-memory pass (no evaluation or
-// validation sweep — the parent never exists in memory).
+// and only builds and validates the subset. -stream consumes a trace
+// (any .trace tracegen writes is a frame stream) in one bounded-memory
+// pass (no evaluation or validation sweep — the parent never exists in
+// memory).
 //
 // -lenient ingests damaged captures gracefully: corrupt records are
 // resynced past, invalid frames and draws dropped, and the run ends

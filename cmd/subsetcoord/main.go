@@ -62,7 +62,7 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.workers, "workers", "", "comma-separated subsetd base URLs (required)")
-	flag.StringVar(&cfg.tracePath, "trace", "", "input trace file, uploaded to every worker (stream-v2, gob or JSON)")
+	flag.StringVar(&cfg.tracePath, "trace", "", "input trace file, uploaded to every worker (stream container, JSON or legacy gob)")
 	flag.StringVar(&cfg.workload, "workload", "", "hex fingerprint of a workload already registered on every worker (alternative to -trace)")
 	flag.StringVar(&cfg.gridCore, "grid-core", "", "comma-separated core clocks (GHz; empty = default ladder)")
 	flag.StringVar(&cfg.gridMem, "grid-mem", "", "comma-separated memory clocks (GHz; empty = 1.0)")

@@ -9,9 +9,9 @@
 //
 // Endpoints:
 //
-//	POST /v1/workloads       upload a trace (stream-v2, gob or JSON,
-//	                         sniffed); lenient by default, -strict to
-//	                         reject damaged uploads instead
+//	POST /v1/workloads       upload a trace (stream container, JSON or
+//	                         legacy gob, sniffed); lenient by default,
+//	                         -strict to reject damaged uploads instead
 //	GET  /v1/workloads       list registered workloads
 //	GET  /v1/workloads/{fp}  one workload's summary
 //	POST /v1/subset          {"workload": "<fp>", "validate": bool,

@@ -5,11 +5,13 @@
 //	tracegen -out dir [-seed 42] [-game bioshock1|bioshock2|bioshockinf|suite] [-json]
 //	tracegen -out dir -inject-faults flip:4096,tear:16384:64 [-inject-seed 7]
 //
-// It writes one .trace (gob) file per game — plus .json when -json is
-// set — and prints the corpus summary table. -inject-faults
-// additionally writes a deliberately damaged .faulty.stream per game
-// (bit flips, zero runs, tears, truncation — see internal/faultinject)
-// for end-to-end ingestion drills against subset3d -lenient.
+// It writes one .trace file per game — the checksummed stream container
+// that subset3d reads with either -trace or -stream — plus .json when
+// -json is set, and prints the corpus summary table. -inject-faults
+// additionally writes a deliberately damaged copy of the container,
+// .faulty.stream, per game (bit flips, zero runs, tears, truncation —
+// see internal/faultinject) for end-to-end ingestion drills against
+// subset3d -lenient.
 //
 // Observability: -log-level {debug,info,warn,error,off} enables
 // structured stderr logging, -manifest out.json exports the run
@@ -36,7 +38,6 @@ type config struct {
 	seed     uint64
 	game     string
 	asJSON   bool
-	asStream bool
 	spec     faultinject.Spec
 	logLevel string
 	manifest string
@@ -52,7 +53,6 @@ func main() {
 	flag.Uint64Var(&cfg.seed, "seed", 42, "generator seed")
 	flag.StringVar(&cfg.game, "game", "suite", "game profile: bioshock1, bioshock2, bioshockinf or suite")
 	flag.BoolVar(&cfg.asJSON, "json", false, "additionally write JSON alongside the binary trace")
-	flag.BoolVar(&cfg.asStream, "stream", false, "additionally write the frame-stream format (.stream)")
 	flag.StringVar(&faults, "inject-faults", "", "additionally write a damaged .faulty.stream using this fault spec (e.g. flip:4096,tear:16384:64,truncate:100000)")
 	flag.Uint64Var(&faultsSeed, "inject-seed", 1, "fault injection seed")
 	flag.StringVar(&cfg.logLevel, "log-level", "off", "structured logging to stderr: debug, info, warn, error or off")
@@ -142,17 +142,9 @@ func generate(ctx context.Context, run *obs.Run, cfg config) error {
 			}
 			wrote(jpath, "")
 		}
-		if cfg.asStream {
-			spath := filepath.Join(cfg.out, w.Name+".stream")
-			if _, err := writeStream(w, spath, faultinject.Spec{}); err != nil {
-				sp.End()
-				return err
-			}
-			wrote(spath, "")
-		}
 		if cfg.spec.Active() {
 			fpath := filepath.Join(cfg.out, w.Name+".faulty.stream")
-			stats, err := writeStream(w, fpath, cfg.spec)
+			stats, err := writeFaulty(w, fpath, cfg.spec)
 			if err != nil {
 				sp.End()
 				return err
@@ -202,28 +194,18 @@ func writeJSON(w *trace.Workload, path string) error {
 	return f.Close()
 }
 
-// writeStream writes the frame-stream encoding, optionally through the
-// fault-injecting corruptor, and reports what damage was done.
-func writeStream(w *trace.Workload, path string, spec faultinject.Spec) (faultinject.Stats, error) {
+// writeFaulty writes the container through the fault-injecting
+// corruptor — the damage lands on disk exactly as a faulty storage
+// layer would leave it — and reports what damage was done.
+func writeFaulty(w *trace.Workload, path string, spec faultinject.Spec) (faultinject.Stats, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return faultinject.Stats{}, err
 	}
 	defer f.Close()
-	var sink io.Writer = f
-	var fw *faultinject.Writer
-	if spec.Active() {
-		// The encoder writes through the corruptor — the damage lands
-		// on disk exactly as a faulty storage layer would leave it.
-		fw = faultinject.NewWriter(f, spec)
-		sink = fw
-	}
-	if err := trace.EncodeStream(sink, w); err != nil {
+	fw := faultinject.NewWriter(f, spec)
+	if err := w.Encode(fw); err != nil {
 		return faultinject.Stats{}, err
 	}
-	var stats faultinject.Stats
-	if fw != nil {
-		stats = fw.Stats()
-	}
-	return stats, f.Close()
+	return fw.Stats(), f.Close()
 }

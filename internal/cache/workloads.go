@@ -3,9 +3,7 @@ package cache
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,11 +16,12 @@ import (
 // Workload persistence: the disk tier doubles as the durable workload
 // store a restarted server rebuilds its registry from. Each workload is
 // written once, fingerprint-keyed, under <dir>/workloads/<fp-hex>.s3dw
-// — the payload is the canonical stream-v2 encoding wrapped in the same
-// framed container (magic, version, length, SHA-256) every other cache
-// artifact uses, so a torn or tampered file is detected exactly like a
-// torn cache entry and dropped on rescan instead of poisoning the
-// registry.
+// — the payload is the workload's stream container (trace.EncodeStream;
+// entries written by older builds hold a v2 container, still readable)
+// wrapped in the same framed container (magic, version, length,
+// SHA-256) every other cache artifact uses, so a torn or tampered file
+// is detected exactly like a torn cache entry and dropped on rescan
+// instead of poisoning the registry.
 
 // workloadExt is the workload store's file extension.
 const workloadExt = ".s3dw"
@@ -115,10 +114,9 @@ func (c *Cache) LoadWorkloads(ctx context.Context) ([]*trace.Workload, error) {
 }
 
 // loadWorkloadFile reads one store file: framed container, strict
-// stream-v2 decode (the bytes were written by this process family, so
-// any damage is damage — leniency would mask it), and the identity
-// check that the content's fingerprint matches the name it was stored
-// under.
+// stream decode (the bytes were written by this process family, so any
+// damage is damage — leniency would mask it), and the identity check
+// that the content's fingerprint matches the name it was stored under.
 func (c *Cache) loadWorkloadFile(path string) (*trace.Workload, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -128,27 +126,14 @@ func (c *Cache) loadWorkloadFile(path string) (*trace.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr, err := trace.NewStreamReader(bytes.NewReader(payload), trace.ReaderOptions{})
+	w, _, err := trace.ReadStream(bytes.NewReader(payload), trace.ReaderOptions{})
 	if err != nil {
 		return nil, err
 	}
-	var frames []trace.Frame
-	for {
-		f, err := sr.NextFrame()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, f)
-	}
-	w := *sr.Shell()
-	w.Frames = frames
 	fp := w.Fingerprint()
 	want := strings.TrimSuffix(filepath.Base(path), workloadExt)
 	if fp.String() != want {
 		return nil, fmt.Errorf("cache: workload fingerprint %s does not match store name %s", fp, want)
 	}
-	return &w, nil
+	return w, nil
 }

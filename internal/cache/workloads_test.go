@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/tracetest"
@@ -32,6 +33,34 @@ func TestWorkloadStoreRoundTrip(t *testing.T) {
 	}
 	if got[0].Name != w.Name || len(got[0].Frames) != len(w.Frames) {
 		t.Fatalf("round trip lost shape: name=%q frames=%d", got[0].Name, len(got[0].Frames))
+	}
+}
+
+// TestWorkloadStoreReadsV2Entries: an entry older builds persisted
+// holds a v2 container (gob payloads); it must still load, DeepEqual
+// to the workload it was written from.
+func TestWorkloadStoreReadsV2Entries(t *testing.T) {
+	c, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("..", "trace", "testdata", "tiny.v2.stream"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tracetest.Tiny()
+	if err := os.MkdirAll(c.workloadsDir(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.workloadPath(w.Fingerprint()), encodeEntry(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.LoadWorkloads(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got[0], w) {
+		t.Fatalf("v2 entry: loaded %d workloads, want Tiny", len(got))
 	}
 }
 

@@ -234,8 +234,8 @@ func (co *Coordinator) SetWorkload(fpHex string) error {
 	return nil
 }
 
-// Register uploads one trace (stream-v2, gob or JSON — the server
-// sniffs) to every worker, retrying through connection errors and
+// Register uploads one trace (stream container, JSON or legacy gob —
+// the server sniffs) to every worker, retrying through connection errors and
 // 429/503 shedding so a still-starting fleet converges. All workers
 // must report the same fingerprint — a fleet that sanitizes one upload
 // differently would silently diverge mid-sweep, so it is an error

@@ -39,11 +39,8 @@ func fuzzHandler() http.Handler {
 // — never a panic, never an unclassified 500.
 func FuzzUploadDecode(f *testing.F) {
 	wl := tracetest.Tiny()
-	var stream, gobBuf, jsonBuf bytes.Buffer
+	var stream, jsonBuf bytes.Buffer
 	if err := trace.EncodeStream(&stream, wl); err != nil {
-		f.Fatal(err)
-	}
-	if err := wl.Encode(&gobBuf); err != nil {
 		f.Fatal(err)
 	}
 	if err := wl.EncodeJSON(&jsonBuf); err != nil {
@@ -51,7 +48,7 @@ func FuzzUploadDecode(f *testing.F) {
 	}
 
 	f.Add(stream.Bytes())
-	f.Add(gobBuf.Bytes())
+	f.Add(gobFixture(f))
 	f.Add(jsonBuf.Bytes())
 	f.Add(stream.Bytes()[:len(stream.Bytes())/2]) // truncated stream
 	f.Add([]byte("3DWS"))                         // bare magic

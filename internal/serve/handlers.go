@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -140,11 +139,11 @@ type UploadResponse struct {
 	Diagnostics traceerr.Diagnostics `json:"diagnostics"`
 }
 
-// handleUpload ingests a workload in any of the three encodings,
-// sniffed from the first bytes: stream-v2 container ("3DWS" magic),
-// JSON ('{'), or binary gob. Lenient by default — damaged uploads are
-// repaired with the damage accounted in the response — strict when the
-// server was configured Strict.
+// handleUpload ingests a workload in any of its encodings, sniffed from
+// the first bytes: a stream container ("3DWS" magic — what Encode and
+// EncodeStream write), JSON ('{'), or else a legacy gob .trace. Lenient
+// by default — damaged uploads are repaired with the damage accounted
+// in the response — strict when the server was configured Strict.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 	defer body.Close()
@@ -164,7 +163,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case bytes.HasPrefix(head, []byte(trace.StreamMagic)) || bytes.HasPrefix([]byte(trace.StreamMagic), head):
 		format = "stream"
-		wl, diag, err = readStream(br, s.opt.Strict)
+		wl, diag, err = trace.ReadStream(br, trace.ReaderOptions{Lenient: !s.opt.Strict})
 	case head[0] == '{':
 		format = "json"
 		if s.opt.Strict {
@@ -240,34 +239,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		Degraded:          diag.Any(),
 		Diagnostics:       diag,
 	})
-}
-
-// readStream assembles a workload from a stream-v2 (or legacy v1)
-// container. A stream that yields no usable frames is rejected as
-// invalid rather than registered empty.
-func readStream(in io.Reader, strict bool) (*trace.Workload, traceerr.Diagnostics, error) {
-	sr, err := trace.NewStreamReader(in, trace.ReaderOptions{Lenient: !strict})
-	if err != nil {
-		return nil, traceerr.Diagnostics{}, err
-	}
-	var frames []trace.Frame
-	for {
-		f, err := sr.NextFrame()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, sr.Diagnostics(), err
-		}
-		frames = append(frames, f)
-	}
-	diag := sr.Diagnostics()
-	if len(frames) == 0 {
-		return nil, diag, fmt.Errorf("stream yields no usable frames: %w", traceerr.ErrInvalidFrame)
-	}
-	wl := *sr.Shell()
-	wl.Frames = frames
-	return &wl, diag, nil
 }
 
 // WorkloadInfo is one registry listing entry.

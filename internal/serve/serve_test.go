@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -71,12 +73,20 @@ func upload(t *testing.T, h http.Handler, body []byte) string {
 	return resp.Fingerprint
 }
 
+// gobFixture is tracetest.Tiny() as the legacy gob .trace writer
+// encoded it — the documented gob upload format.
+func gobFixture(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "trace", "testdata", "tiny.gob.trace"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 func TestUploadFormats(t *testing.T) {
 	wl := tracetest.Tiny()
-	var gobBuf, jsonBuf bytes.Buffer
-	if err := wl.Encode(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
+	var jsonBuf bytes.Buffer
 	if err := wl.EncodeJSON(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +95,7 @@ func TestUploadFormats(t *testing.T) {
 		body         []byte
 	}{
 		{"stream", "stream", streamBody(t, wl)},
-		{"gob", "gob", gobBuf.Bytes()},
+		{"gob", "gob", gobFixture(t)},
 		{"json", "json", jsonBuf.Bytes()},
 	}
 	for _, tc := range cases {

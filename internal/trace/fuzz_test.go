@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -10,7 +11,10 @@ import (
 )
 
 // FuzzDecode ensures the binary decoder never panics and never
-// returns an invalid workload, no matter how the input is mangled.
+// returns an invalid workload, no matter how the input is mangled, and
+// that whatever it accepts survives a round trip through the codec.
+// testdata/fuzz/FuzzDecode holds crafted payloads beyond these seeds
+// (see decodeCases).
 func FuzzDecode(f *testing.F) {
 	var buf bytes.Buffer
 	if err := tracetest.Tiny().Encode(&buf); err != nil {
@@ -33,7 +37,18 @@ func FuzzDecode(f *testing.F) {
 			return // rejecting is fine; panicking is not
 		}
 		if err := w.Validate(); err != nil {
-			t.Errorf("Decode returned invalid workload: %v", err)
+			t.Fatalf("Decode returned invalid workload: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := w.Encode(&buf); err != nil {
+			t.Fatalf("re-encoding an accepted workload: %v", err)
+		}
+		again, err := trace.Decode(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded workload rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, w) {
+			t.Fatal("round trip changed an accepted workload")
 		}
 	})
 }
@@ -62,7 +77,7 @@ func FuzzStreamDecode(f *testing.F) {
 	})
 }
 
-// FuzzStreamV2Resync feeds mutated v2 stream bytes to the resyncing
+// FuzzStreamV2Resync feeds mutated container bytes to the resyncing
 // lenient reader: it must never panic, never loop forever, and every
 // frame it delivers must still pass full validation against the shell.
 func FuzzStreamV2Resync(f *testing.F) {
@@ -92,9 +107,9 @@ func FuzzStreamV2Resync(f *testing.F) {
 		for {
 			fr, err := r.NextFrame()
 			if err != nil {
-				// Lenient v2 reading only ever ends in io.EOF.
-				if r.Version() == 2 && err != io.EOF {
-					t.Fatalf("lenient v2 reader returned %v", err)
+				// Lenient container reading only ever ends in io.EOF.
+				if r.Version() >= 2 && err != io.EOF {
+					t.Fatalf("lenient v%d reader returned %v", r.Version(), err)
 				}
 				return
 			}

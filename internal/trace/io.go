@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"encoding/gob"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,8 +18,8 @@ import (
 const DefaultMaxDecodeBytes int64 = 1 << 30 // 1 GiB
 
 // cappedReader fails with traceerr.ErrTooLarge once more than max
-// bytes have been read, and remembers that it did: gob and json may
-// rewrap the error, so callers check the flag rather than the chain.
+// bytes have been read, and remembers that it did: decoders may rewrap
+// the error, so callers check the flag rather than the chain.
 type cappedReader struct {
 	r        io.Reader
 	left     int64
@@ -28,7 +28,14 @@ type cappedReader struct {
 
 func (c *cappedReader) Read(p []byte) (int, error) {
 	if c.left <= 0 {
-		c.exceeded = true
+		if !c.exceeded {
+			// The budget is spent: the input fits only if it ends here.
+			var probe [1]byte
+			if n, err := io.ReadFull(c.r, probe[:]); n == 0 {
+				return 0, err
+			}
+			c.exceeded = true
+		}
 		return 0, traceerr.ErrTooLarge
 	}
 	if int64(len(p)) > c.left {
@@ -46,9 +53,9 @@ func (c *cappedReader) capErr(err error, max int64) error {
 	return err
 }
 
-// wire is the serialization form of Workload. The shader registry has
-// unexported bookkeeping, so programs travel as a flat slice and the
-// registry is rebuilt on decode.
+// wire is the JSON (and legacy gob) form of Workload. The shader
+// registry has unexported bookkeeping, so programs travel as a flat
+// slice and the registry is rebuilt on decode.
 type wire struct {
 	Name          string
 	Frames        []Frame
@@ -120,16 +127,13 @@ func fromWireLenient(ww wire) (*Workload, traceerr.Diagnostics, error) {
 	return w, diag, nil
 }
 
-// Encode writes the workload in the library's binary (gob) format.
-func (w *Workload) Encode(out io.Writer) error {
-	if err := gob.NewEncoder(out).Encode(w.toWire()); err != nil {
-		return fmt.Errorf("trace: encoding workload %q: %w", w.Name, err)
-	}
-	return nil
-}
+// Encode writes the workload in the library's binary form, one stream
+// container: Encode is EncodeStream.
+func (w *Workload) Encode(out io.Writer) error { return EncodeStream(out, w) }
 
-// Decode reads a workload in binary format and validates it, refusing
-// inputs beyond DefaultMaxDecodeBytes with traceerr.ErrTooLarge.
+// Decode reads a workload in binary form, refusing inputs beyond
+// DefaultMaxDecodeBytes with traceerr.ErrTooLarge. The result is
+// valid: the container reader checks every draw.
 func Decode(in io.Reader) (*Workload, error) {
 	return DecodeLimited(in, DefaultMaxDecodeBytes)
 }
@@ -137,33 +141,46 @@ func Decode(in io.Reader) (*Workload, error) {
 // DecodeLimited is Decode with an explicit input size cap in bytes
 // (<= 0 means DefaultMaxDecodeBytes).
 func DecodeLimited(in io.Reader, maxBytes int64) (*Workload, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxDecodeBytes
-	}
-	capped := &cappedReader{r: in, left: maxBytes}
-	var ww wire
-	if err := gob.NewDecoder(capped).Decode(&ww); err != nil {
-		return nil, fmt.Errorf("trace: decoding workload: %w", capped.capErr(err, maxBytes))
-	}
-	return fromWire(ww)
+	w, _, err := decodeBinary(in, maxBytes, false)
+	return w, err
 }
 
-// DecodeLenient reads a workload in binary format and repairs it
-// instead of rejecting it: invalid draws and unusable frames are
-// dropped via Sanitize, with the accounting returned — the ingestion
-// mode a server exposes to hostile uploads. maxBytes caps the input
-// (<= 0 means DefaultMaxDecodeBytes). Undecodable input (bad gob,
-// broken shader table, nothing usable surviving) still fails.
+// DecodeLenient reads a workload in binary form and repairs it instead
+// of rejecting it: damaged records are resynced past and invalid draws
+// and unusable frames dropped, with the accounting returned — the
+// ingestion mode a server exposes to hostile uploads. maxBytes caps the
+// input (<= 0 means DefaultMaxDecodeBytes). Input with no readable
+// header (an unknown format, a broken shader table) or with nothing
+// usable surviving still fails.
 func DecodeLenient(in io.Reader, maxBytes int64) (*Workload, traceerr.Diagnostics, error) {
+	return decodeBinary(in, maxBytes, true)
+}
+
+// decodeBinary reads the binary form under a size cap: a stream
+// container, sniffed by its magic, through ReadStream; anything else
+// as a legacy gob .trace.
+func decodeBinary(in io.Reader, maxBytes int64, lenient bool) (*Workload, traceerr.Diagnostics, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxDecodeBytes
 	}
 	capped := &cappedReader{r: in, left: maxBytes}
-	var ww wire
-	if err := gob.NewDecoder(capped).Decode(&ww); err != nil {
-		return nil, traceerr.Diagnostics{}, fmt.Errorf("trace: decoding workload: %w", lenientDecodeErr(capped, err, maxBytes))
+	head := make([]byte, len(StreamMagic))
+	n, _ := io.ReadFull(capped, head)
+	src := io.MultiReader(bytes.NewReader(head[:n]), capped)
+	var (
+		w    *Workload
+		diag traceerr.Diagnostics
+		err  error
+	)
+	if string(head[:n]) == StreamMagic {
+		w, diag, err = ReadStream(src, ReaderOptions{Lenient: lenient})
+	} else {
+		w, diag, err = decodeGobTrace(src, lenient)
 	}
-	return fromWireLenient(ww)
+	if err != nil {
+		return nil, diag, fmt.Errorf("trace: decoding workload: %w", capped.capErr(err, maxBytes))
+	}
+	return w, diag, nil
 }
 
 // DecodeJSONLenient is DecodeLenient for the JSON encoding.
@@ -188,6 +205,15 @@ func lenientDecodeErr(capped *cappedReader, err error, maxBytes int64) error {
 		return cerr
 	}
 	return fmt.Errorf("%w: %v", classifyDecodeErr(err), err)
+}
+
+// classifyDecodeErr maps a gob or JSON failure onto the taxonomy:
+// inputs that ran out are truncation, everything else is corruption.
+func classifyDecodeErr(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return traceerr.ErrTruncated
+	}
+	return traceerr.ErrCorruptRecord
 }
 
 // EncodeJSON writes the workload as indented JSON, for inspection and

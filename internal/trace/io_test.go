@@ -12,17 +12,23 @@ import (
 	"repro/internal/tracetest"
 )
 
-func TestGobRoundTrip(t *testing.T) {
+func TestBinaryRoundTrip(t *testing.T) {
 	w := tracetest.Tiny()
 	var buf bytes.Buffer
 	if err := w.Encode(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte(trace.StreamMagic)) {
+		t.Fatalf("Encode wrote %q..., want a stream container", buf.Bytes()[:8])
 	}
 	got, err := trace.Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertWorkloadsEqual(t, w, got)
+	if !reflect.DeepEqual(got, w) {
+		t.Fatal("decoded workload is not DeepEqual to the encoded one")
+	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -89,7 +95,7 @@ func assertWorkloadsEqual(t *testing.T, want, got *trace.Workload) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := trace.Decode(strings.NewReader("not a gob stream")); err == nil {
-		t.Error("garbage gob accepted")
+		t.Error("garbage binary input accepted")
 	}
 	if _, err := trace.DecodeJSON(strings.NewReader("{")); err == nil {
 		t.Error("garbage JSON accepted")
@@ -98,34 +104,44 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestDecodeLimitedEnforcesSizeCap(t *testing.T) {
 	w := tracetest.Tiny()
-	var gobBuf, jsonBuf bytes.Buffer
-	if err := w.Encode(&gobBuf); err != nil {
+	var binBuf, jsonBuf bytes.Buffer
+	if err := w.Encode(&binBuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.EncodeJSON(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
+	size := int64(binBuf.Len())
 
 	// A cap below the encoded size must reject with ErrTooLarge.
-	_, err := trace.DecodeLimited(bytes.NewReader(gobBuf.Bytes()), int64(gobBuf.Len())/2)
+	_, err := trace.DecodeLimited(bytes.NewReader(binBuf.Bytes()), size/2)
 	if !errors.Is(err, traceerr.ErrTooLarge) {
-		t.Fatalf("gob over cap: err = %v, want ErrTooLarge", err)
+		t.Fatalf("binary over cap: err = %v, want ErrTooLarge", err)
 	}
 	_, err = trace.DecodeJSONLimited(bytes.NewReader(jsonBuf.Bytes()), int64(jsonBuf.Len())/2)
 	if !errors.Is(err, traceerr.ErrTooLarge) {
 		t.Fatalf("json over cap: err = %v, want ErrTooLarge", err)
 	}
+	// One byte over the cap, either way round, is too large.
+	_, err = trace.DecodeLimited(bytes.NewReader(binBuf.Bytes()), size-1)
+	if !errors.Is(err, traceerr.ErrTooLarge) {
+		t.Fatalf("binary at cap len-1: err = %v, want ErrTooLarge", err)
+	}
+	_, err = trace.DecodeLimited(bytes.NewReader(append(binBuf.Bytes(), 0)), size)
+	if !errors.Is(err, traceerr.ErrTooLarge) {
+		t.Fatalf("binary of len+1 bytes at cap len: err = %v, want ErrTooLarge", err)
+	}
 
 	// At or above the encoded size both decoders succeed.
-	if _, err := trace.DecodeLimited(bytes.NewReader(gobBuf.Bytes()), int64(gobBuf.Len())); err != nil {
-		t.Fatalf("gob at exact cap: %v", err)
+	if _, err := trace.DecodeLimited(bytes.NewReader(binBuf.Bytes()), size); err != nil {
+		t.Fatalf("binary at exact cap: %v", err)
 	}
 	if _, err := trace.DecodeJSONLimited(bytes.NewReader(jsonBuf.Bytes()), int64(jsonBuf.Len())+1); err != nil {
 		t.Fatalf("json within cap: %v", err)
 	}
 
 	// A truncated-but-small input must NOT be misreported as too large.
-	_, err = trace.DecodeLimited(bytes.NewReader(gobBuf.Bytes()[:gobBuf.Len()/2]), int64(gobBuf.Len()))
+	_, err = trace.DecodeLimited(bytes.NewReader(binBuf.Bytes()[:size/2]), size)
 	if err == nil || errors.Is(err, traceerr.ErrTooLarge) {
 		t.Fatalf("truncated input: err = %v, want decode failure that is not ErrTooLarge", err)
 	}
@@ -133,7 +149,7 @@ func TestDecodeLimitedEnforcesSizeCap(t *testing.T) {
 
 func TestDecodeValidatesContent(t *testing.T) {
 	// Encode a workload, then break it *before* encoding so the decoder
-	// sees structurally valid gob that fails semantic validation.
+	// sees a well-formed container that fails semantic validation.
 	w := tracetest.Tiny()
 	w.Frames[0].Draws[0].CoverageFrac = 7 // invalid
 	var buf bytes.Buffer

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/shader"
+	"repro/internal/traceerr"
 )
 
 // Header is a workload's frame-independent part: identity plus the
@@ -58,16 +59,17 @@ func (h Header) Shell() (*Workload, error) {
 
 // StreamEncoder writes a workload as header + one record per frame, so
 // arbitrarily long captures encode in bounded memory. Streams are
-// written in format v2 (checksummed, resyncable); v1 is read-only.
+// written in container version StreamVersion (checksummed,
+// resyncable); older versions are read-only.
 type StreamEncoder struct {
-	w      *streamWriterV2
+	w      *streamWriter
 	frames int
 }
 
-// NewStreamEncoder writes the v2 container header and stream header
+// NewStreamEncoder writes the container magic and the stream header
 // record immediately.
 func NewStreamEncoder(out io.Writer, h Header) (*StreamEncoder, error) {
-	w, err := newStreamWriterV2(out, h)
+	w, err := newStreamWriter(out, &h)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +78,7 @@ func NewStreamEncoder(out io.Writer, h Header) (*StreamEncoder, error) {
 
 // WriteFrame appends one frame record.
 func (e *StreamEncoder) WriteFrame(f *Frame) error {
-	if err := e.w.writeFrame(f); err != nil {
+	if err := e.w.writeRecord(recKindFrame, func(b []byte) []byte { return appendFrame(b, f) }); err != nil {
 		return fmt.Errorf("trace: encoding frame %d: %w", e.frames, err)
 	}
 	e.frames++
@@ -86,8 +88,9 @@ func (e *StreamEncoder) WriteFrame(f *Frame) error {
 // Frames returns the number of frames written so far.
 func (e *StreamEncoder) Frames() int { return e.frames }
 
-// EncodeStream writes an entire in-memory workload in stream format —
-// the bridge from batch tooling to streaming consumers.
+// EncodeStream writes an entire in-memory workload as one stream
+// container — the binary form of every trace (Workload.Encode is
+// EncodeStream).
 func EncodeStream(out io.Writer, w *Workload) error {
 	enc, err := NewStreamEncoder(out, HeaderOf(w))
 	if err != nil {
@@ -101,8 +104,38 @@ func EncodeStream(out io.Writer, w *Workload) error {
 	return nil
 }
 
-// StreamDecoder reads header + frames in either format version (v2 as
-// StreamEncoder writes it, or legacy v1), failing fast on the first
+// ReadStream reads a whole stream into a workload, strict or lenient as
+// opt says: the one container decode behind Decode, serve's uploads and
+// the cache's workload store. The reader checks every draw as it
+// arrives, so the workload needs no second Validate pass; ReadStream
+// adds the one check a frame-by-frame reader cannot make, that at
+// least one frame survives.
+func ReadStream(in io.Reader, opt ReaderOptions) (*Workload, traceerr.Diagnostics, error) {
+	r, err := NewStreamReader(in, opt)
+	if err != nil {
+		return nil, traceerr.Diagnostics{}, err
+	}
+	var frames []Frame
+	for {
+		f, err := r.NextFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, r.Diagnostics(), err
+		}
+		frames = append(frames, f)
+	}
+	if len(frames) == 0 {
+		return nil, r.Diagnostics(), fmt.Errorf("trace: stream yields no usable frames: %w", traceerr.ErrInvalidFrame)
+	}
+	w := *r.Shell()
+	w.Frames = frames
+	return &w, r.Diagnostics(), nil
+}
+
+// StreamDecoder reads header + frames in any format version (as
+// StreamEncoder writes it, or a legacy one), failing fast on the first
 // problem. It is the strict face of StreamReader; use NewStreamReader
 // directly for lenient ingestion of damaged captures.
 type StreamDecoder struct {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -54,8 +52,8 @@ func TestStreamV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Version() != 2 {
-		t.Fatalf("Version = %d, want 2", r.Version())
+	if r.Version() != trace.StreamVersion {
+		t.Fatalf("Version = %d, want %d", r.Version(), trace.StreamVersion)
 	}
 	frames := drainFrames(t, r)
 	if len(frames) != w.NumFrames() {
@@ -71,46 +69,6 @@ func TestStreamV2RoundTrip(t *testing.T) {
 	}
 	if r.Diagnostics().Any() {
 		t.Errorf("clean stream produced diagnostics: %v", r.Diagnostics())
-	}
-}
-
-func TestStreamV1BackwardCompat(t *testing.T) {
-	// testdata/tiny.v1.stream is tracetest.Tiny() as the legacy v1
-	// writer (bare gob, no container) encoded it; such streams must
-	// still read through both the strict decoder and the lenient reader.
-	v1, err := os.ReadFile("testdata/tiny.v1.stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := tracetest.Tiny()
-
-	dec, err := trace.NewStreamDecoder(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 stream rejected by StreamDecoder: %v", err)
-	}
-	var strict []trace.Frame
-	for {
-		f, err := dec.NextFrame()
-		if errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		strict = append(strict, f)
-	}
-	if !reflect.DeepEqual(strict, w.Frames) {
-		t.Fatalf("strict decoder: v1 frames differ from Tiny's:\n got %+v\nwant %+v", strict, w.Frames)
-	}
-
-	r, err := trace.NewStreamReader(bytes.NewReader(v1), trace.ReaderOptions{Lenient: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", r.Version())
-	}
-	if got := drainFrames(t, r); !reflect.DeepEqual(got, w.Frames) {
-		t.Fatalf("lenient reader: v1 frames differ from Tiny's:\n got %+v\nwant %+v", got, w.Frames)
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/shader"
 	"repro/internal/traceerr"
@@ -190,13 +191,15 @@ func (c drawChecker) check(d *DrawCall) error {
 		_, err := w.RenderTarget(d.RT)
 		return err
 	}
-	if d.CoverageFrac < 0 || d.CoverageFrac > 1 {
+	// Every comparison with NaN is false, so each range is written to
+	// fail for NaN.
+	if !(d.CoverageFrac >= 0 && d.CoverageFrac <= 1) {
 		return fmt.Errorf("coverage %v outside [0, 1]", d.CoverageFrac)
 	}
-	if d.Overdraw < 1 {
-		return fmt.Errorf("overdraw %v < 1", d.Overdraw)
+	if !(d.Overdraw >= 1 && d.Overdraw <= math.MaxFloat64) {
+		return fmt.Errorf("overdraw %v outside [1, +Inf)", d.Overdraw)
 	}
-	if d.TexLocality <= 0 || d.TexLocality > 1 {
+	if !(d.TexLocality > 0 && d.TexLocality <= 1) {
 		return fmt.Errorf("texture locality %v outside (0, 1]", d.TexLocality)
 	}
 	return nil

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -100,13 +101,13 @@ func referenceValidateDraw(w *trace.Workload, d *trace.DrawCall) error {
 	if _, err := w.RenderTarget(d.RT); err != nil {
 		return err
 	}
-	if d.CoverageFrac < 0 || d.CoverageFrac > 1 {
+	if !(d.CoverageFrac >= 0 && d.CoverageFrac <= 1) {
 		return fmt.Errorf("coverage %v outside [0, 1]", d.CoverageFrac)
 	}
-	if d.Overdraw < 1 {
-		return fmt.Errorf("overdraw %v < 1", d.Overdraw)
+	if !(d.Overdraw >= 1) || math.IsInf(d.Overdraw, 1) {
+		return fmt.Errorf("overdraw %v outside [1, +Inf)", d.Overdraw)
 	}
-	if d.TexLocality <= 0 || d.TexLocality > 1 {
+	if !(d.TexLocality > 0 && d.TexLocality <= 1) {
 		return fmt.Errorf("texture locality %v outside (0, 1]", d.TexLocality)
 	}
 	return nil
@@ -135,6 +136,12 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	corrupt(t, "coverage", func(w *trace.Workload) { w.Frames[0].Draws[0].CoverageFrac = 1.5 })
 	corrupt(t, "overdraw", func(w *trace.Workload) { w.Frames[0].Draws[0].Overdraw = 0.5 })
 	corrupt(t, "locality", func(w *trace.Workload) { w.Frames[0].Draws[0].TexLocality = 0 })
+	// Every comparison with NaN is false: the range checks must still
+	// fail it, and overdraw must be finite.
+	corrupt(t, "coverage NaN", func(w *trace.Workload) { w.Frames[0].Draws[0].CoverageFrac = math.NaN() })
+	corrupt(t, "overdraw NaN", func(w *trace.Workload) { w.Frames[0].Draws[0].Overdraw = math.NaN() })
+	corrupt(t, "overdraw +Inf", func(w *trace.Workload) { w.Frames[0].Draws[0].Overdraw = math.Inf(1) })
+	corrupt(t, "locality NaN", func(w *trace.Workload) { w.Frames[0].Draws[0].TexLocality = math.NaN() })
 }
 
 func TestValidateReportsCoordinates(t *testing.T) {
