@@ -28,6 +28,11 @@
 // back into one run manifest, byte-identical to what the first form
 // would have produced.
 //
+// -workers bounds the goroutines that price: frames in single-config
+// mode and grid chunks in a cache-free sweep. A value below GOMAXPROCS
+// also lowers GOMAXPROCS to it, since the cache-free sweep prices in
+// GOMAXPROCS chunks.
+//
 // Observability: -log-level {debug,info,warn,error,off} enables
 // structured stderr logging, -manifest out.json exports the run
 // manifest (stages, metrics, diagnostics, input checksum), -pprof-dir
@@ -93,7 +98,7 @@ func main() {
 	flag.BoolVar(&cfg.breakdown, "breakdown", false, "print workload characterization (bottlenecks, traffic)")
 	flag.BoolVar(&cfg.lenient, "lenient", false, "sanitize a damaged trace (drop invalid draws/frames) and report diagnostics instead of failing")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "abort the run after this long (0 = no limit)")
-	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "max goroutines for frame pricing (output is identical at any count)")
+	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "max goroutines for frame pricing and grid sweeps; below GOMAXPROCS it also lowers GOMAXPROCS (output is identical at any count)")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "directory for the on-disk result cache (empty = memory-only when -cache-mem is set, else no caching)")
 	flag.IntVar(&cfg.cacheMem, "cache-mem", 0, "in-memory result cache budget in MiB (0 with no -cache-dir disables caching)")
 	flag.StringVar(&cfg.gridCore, "grid-core", "", "comma-separated core clocks (GHz) for a grid sweep (empty with -grid-mem set = default ladder)")
@@ -108,6 +113,9 @@ func main() {
 	flag.StringVar(&cfg.pprofDir, "pprof-dir", "", "write cpu.pprof and heap.pprof to this directory")
 	flag.Parse()
 	cfg.out = os.Stdout
+	if cfg.workers > 0 && cfg.workers < runtime.GOMAXPROCS(0) {
+		runtime.GOMAXPROCS(cfg.workers)
+	}
 	if cfg.tracePath == "" && !cfg.merge {
 		fmt.Fprintln(os.Stderr, "gpusim: -trace is required")
 		flag.Usage()

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -163,5 +166,41 @@ func TestSweepGridFlagValidation(t *testing.T) {
 	emptyMerge.shardDir = t.TempDir()
 	if err := execute(context.Background(), emptyMerge); err == nil {
 		t.Fatal("-merge over an empty directory accepted")
+	}
+}
+
+// TestNonFiniteClocksRejectedBeforePricing: a NaN or infinite clock is
+// a config error, reported before any draw is priced — not a NaN total,
+// a run of bare draw overheads, or a grid priced only to fail encoding
+// its JSON.
+func TestNonFiniteClocksRejectedBeforePricing(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := writeTrace(t, dir)
+	for name, set := range map[string]func(c *config){
+		"-core NaN":          func(c *config) { c.core = math.NaN() },
+		"-core Inf -mem Inf": func(c *config) { c.core, c.mem = math.Inf(1), math.Inf(1) },
+		"-grid-core NaN,1.0": func(c *config) { c.gridCore = "NaN,1.0" },
+	} {
+		var out bytes.Buffer
+		cfg := baseCfg(tracePath, &out)
+		set(&cfg)
+		cfg.manifest = filepath.Join(dir, "run.json")
+		if err := execute(context.Background(), cfg); err == nil {
+			t.Fatalf("%s: accepted, printed %q", name, out.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: printed %q before failing", name, out.String())
+		}
+		data, err := os.ReadFile(cfg.manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m obs.Manifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		if n := m.Metrics.Counters["sweep.pricing_passes"]; n != 0 {
+			t.Errorf("%s: %d pricing passes before failing, want 0", name, n)
+		}
 	}
 }

@@ -17,7 +17,10 @@
 //     detailed mode to back the analytic hit-rate model.
 package gpu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes one GPU architecture configuration — the thing
 // pathfinding enumerates. The zero value is not usable; start from
@@ -173,39 +176,48 @@ func (c *Config) shaderRate() float64 { return float64(c.NumEUs * c.SIMDWidth) }
 func (c *Config) bandwidth() float64  { return c.DRAMBytesPerClk * c.MemClockGHz }
 
 // Validate reports the first structural problem with the config.
+// Every float64 field must be finite, and each range check is written
+// so that NaN fails it: a NaN or infinite clock, rate or cost would
+// price every draw as NaN or as its bare overhead.
 func (c Config) Validate() error {
 	switch {
 	case c.Name == "":
 		return fmt.Errorf("gpu: config has empty name")
-	case c.CoreClockGHz <= 0:
-		return fmt.Errorf("gpu: %s: core clock %v <= 0", c.Name, c.CoreClockGHz)
-	case c.MemClockGHz <= 0:
-		return fmt.Errorf("gpu: %s: mem clock %v <= 0", c.Name, c.MemClockGHz)
+	case !positive(c.CoreClockGHz):
+		return fmt.Errorf("gpu: %s: core clock %v not a positive finite number", c.Name, c.CoreClockGHz)
+	case !positive(c.MemClockGHz):
+		return fmt.Errorf("gpu: %s: mem clock %v not a positive finite number", c.Name, c.MemClockGHz)
 	case c.NumEUs <= 0 || c.SIMDWidth <= 0:
 		return fmt.Errorf("gpu: %s: shader array %dx%d invalid", c.Name, c.NumEUs, c.SIMDWidth)
-	case c.PrimSetupRate <= 0 || c.RasterRate <= 0 || c.ROPRate <= 0:
-		return fmt.Errorf("gpu: %s: fixed-function rates must be positive", c.Name)
+	case !positive(c.PrimSetupRate) || !positive(c.RasterRate) || !positive(c.ROPRate):
+		return fmt.Errorf("gpu: %s: fixed-function rates must be positive and finite", c.Name)
 	case c.TexCacheKB <= 0 || c.TexCacheLineB <= 0 || c.TexCacheWays <= 0:
 		return fmt.Errorf("gpu: %s: texture cache geometry invalid", c.Name)
 	case c.TexCacheKB*1024%(c.TexCacheLineB*c.TexCacheWays) != 0:
 		return fmt.Errorf("gpu: %s: cache size %dKB not divisible into %d-way sets of %dB lines",
 			c.Name, c.TexCacheKB, c.TexCacheWays, c.TexCacheLineB)
-	case c.DRAMBytesPerClk <= 0:
-		return fmt.Errorf("gpu: %s: DRAM bytes/clk %v <= 0", c.Name, c.DRAMBytesPerClk)
-	case c.DrawOverheadNs < 0:
-		return fmt.Errorf("gpu: %s: draw overhead %v < 0", c.Name, c.DrawOverheadNs)
-	case c.OverlapBeta < 0 || c.OverlapBeta > 1:
+	case !positive(c.DRAMBytesPerClk):
+		return fmt.Errorf("gpu: %s: DRAM bytes/clk %v not a positive finite number", c.Name, c.DRAMBytesPerClk)
+	case !(c.DrawOverheadNs >= 0 && c.DrawOverheadNs <= math.MaxFloat64):
+		return fmt.Errorf("gpu: %s: draw overhead %v not a finite number >= 0", c.Name, c.DrawOverheadNs)
+	case !(c.OverlapBeta >= 0 && c.OverlapBeta <= 1):
 		return fmt.Errorf("gpu: %s: overlap beta %v outside [0, 1]", c.Name, c.OverlapBeta)
 	case c.VertexSizeB <= 0:
 		return fmt.Errorf("gpu: %s: vertex size %v <= 0", c.Name, c.VertexSizeB)
-	case c.ColorCompression <= 0 || c.ColorCompression > 1:
+	case !(c.ColorCompression > 0 && c.ColorCompression <= 1):
 		return fmt.Errorf("gpu: %s: color compression %v outside (0, 1]", c.Name, c.ColorCompression)
-	case c.DepthCompression <= 0 || c.DepthCompression > 1:
+	case !(c.DepthCompression > 0 && c.DepthCompression <= 1):
 		return fmt.Errorf("gpu: %s: depth compression %v outside (0, 1]", c.Name, c.DepthCompression)
-	case c.NoiseAmp < 0 || c.NoiseAmp >= 1:
+	case !(c.NoiseAmp >= 0 && c.NoiseAmp < 1):
 		return fmt.Errorf("gpu: %s: noise amplitude %v outside [0, 1)", c.Name, c.NoiseAmp)
+	case math.IsNaN(c.NoiseRefNs) || math.IsInf(c.NoiseRefNs, 0):
+		return fmt.Errorf("gpu: %s: noise reference cost %v not finite", c.Name, c.NoiseRefNs)
 	case c.NoiseAmp > 0 && c.NoiseRefNs <= 0:
 		return fmt.Errorf("gpu: %s: noise reference cost %v <= 0", c.Name, c.NoiseRefNs)
 	}
 	return nil
 }
+
+// positive reports 0 < x < +Inf. NaN fails, as it fails every
+// comparison.
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }

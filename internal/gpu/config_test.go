@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,6 +69,36 @@ func TestConfigValidateRejects(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestConfigValidateRejectsNonFinite sets each float64 field of Config
+// to NaN, +Inf and -Inf in turn, and each must fail validation. NaN
+// passes a check written as x <= 0, and an infinite clock prices every
+// draw at its bare overhead.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	rt := reflect.TypeOf(Config{})
+	floats := 0
+	for i := 0; i < rt.NumField(); i++ {
+		if rt.Field(i).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		floats++
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := BaseConfig()
+			reflect.ValueOf(&c).Elem().Field(i).SetFloat(x)
+			if err := c.Validate(); err == nil {
+				t.Errorf("%s = %v: accepted", rt.Field(i).Name, x)
+			}
+		}
+	}
+	if floats == 0 {
+		t.Fatal("Config has no float64 field")
+	}
+	quiet := BaseConfig()
+	quiet.NoiseAmp, quiet.NoiseRefNs = 0, math.NaN()
+	if quiet.Validate() == nil {
+		t.Error("NaN noise reference accepted with the noise term off")
 	}
 }
 

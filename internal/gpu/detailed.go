@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dcmath"
+	"repro/internal/shader"
 	"repro/internal/trace"
 )
 
@@ -36,35 +37,14 @@ func (s *Simulator) DetailedTexTraffic(d *trace.DrawCall, maxSamples int) (Detai
 	if maxSamples <= 0 {
 		return DetailedTexResult{}, fmt.Errorf("gpu: maxSamples %d <= 0", maxSamples)
 	}
-	psPC := s.t.progs.Get(d.PS)
-	if psPC == nil {
-		return DetailedTexResult{}, fmt.Errorf("gpu: draw references unknown PS %d", d.PS)
-	}
-	rt, err := s.w.RenderTarget(d.RT)
-	if err != nil {
+	if err := s.checkRefs(d); err != nil {
 		return DetailedTexResult{}, err
 	}
-	shaded := d.CoverageFrac * float64(rt.Pixels()) * d.Overdraw
-	samples := shaded * psPC.texPerElem
-	if samples <= 0 {
-		return DetailedTexResult{Samples: 0, HitRate: 1}, nil
-	}
-	var ws float64
-	for _, tid := range d.Textures {
-		if tid == 0 {
-			continue
-		}
-		tex, err := s.w.Texture(tid)
-		if err != nil {
-			return DetailedTexResult{}, err
-		}
-		ws += float64(tex.Footprint())
-	}
-	ws *= d.TexLocality
-	if maxWS := samples * texelBytes; ws > maxWS {
-		ws = maxWS // same cap as the analytic model: see sim.go
-	}
-	if ws <= 0 {
+	// The samples and working set the analytic model prices.
+	var t drawTerms
+	s.t.terms(d, &t)
+	samples, ws := t.samples, t.ws
+	if samples <= 0 || ws <= 0 {
 		return DetailedTexResult{Samples: 0, HitRate: 1}, nil
 	}
 
@@ -100,4 +80,26 @@ func (s *Simulator) DetailedTexTraffic(d *trace.DrawCall, maxSamples int) (Detai
 		HitRate:   cache.HitRate(),
 		DRAMBytes: float64(cache.Misses()) * float64(s.cfg.TexCacheLineB) * scale,
 	}, nil
+}
+
+// checkRefs returns, as an error, each dangling shader, render-target
+// or texture reference of d that terms would panic on.
+func (s *Simulator) checkRefs(d *trace.DrawCall) error {
+	for _, id := range [...]shader.ID{d.VS, d.PS} {
+		if s.t.progs.Get(id) == nil {
+			return fmt.Errorf("gpu: draw references unknown shader %d", id)
+		}
+	}
+	if _, err := s.w.RenderTarget(d.RT); err != nil {
+		return err
+	}
+	for _, tid := range d.Textures {
+		if tid == 0 {
+			continue
+		}
+		if _, err := s.w.Texture(tid); err != nil {
+			return err
+		}
+	}
+	return nil
 }

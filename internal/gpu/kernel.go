@@ -3,6 +3,7 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/shader"
 	"repro/internal/trace"
@@ -119,9 +120,9 @@ func (tb *tables) terms(d *trace.DrawCall, t *drawTerms) {
 }
 
 // texTraffic is the draw's texture traffic on one cache geometry. It
-// is split from cost because it depends on the config only through
+// is split from arch because it depends on the config only through
 // the geometry, which a grid sweep rarely varies: a pass evaluates it
-// once per distinct geometry, not once per config.
+// once per distinct geometry, not once per architecture class.
 func (t *drawTerms) texTraffic(cacheBytes, lineB int) texTraffic {
 	if t.samples > 0 {
 		return modelTexTraffic(t.samples, t.ws, cacheBytes, lineB)
@@ -129,10 +130,13 @@ func (t *drawTerms) texTraffic(cacheBytes, lineB int) texTraffic {
 	return texTraffic{HitRate: 1}
 }
 
-// cost is the per-config half of DrawCost: it prices a draw's terms on
-// cfg, given the draw's texture traffic on cfg's cache geometry, into
-// dc, overwriting every field.
-func (cfg *Config) cost(t *drawTerms, tex *texTraffic, dc *DrawCost) {
+// arch is the architecture half of pricing: it fills dc's stage
+// cycles, CoreCycles, ShadedPixels and traffic fields from the draw's
+// terms on cfg, given the draw's texture traffic on cfg's cache
+// geometry. No clock enters it, so configs that differ only in their
+// clocks share its result. The clock half (clock) turns CoreCycles and
+// the traffic into time.
+func (cfg *Config) arch(t *drawTerms, tex *texTraffic, dc *DrawCost) {
 	dc.ShadedPixels = t.shaded
 
 	// Core domain: each stage is a throughput; the pipeline runs at the
@@ -144,7 +148,6 @@ func (cfg *Config) cost(t *drawTerms, tex *texTraffic, dc *DrawCost) {
 	dc.PSCycles = t.psWork / rate
 	dc.ROPCycles = t.ropPixels / cfg.ROPRate
 	dc.CoreCycles = max5(dc.VSCycles, dc.SetupCycles, dc.RasterCycles, dc.PSCycles, dc.ROPCycles)
-	dc.ComputeNs = dc.CoreCycles / cfg.CoreClockGHz
 
 	// Memory domain.
 	dc.VertexBytes = t.verts * float64(cfg.VertexSizeB)
@@ -152,7 +155,42 @@ func (cfg *Config) cost(t *drawTerms, tex *texTraffic, dc *DrawCost) {
 	dc.TexHitRate = tex.HitRate
 	dc.RTBytes = t.rtBytes * cfg.ColorCompression
 	dc.DepthBytes = t.depthBytes * cfg.DepthCompression
-	cfg.finalize(dc, t.noiseZ)
+}
+
+// clock is the clock half of pricing: it times a draw of the given
+// core cycles and DRAM traffic on cfg — compute and memory time, their
+// partially overlapped combination plus the draw overhead, and the
+// noise factor for the draw's drawNoiseZ z. memoryBound reports which
+// domain dominated.
+func (cfg *Config) clock(cycles, traffic, z float64) (computeNs, memoryNs, totalNs float64, memoryBound bool) {
+	computeNs = cycles / cfg.CoreClockGHz
+	memoryNs = traffic / cfg.bandwidth() // GB/s == bytes/ns
+
+	// Bottleneck combination with partial overlap.
+	tc, tm := computeNs, memoryNs
+	if tm > tc {
+		memoryBound = true
+		tc, tm = tm, tc
+	}
+	totalNs = tc + cfg.OverlapBeta*tm + cfg.DrawOverheadNs
+	if cfg.NoiseAmp > 0 {
+		sigma := cfg.NoiseAmp * math.Sqrt(cfg.NoiseRefNs/totalNs)
+		if sigma > 0.5 {
+			sigma = 0.5
+		}
+		totalNs *= math.Exp(sigma * z)
+	}
+	return computeNs, memoryNs, totalNs, memoryBound
+}
+
+// finalize times dc on cfg from its CoreCycles and traffic fields
+// through the clock half, overwriting ComputeNs, MemoryNs, OverheadNs,
+// TotalNs and MemoryBound. DrawCost calls it after arch; the
+// shared-cache detailed path calls it again after overriding TexBytes
+// with measured traffic. z is the draw's drawNoiseZ.
+func (cfg *Config) finalize(dc *DrawCost, z float64) {
+	dc.ComputeNs, dc.MemoryNs, dc.TotalNs, dc.MemoryBound = cfg.clock(dc.CoreCycles, dc.traffic(), z)
+	dc.OverheadNs = cfg.DrawOverheadNs
 }
 
 // price prices d on the simulator's own config into dc, leaving d's
@@ -160,7 +198,27 @@ func (cfg *Config) cost(t *drawTerms, tex *texTraffic, dc *DrawCost) {
 func (s *Simulator) price(d *trace.DrawCall, t *drawTerms, dc *DrawCost) {
 	s.t.terms(d, t)
 	tex := t.texTraffic(s.cfg.TexCacheKB*1024, s.cfg.TexCacheLineB)
-	s.cfg.cost(t, &tex, dc)
+	s.cfg.arch(t, &tex, dc)
+	s.cfg.finalize(dc, t.noiseZ)
+}
+
+// clockFrame runs cfg's clock half over one frame's draws, given each
+// draw's core cycles and traffic on cfg's architecture class and its
+// noise z. It folds every draw into tot in draw order and returns the
+// frame's time, summed in the same order.
+func (cfg *Config) clockFrame(cycles, traffic, z []float64, tot *Totals) (frameNs float64) {
+	traffic, z = traffic[:len(cycles)], z[:len(cycles)]
+	acc := *tot
+	for di, cyc := range cycles {
+		computeNs, memoryNs, totalNs, _ := cfg.clock(cyc, traffic[di], z[di])
+		frameNs += totalNs
+		acc.TotalNs += totalNs
+		acc.ComputeNs += computeNs
+		acc.MemoryNs += memoryNs
+		acc.TrafficBytes += traffic[di]
+	}
+	*tot = acc
+	return frameNs
 }
 
 // PricedRun is one config's share of a PriceGrid pass: the run result
@@ -171,10 +229,12 @@ type PricedRun struct {
 }
 
 // PriceGrid prices every frame of the simulator's workload on each of
-// cfgs in one pass over the draws. A draw's config-independent terms
-// are computed once per pass and its texture traffic once per distinct
-// cache geometry; only the per-config cost runs once per draw x
-// config, with the config loop innermost.
+// cfgs in one pass over the draws. Configs that differ only in Name
+// and clocks form one architecture class. Per frame, each draw's
+// config-independent terms are computed once, its texture traffic once
+// per distinct cache geometry, and its core cycles and traffic (arch)
+// once per class, into frame-sized scratch. Then, per config, the
+// clock half runs over the frame's draws in draw order.
 //
 // Fold-order contract: for each config, a frame's time sums its draws'
 // TotalNs in draw order, TotalNs sums frames in frame order, and each
@@ -188,28 +248,53 @@ func (s *Simulator) PriceGrid(ctx context.Context, cfgs []Config) ([]PricedRun, 
 	type geometry struct{ cacheBytes, lineB int }
 	var geoms []geometry
 	geomIndex := map[geometry]int{}
-	geomOf := make([]int, len(cfgs))
+	// A class key is the config with Name and clocks cleared; Validate
+	// keeps NaN, which is unequal to itself, out of the keys.
+	type class struct {
+		cfg  *Config // the first config of the class
+		geom int
+	}
+	var classes []class
+	classIndex := map[Config]int{}
+	classOf := make([]int, len(cfgs))
 	for c := range cfgs {
-		if err := cfgs[c].Validate(); err != nil {
+		cfg := &cfgs[c]
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		g := geometry{cfgs[c].TexCacheKB * 1024, cfgs[c].TexCacheLineB}
-		i, ok := geomIndex[g]
+		key := *cfg
+		key.Name, key.CoreClockGHz, key.MemClockGHz = "", 0, 0
+		k, ok := classIndex[key]
 		if !ok {
-			i = len(geoms)
-			geomIndex[g] = i
-			geoms = append(geoms, g)
+			g := geometry{cfg.TexCacheKB * 1024, cfg.TexCacheLineB}
+			gi, ok := geomIndex[g]
+			if !ok {
+				gi = len(geoms)
+				geomIndex[g] = gi
+				geoms = append(geoms, g)
+			}
+			k = len(classes)
+			classIndex[key] = k
+			classes = append(classes, class{cfg: cfg, geom: gi})
 		}
-		geomOf[c] = i
+		classOf[c] = k
 	}
 
 	frames := s.w.Frames
+	maxDraws := 0
+	for i := range frames {
+		maxDraws = max(maxDraws, len(frames[i].Draws))
+	}
 	runs := make([]PricedRun, len(cfgs))
 	for c := range runs {
 		runs[c].ConfigName = cfgs[c].Name
 		runs[c].FrameNs = make([]float64, len(frames))
 	}
-	frameNs := make([]float64, len(cfgs))
+	// Frame-sized scratch: each class's core cycles and traffic per
+	// draw, class-major, and each draw's noise z.
+	cycles := make([]float64, len(classes)*maxDraws)
+	traffic := make([]float64, len(classes)*maxDraws)
+	noiseZ := make([]float64, maxDraws)
 	tex := make([]texTraffic, len(geoms))
 	var t drawTerms
 	var dc DrawCost
@@ -217,26 +302,25 @@ func (s *Simulator) PriceGrid(ctx context.Context, cfgs []Config) ([]PricedRun, 
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("gpu: pricing canceled at frame %d/%d: %w", i, len(frames), err)
 		}
-		clear(frameNs)
 		draws := frames[i].Draws
 		for di := range draws {
 			s.t.terms(&draws[di], &t)
 			for g := range geoms {
 				tex[g] = t.texTraffic(geoms[g].cacheBytes, geoms[g].lineB)
 			}
-			for c := range cfgs {
-				cfgs[c].cost(&t, &tex[geomOf[c]], &dc)
-				frameNs[c] += dc.TotalNs
-				tot := &runs[c].Totals
-				tot.TotalNs += dc.TotalNs
-				tot.ComputeNs += dc.ComputeNs
-				tot.MemoryNs += dc.MemoryNs
-				tot.TrafficBytes += dc.traffic()
+			for k := range classes {
+				classes[k].cfg.arch(&t, &tex[classes[k].geom], &dc)
+				cycles[k*maxDraws+di] = dc.CoreCycles
+				traffic[k*maxDraws+di] = dc.traffic()
 			}
+			noiseZ[di] = t.noiseZ
 		}
-		for c := range runs {
-			runs[c].FrameNs[i] = frameNs[c]
-			runs[c].TotalNs += frameNs[c]
+		n := len(draws)
+		for c := range cfgs {
+			off := classOf[c] * maxDraws
+			run := &runs[c]
+			run.FrameNs[i] = cfgs[c].clockFrame(cycles[off:off+n], traffic[off:off+n], noiseZ[:n], &run.Totals)
+			run.TotalNs += run.FrameNs[i]
 		}
 	}
 	return runs, nil

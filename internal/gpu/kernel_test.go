@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/shader"
 	"repro/internal/sweep"
 	"repro/internal/synth"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/tracetest"
 )
@@ -172,6 +174,87 @@ func TestPriceGridChunkingsMatchReference(t *testing.T) {
 	}
 }
 
+// TestPriceGridClassKeyCoversEveryField prices, in one pass, a grid of
+// BaseConfig and one variant per Config field other than Name, each
+// differing from BaseConfig in that field alone, with a base-class
+// config at another clock after each variant. A class key that left
+// out a field the architecture half reads would price that variant
+// with BaseConfig's cycles or traffic and break bit equality with the
+// reference.
+func TestPriceGridClassKeyCoversEveryField(t *testing.T) {
+	variants := map[string]func(c *gpu.Config){
+		"CoreClockGHz":     func(c *gpu.Config) { c.CoreClockGHz = 1.3 },
+		"MemClockGHz":      func(c *gpu.Config) { c.MemClockGHz = 0.7 },
+		"NumEUs":           func(c *gpu.Config) { c.NumEUs = 12 },
+		"SIMDWidth":        func(c *gpu.Config) { c.SIMDWidth = 16 },
+		"PrimSetupRate":    func(c *gpu.Config) { c.PrimSetupRate = 2 },
+		"RasterRate":       func(c *gpu.Config) { c.RasterRate = 4 },
+		"ROPRate":          func(c *gpu.Config) { c.ROPRate = 16 },
+		"TexCacheKB":       func(c *gpu.Config) { c.TexCacheKB = 64 },
+		"TexCacheLineB":    func(c *gpu.Config) { c.TexCacheLineB = 128 },
+		"TexCacheWays":     func(c *gpu.Config) { c.TexCacheWays = 4 },
+		"DRAMBytesPerClk":  func(c *gpu.Config) { c.DRAMBytesPerClk = 12.8 },
+		"DrawOverheadNs":   func(c *gpu.Config) { c.DrawOverheadNs = 900 },
+		"OverlapBeta":      func(c *gpu.Config) { c.OverlapBeta = 0.5 },
+		"VertexSizeB":      func(c *gpu.Config) { c.VertexSizeB = 48 },
+		"ColorCompression": func(c *gpu.Config) { c.ColorCompression = 1 },
+		"DepthCompression": func(c *gpu.Config) { c.DepthCompression = 0.5 },
+		"NoiseAmp":         func(c *gpu.Config) { c.NoiseAmp = 0.2 },
+		"NoiseRefNs":       func(c *gpu.Config) { c.NoiseRefNs = 20000 },
+	}
+	rt := reflect.TypeOf(gpu.Config{})
+	if len(variants) != rt.NumField()-1 {
+		t.Fatalf("%d variants for %d Config fields other than Name: extend the table", len(variants), rt.NumField()-1)
+	}
+	base := gpu.BaseConfig()
+	grid := []gpu.Config{base}
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		if name == "Name" {
+			continue
+		}
+		mutate, ok := variants[name]
+		if !ok {
+			t.Fatalf("no variant for field %s", name)
+		}
+		v := base
+		mutate(&v)
+		v.Name = "vary-" + name
+		bv, vv := reflect.ValueOf(base), reflect.ValueOf(v)
+		for j := 0; j < rt.NumField(); j++ {
+			if differs := bv.Field(j).Interface() != vv.Field(j).Interface(); differs != (j == i || j == 0) {
+				t.Fatalf("variant %s: field %s differs = %v", name, rt.Field(j).Name, differs)
+			}
+		}
+		if err := v.Validate(); err != nil {
+			t.Fatalf("variant %s: %v", name, err)
+		}
+		grid = append(grid, v, base.WithCoreClock(0.5+0.05*float64(i)))
+	}
+	w, err := tracetest.CachedWorkload(diffProfiles()[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstReference(t, w, grid)
+}
+
+// TestDrawNsDoesNotAllocate: clustering evaluation prices every parent
+// draw through DrawNs, so it must not allocate.
+func TestDrawNsDoesNotAllocate(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	w := tracetest.Tiny()
+	sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &w.Frames[0].Draws[0]
+	if n := testing.AllocsPerRun(100, func() { sim.DrawNs(d) }); n != 0 {
+		t.Fatalf("DrawNs allocates %v times per call, want 0", n)
+	}
+}
+
 func TestPriceGridCancellation(t *testing.T) {
 	w := tracetest.Tiny()
 	sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
@@ -222,14 +305,27 @@ func TestPriceGridPanicsOnDanglingRefs(t *testing.T) {
 }
 
 // FuzzPriceGrid prices one fuzzed draw (added to the fixture's first
-// frame) on the mixed grid and checks the kernel against the reference
-// bit for bit. The flags byte selects blending, depth, the textured or
-// the texture-free pixel shader, and whether the textures are bound.
+// frame) on the mixed grid plus two configs with fuzzed clocks — one in
+// BaseConfig's architecture class, one of LowPowerConfig's with a
+// fuzzed draw overhead as well — and checks the kernel against the
+// reference bit for bit. The flags byte selects blending, depth, the
+// textured or the texture-free pixel shader, and whether the textures
+// are bound. Fuzzed configs that Validate rejects are skipped.
 func FuzzPriceGrid(f *testing.F) {
-	f.Add(uint32(3000), uint8(1), uint8(0), 0.3, 1.4, 0.5, uint8(0b0111))
-	f.Add(uint32(60), uint8(4), uint8(1), 0.0, 1.0, 1.0, uint8(0b0000))
-	f.Add(uint32(9), uint8(2), uint8(3), 1.0, 1.0, 0.01, uint8(0b1111))
-	f.Fuzz(func(t *testing.T, verts uint32, instances, topo uint8, coverage, overdraw, locality float64, flags uint8) {
+	f.Add(uint32(3000), uint8(1), uint8(0), 0.3, 1.4, 0.5, uint8(0b0111), 1.0, 1.0, 500.0)
+	f.Add(uint32(60), uint8(4), uint8(1), 0.0, 1.0, 1.0, uint8(0b0000), 1.0, 1.0, 500.0)
+	f.Add(uint32(9), uint8(2), uint8(3), 1.0, 1.0, 0.01, uint8(0b1111), 1.0, 1.0, 500.0)
+	// Memory-bound: a full-screen blended, depth-tested, textured draw
+	// on a fast core and a slow memory clock.
+	f.Add(uint32(6), uint8(1), uint8(0), 1.0, 4.0, 1.0, uint8(0b1111), 3.0, 0.2, 100.0)
+	// Compute-bound: a vertex-heavy draw covering almost nothing, on a
+	// slow core and a fast memory clock.
+	f.Add(uint32(900000), uint8(8), uint8(0), 0.001, 1.0, 1.0, uint8(0b0000), 0.2, 3.0, 100.0)
+	// Capped sigma: a near-free draw with no overhead prices far below
+	// NoiseRefNs*(2*NoiseAmp)^2, so the noise sigma is capped at 0.5.
+	f.Add(uint32(3), uint8(1), uint8(0), 0.0, 1.0, 1.0, uint8(0b0000), 2.0, 2.0, 0.0)
+	f.Fuzz(func(t *testing.T, verts uint32, instances, topo uint8, coverage, overdraw, locality float64, flags uint8,
+		core, mem, overhead float64) {
 		w := tracetest.Tiny()
 		d := w.Frames[0].Draws[0] // textured PS with both slots bound
 		d.VertexCount = int(verts % (1 << 20))
@@ -248,6 +344,15 @@ func FuzzPriceGrid(f *testing.F) {
 		if err := w.Validate(); err != nil {
 			t.Skip(err)
 		}
-		checkAgainstReference(t, w, mixedGrid())
+		sameClass := gpu.BaseConfig()
+		sameClass.Name, sameClass.CoreClockGHz, sameClass.MemClockGHz = "fuzz-base", core, mem
+		other := gpu.LowPowerConfig()
+		other.Name, other.CoreClockGHz, other.MemClockGHz, other.DrawOverheadNs = "fuzz-other", core, mem, overhead
+		for _, c := range []gpu.Config{sameClass, other} {
+			if err := c.Validate(); err != nil {
+				t.Skip(err)
+			}
+		}
+		checkAgainstReference(t, w, append(mixedGrid(), sameClass, other))
 	})
 }

@@ -119,31 +119,6 @@ func (s *Simulator) DrawCost(d *trace.DrawCall) DrawCost {
 	return dc
 }
 
-// finalize derives MemoryNs and TotalNs from the traffic fields and
-// ComputeNs — shared by the analytic path and the shared-cache
-// detailed path (which overrides TexBytes with measured traffic before
-// re-finalizing). z is the draw's drawNoiseZ.
-func (cfg *Config) finalize(dc *DrawCost, z float64) {
-	dc.MemoryNs = dc.traffic() / cfg.bandwidth() // GB/s == bytes/ns
-
-	// Bottleneck combination with partial overlap.
-	tc, tm := dc.ComputeNs, dc.MemoryNs
-	dc.MemoryBound = false
-	if tm > tc {
-		dc.MemoryBound = true
-		tc, tm = tm, tc
-	}
-	dc.OverheadNs = cfg.DrawOverheadNs
-	dc.TotalNs = tc + cfg.OverlapBeta*tm + dc.OverheadNs
-	if cfg.NoiseAmp > 0 {
-		sigma := cfg.NoiseAmp * math.Sqrt(cfg.NoiseRefNs/dc.TotalNs)
-		if sigma > 0.5 {
-			sigma = 0.5
-		}
-		dc.TotalNs *= math.Exp(sigma * z)
-	}
-}
-
 // drawNoiseZ returns an approximately standard-normal variate hashed
 // from the draw's content (sum of four content-hashed uniforms). It
 // depends only on the draw, never on the config, so a draw carries the

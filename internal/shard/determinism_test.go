@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/gpu"
+	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/tracetest"
@@ -309,34 +311,107 @@ func TestOverlappingShardsAgree(t *testing.T) {
 	}
 }
 
-// TestWorkerWithoutCache: no cache at all degrades to direct
-// computation with identical results — sharding never depends on the
-// cache for correctness.
+// TestWorkerWithoutCache: no cache at all prices each shard's owned
+// tasks in one batched call, with results identical to the sequential
+// run with and without a cache — sharding never depends on the cache
+// for correctness.
 func TestWorkerWithoutCache(t *testing.T) {
 	w := testWorkload(t, 7)
-	cfgs := testGrid(2, 2)
-	var manifests []*Manifest
-	for i := 0; i < 2; i++ {
-		wk := NewWorker(WorkerOptions{})
-		m, st, err := wk.Run(context.Background(), w, cfgs, Spec{Index: i, Count: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.CacheHits != 0 || st.Computed != st.Owned {
-			t.Fatalf("cacheless worker stats %+v: everything should be computed", st)
-		}
-		manifests = append(manifests, m)
-	}
-	rm, err := Merge(manifests)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfgs := testGrid(3, 2)
 	ref, err := RunSequential(context.Background(), nil, w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeRM(t, rm), encodeRM(t, ref)) {
-		t.Fatal("cacheless shards differ from sequential")
+	c, err := cache.New(cache.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := RunSequential(context.Background(), c, w, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refBytes := encodeRM(t, ref)
+	if !bytes.Equal(encodeRM(t, cached), refBytes) {
+		t.Fatal("cached sequential run differs from the cache-free one")
+	}
+	for n := 1; n <= 4; n++ {
+		var manifests []*Manifest
+		for i := 0; i < n; i++ {
+			wk := NewWorker(WorkerOptions{})
+			m, st, err := wk.Run(context.Background(), w, cfgs, Spec{Index: i, Count: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Owned != st.Computed || st.CacheHits != 0 || st.ClaimWaits != 0 || len(m.Entries) != st.Owned {
+				t.Fatalf("%d shards, shard %d: cacheless worker stats %+v with %d entries: everything should be computed",
+					n, i+1, st, len(m.Entries))
+			}
+			manifests = append(manifests, m)
+		}
+		rm, err := Merge(manifests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeRM(t, rm), refBytes) {
+			t.Fatalf("%d cacheless shards differ from sequential", n)
+		}
+	}
+}
+
+// TestWorkerWithoutCacheCanceled: a cache-free worker on a canceled
+// context returns the cancellation and no manifest.
+func TestWorkerWithoutCacheCanceled(t *testing.T) {
+	w := testWorkload(t, 7)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m, _, err := NewWorker(WorkerOptions{}).Run(ctx, w, testGrid(4, 2), Spec{Index: 0, Count: 2})
+	if !errors.Is(err, context.Canceled) || m != nil {
+		t.Fatalf("canceled cacheless worker: manifest %v, err %v; want none and context.Canceled", m, err)
+	}
+}
+
+// TestPricingPassesPerPath counts sweep.pricing_passes: a cache-free
+// RunSequential prices its grid in GOMAXPROCS chunks, a cache-free
+// worker its owned tasks likewise, and a cached RunSequential one
+// config per pass, so that every pass is one cache entry.
+func TestPricingPassesPerPath(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	w := testWorkload(t, 7)
+	cfgs := testGrid(4, 2)
+	passes := func(run func(ctx context.Context) error) int64 {
+		t.Helper()
+		r := obs.NewRun("test")
+		if err := run(r.Context(context.Background())); err != nil {
+			t.Fatal(err)
+		}
+		return r.Metrics().Counter("sweep.pricing_passes").Value()
+	}
+	if got := passes(func(ctx context.Context) error {
+		_, err := RunSequential(ctx, nil, w, cfgs)
+		return err
+	}); got != 3 {
+		t.Errorf("cache-free RunSequential of %d configs: %d passes, want 3", len(cfgs), got)
+	}
+	for _, tc := range []struct {
+		spec Spec
+		want int64
+	}{{Spec{Index: 0, Count: 1}, 3}, {Spec{Index: 1, Count: 4}, 2}, {Spec{Index: 0, Count: 8}, 1}} {
+		if got := passes(func(ctx context.Context) error {
+			_, _, err := NewWorker(WorkerOptions{}).Run(ctx, w, cfgs, tc.spec)
+			return err
+		}); got != tc.want {
+			t.Errorf("cache-free worker %s: %d passes, want %d", tc.spec, got, tc.want)
+		}
+	}
+	c, err := cache.New(cache.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := passes(func(ctx context.Context) error {
+		_, err := RunSequential(ctx, c, w, cfgs)
+		return err
+	}); got != int64(len(cfgs)) {
+		t.Errorf("cached RunSequential of %d configs: %d passes, want one per config", len(cfgs), got)
 	}
 }
 

@@ -213,9 +213,9 @@ func Merge(ms []*Manifest) (*RunManifest, error) {
 // reference the determinism suite compares every sharded run against;
 // it is also gpusim's single-process sweep mode. A non-nil cache is
 // consulted and populated exactly like a worker's, one config per
-// entry, so sequential and sharded runs interoperate on one cache
-// directory; without a cache the grid is priced in one pass over the
-// draws (sweep.PriceGrid), bit-identical to pricing each config alone.
+// entry on one goroutine, so sequential and sharded runs interoperate
+// on one cache directory; without a cache the grid is priced across
+// all cores (priceTasks), bit-identical to pricing each config alone.
 func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu.Config) (*RunManifest, error) {
 	fp := w.Fingerprint()
 	tasks, grid, err := Plan(fp, cfgs)
@@ -226,17 +226,14 @@ func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs 
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]Entry, 0, len(tasks))
 	if c == nil {
-		parents, err := sweep.PriceGrid(ctx, base, w, cfgs, 1)
+		entries, err := priceTasks(ctx, base, w, tasks)
 		if err != nil {
 			return nil, err
 		}
-		for i, t := range tasks {
-			entries = append(entries, newEntry(t, parents[i]))
-		}
 		return foldRun(fp, grid, len(tasks), entries)
 	}
+	entries := make([]Entry, 0, len(tasks))
 	cctx := cache.WithWorkload(ctx, c, fp)
 	for _, t := range tasks {
 		_, priced, err := sweep.PriceConfig(cctx, base, w, t.Config, t.Seq, len(tasks))
@@ -246,4 +243,25 @@ func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs 
 		entries = append(entries, newEntry(t, priced))
 	}
 	return foldRun(fp, grid, len(tasks), entries)
+}
+
+// priceTasks prices tasks without a cache, in one sweep.PriceGrid call
+// cut into GOMAXPROCS chunks, and returns their entries in task order.
+// It is the cache-free path of both RunSequential and a Worker: with
+// no cache there are no entries to store or claims to take, so nothing
+// needs pricing one config at a time.
+func priceTasks(ctx context.Context, base *gpu.Simulator, w *trace.Workload, tasks []Task) ([]Entry, error) {
+	cfgs := make([]gpu.Config, len(tasks))
+	for i, t := range tasks {
+		cfgs[i] = t.Config
+	}
+	parents, err := sweep.PriceGrid(ctx, base, w, cfgs, 0)
+	if err != nil {
+		return nil, err
+	}
+	var entries []Entry // nil for a shard that owns no task
+	for i, t := range tasks {
+		entries = append(entries, newEntry(t, parents[i]))
+	}
+	return entries, nil
 }

@@ -21,6 +21,8 @@ type WorkerOptions struct {
 	// cross-process: entries and claims land in the shared directory.
 	// Nil or memory-only degrades gracefully — the worker computes
 	// everything it owns directly, which is correct but uncoordinated.
+	// With no cache at all there is nothing to claim or store, so the
+	// worker prices its owned tasks in one pass across all cores.
 	Cache *cache.Cache
 
 	// LeaseTTL bounds how long another worker's claim is believed
@@ -55,7 +57,7 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // WorkerStats accounts one Run.
 type WorkerStats struct {
 	Owned      int // tasks this shard was responsible for
-	Computed   int // ... priced by this worker under a claim
+	Computed   int // ... priced by this worker (under a claim when it has a cache)
 	CacheHits  int // ... resolved from the shared cache without pricing
 	ClaimWaits int // poll cycles spent behind another worker's claim
 }
@@ -80,9 +82,11 @@ func NewWorker(opt WorkerOptions) *Worker {
 // Run executes the shard: for every owned task in grid order, resolve
 // the priced parent — from the shared cache if any worker already
 // stored it, otherwise by claiming the key and pricing it — and emit
-// the per-shard manifest. The manifest depends only on (workload,
-// grid, spec): re-running a shard over any cache state, or racing it
-// against an overlapping shard, yields byte-identical manifests.
+// the per-shard manifest. Without a cache it prices every owned task
+// in one priceTasks call, as RunSequential does. The manifest depends
+// only on (workload, grid, spec): re-running a shard over any cache
+// state, or racing it against an overlapping shard, yields
+// byte-identical manifests.
 func (wk *Worker) Run(ctx context.Context, w *trace.Workload, cfgs []gpu.Config, spec Spec) (*Manifest, WorkerStats, error) {
 	var stats WorkerStats
 	if err := spec.Validate(); err != nil {
@@ -102,8 +106,6 @@ func (wk *Worker) Run(ctx context.Context, w *trace.Workload, cfgs []gpu.Config,
 	if err != nil {
 		return nil, stats, err
 	}
-	cctx := cache.WithWorkload(ctx, wk.opt.Cache, fp)
-
 	m := &Manifest{
 		Version:  ManifestVersion,
 		Workload: fp,
@@ -111,21 +113,35 @@ func (wk *Worker) Run(ctx context.Context, w *trace.Workload, cfgs []gpu.Config,
 		GridSize: len(tasks),
 		Shard:    spec,
 	}
-	for _, t := range tasks {
-		if !spec.Owns(t.Seq) {
-			continue
+	if wk.opt.Cache == nil {
+		var owned []Task
+		for _, t := range tasks {
+			if spec.Owns(t.Seq) {
+				owned = append(owned, t)
+			}
 		}
-		stats.Owned++
-		priced, computed, err := wk.resolve(cctx, base, w, t, len(tasks), &stats)
-		if err != nil {
+		if m.Entries, err = priceTasks(ctx, base, w, owned); err != nil {
 			return nil, stats, err
 		}
-		if computed {
-			stats.Computed++
-		} else {
-			stats.CacheHits++
+		stats.Owned, stats.Computed = len(owned), len(owned)
+	} else {
+		cctx := cache.WithWorkload(ctx, wk.opt.Cache, fp)
+		for _, t := range tasks {
+			if !spec.Owns(t.Seq) {
+				continue
+			}
+			stats.Owned++
+			priced, computed, err := wk.resolve(cctx, base, w, t, len(tasks), &stats)
+			if err != nil {
+				return nil, stats, err
+			}
+			if computed {
+				stats.Computed++
+			} else {
+				stats.CacheHits++
+			}
+			m.Entries = append(m.Entries, newEntry(t, priced))
 		}
-		m.Entries = append(m.Entries, newEntry(t, priced))
 	}
 	sp.AddItems(int64(stats.Owned))
 	mtr := obs.RunFromContext(ctx).Metrics()

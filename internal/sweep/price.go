@@ -87,10 +87,11 @@ func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cf
 // must have been built on w. Results land in grid order and are
 // bit-identical to pricing each config alone at any chunking.
 //
-// Only grids without a cache are batched. A cached grid prices one
-// config per cache entry (PriceConfig) so that each entry is computed,
-// stored and claimed on its own — the unit the shard layer distributes
-// and the cache deduplicates.
+// Only grids without a cache are batched: the cache-free sweeps here,
+// and shard.RunSequential and a shard.Worker without a cache. A cached
+// grid prices one config per cache entry (PriceConfig) so that each
+// entry is computed, stored and claimed on its own — the unit the
+// shard layer distributes and the cache deduplicates.
 func PriceGrid(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config, workers int) ([]PricedParent, error) {
 	n := min(parallel.Workers(workers), len(cfgs))
 	chunks, err := parallel.Map(ctx, n, n, func(ctx context.Context, k int) ([]PricedParent, error) {
