@@ -38,8 +38,8 @@ test:
 
 # stress repeats the suites of the concurrent packages under the race
 # detector, so an interleaving-dependent flake (a torn lock-free
-# snapshot, a racy claim) surfaces before merge rather than as an
-# intermittent tier-1 failure.
+# snapshot, two shards racing on one cache directory) surfaces before
+# merge rather than as an intermittent tier-1 failure.
 stress:
 	$(GO) test -race -count=20 ./internal/obs/... ./internal/serve/ ./internal/cache/ ./internal/shard/ ./internal/coord/
 
@@ -75,7 +75,7 @@ cover-export:
 	awk -v t="$$total" 'BEGIN { exit !(t + 0 >= 70) }' || { echo "FAIL: internal/obs/export coverage $$total% below the 70% gate"; exit 1; }
 
 # cover-shard gates the distributed sharding layer at 85% — stricter
-# than the other floors because a wrong shard plan, claim or merge
+# than the other floors because a wrong shard plan, pricing or merge
 # silently produces a run manifest that is not what the sequential
 # path would have computed, defeating the layer's entire contract.
 cover-shard:

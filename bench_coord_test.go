@@ -2,13 +2,13 @@
 // 32-config grid as BenchmarkShardSweep, priced sequentially in
 // process (path=naive) versus coordinated over 1, 2 and 3 real
 // subsetd-equivalent HTTP workers (real serve.Server handlers behind
-// real loopback listeners). Because this container has one core, the
-// coordinated arms report the DISTRIBUTED CRITICAL PATH: MaxInflight=1
-// serializes dispatches so every worker's wall time is measured clean,
+// real loopback listeners). The coordinated arms report the
+// DISTRIBUTED CRITICAL PATH: MaxInflight=1 serializes dispatches so no
+// worker's busy time includes another's pricing on the shared host,
 // and the reported ns/op is max(per-worker busy time) + merge — what a
-// wall clock would show with one machine per worker. The metric is
-// core-count independent, so the BENCH_coord.json gate transfers
-// across CI hosts. `make bench-coord` records speedup_vs_naive per
+// wall clock would show with one machine per worker. The metric does
+// not depend on the host's core count, so the BENCH_coord.json gate
+// transfers across CI hosts. `make bench-coord` records speedup_vs_naive per
 // fleet width; the acceptance floor is >= 1.7x at 3 workers (HTTP,
 // JSON and per-dispatch planning overhead bound it away from ideal).
 package repro_test
@@ -80,7 +80,7 @@ func BenchmarkCoordSweep(b *testing.B) {
 				co, err := coord.New(coord.Options{
 					Workers:      urls,
 					Shards:       n, // one shard per worker: clean critical-path attribution
-					MaxInflight:  1, // serialize attempts so busy times don't overlap on one core
+					MaxInflight:  1, // serialize attempts so busy times don't overlap
 					ShardTimeout: 5 * time.Minute,
 				})
 				if err != nil {

@@ -21,12 +21,14 @@
 //	gpusim -merge -shard-dir /shared/manifests -sweep-out run.json
 //
 // The first form prices the whole grid in-process and prints the sweep
-// table. The second prices only shard 2 of 4 — any number of gpusim
-// processes (one per shard, on any machines sharing the cache and
-// manifest directories) coordinate through content-addressed claims,
-// each writing a per-shard manifest. The third folds the manifests
-// back into one run manifest, byte-identical to what the first form
-// would have produced.
+// table. The second prices only shard 2 of 4, the grid points whose
+// index is 1 mod 4, and writes a per-shard manifest; run one gpusim
+// per shard, on any machines that share the manifest directory. With
+// -cache-dir, each priced grid point is stored as it finishes, so
+// rerunning a killed shard on the same cache directory prices only
+// what it had not stored. The third folds the manifests back into one
+// run manifest, byte-identical to what the first form would have
+// produced.
 //
 // -workers bounds the goroutines that price: frames in single-config
 // mode and grid chunks in a cache-free sweep. A value below GOMAXPROCS
@@ -74,13 +76,12 @@ type config struct {
 	cacheDir  string
 	cacheMem  int
 
-	gridCore   string
-	gridMem    string
-	shard      string
-	shardDir   string
-	shardLease time.Duration
-	merge      bool
-	sweepOut   string
+	gridCore string
+	gridMem  string
+	shard    string
+	shardDir string
+	merge    bool
+	sweepOut string
 
 	logLevel string
 	manifest string
@@ -103,9 +104,8 @@ func main() {
 	flag.IntVar(&cfg.cacheMem, "cache-mem", 0, "in-memory result cache budget in MiB (0 with no -cache-dir disables caching)")
 	flag.StringVar(&cfg.gridCore, "grid-core", "", "comma-separated core clocks (GHz) for a grid sweep (empty with -grid-mem set = default ladder)")
 	flag.StringVar(&cfg.gridMem, "grid-mem", "", "comma-separated memory clocks (GHz) for a grid sweep (default 1.0)")
-	flag.StringVar(&cfg.shard, "shard", "", "price only shard i/n of the grid (e.g. 2/4); requires -cache-dir and -shard-dir")
+	flag.StringVar(&cfg.shard, "shard", "", "price only shard i/n of the grid (e.g. 2/4); requires -shard-dir; with -cache-dir a rerun resumes from the stored grid points")
 	flag.StringVar(&cfg.shardDir, "shard-dir", "", "directory for per-shard manifests (written by -shard, read by -merge)")
-	flag.DurationVar(&cfg.shardLease, "shard-lease", 30*time.Second, "how long another worker's claim is believed before it is treated as dead")
 	flag.BoolVar(&cfg.merge, "merge", false, "fold the per-shard manifests in -shard-dir into the run manifest (no -trace needed)")
 	flag.StringVar(&cfg.sweepOut, "sweep-out", "", "write the sweep's run manifest (JSON) to this file")
 	flag.StringVar(&cfg.logLevel, "log-level", "off", "structured logging to stderr: debug, info, warn, error or off")
@@ -299,8 +299,7 @@ func writeSweepOut(cfg config, rm *shard.RunManifest) error {
 }
 
 // sweepGrid prices a config grid: the whole grid in-process, or — with
-// -shard i/n — only this process's share of it, coordinated with the
-// other shards through the shared cache directory.
+// -shard i/n — only this process's share of it.
 func sweepGrid(ctx context.Context, run *obs.Run, cfg config) error {
 	w, err := loadWorkload(ctx, run, cfg)
 	if err != nil {
@@ -323,11 +322,7 @@ func sweepGrid(ctx context.Context, run *obs.Run, cfg config) error {
 		if cfg.shardDir == "" {
 			return fmt.Errorf("-shard needs -shard-dir for the per-shard manifest")
 		}
-		if rcache == nil || rcache.Dir() == "" {
-			return fmt.Errorf("-shard needs a shared -cache-dir to coordinate with the other shards")
-		}
-		wk := shard.NewWorker(shard.WorkerOptions{Cache: rcache, LeaseTTL: cfg.shardLease})
-		m, st, err := wk.Run(ctx, w, cfgs, spec)
+		m, st, err := shard.RunShard(ctx, rcache, w, cfgs, spec)
 		if err != nil {
 			return err
 		}

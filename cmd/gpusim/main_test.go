@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/synth"
@@ -48,21 +47,20 @@ func writeTrace(t *testing.T, dir string) string {
 
 func baseCfg(tracePath string, out *bytes.Buffer) config {
 	return config{
-		tracePath:  tracePath,
-		core:       1.0,
-		mem:        1.0,
-		workers:    runtime.GOMAXPROCS(0),
-		shardLease: 30 * time.Second,
-		logLevel:   "off",
-		out:        out,
+		tracePath: tracePath,
+		core:      1.0,
+		mem:       1.0,
+		workers:   runtime.GOMAXPROCS(0),
+		logLevel:  "off",
+		out:       out,
 	}
 }
 
 // TestShardMergeMatchesSequentialEndToEnd is the CLI-level byte-
 // identity check: a sequential grid sweep versus four -shard runs
-// (executed concurrently against one cache directory) folded by
-// -merge. Both the -sweep-out JSON and the rendered stdout must be
-// byte-identical.
+// (executed concurrently, sharing one cache directory or with no cache
+// at all) folded by -merge. Both the -sweep-out JSON and the rendered
+// stdout must be byte-identical.
 func TestShardMergeMatchesSequentialEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := writeTrace(t, dir)
@@ -76,54 +74,54 @@ func TestShardMergeMatchesSequentialEndToEnd(t *testing.T) {
 	if err := execute(context.Background(), seqCfg); err != nil {
 		t.Fatal(err)
 	}
-
-	cacheDir := filepath.Join(dir, "cache")
-	shardDir := filepath.Join(dir, "manifests")
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var out bytes.Buffer
-			cfg := baseCfg(tracePath, &out)
-			cfg.gridCore = grid
-			cfg.gridMem = "0.8,1.2"
-			cfg.shard = fmt.Sprintf("%d/4", i+1)
-			cfg.cacheDir = cacheDir
-			cfg.shardDir = shardDir
-			errs[i] = execute(context.Background(), cfg)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("shard %d/4: %v", i+1, err)
-		}
-	}
-
-	var mergeOut bytes.Buffer
-	mergeCfg := baseCfg("", &mergeOut)
-	mergeCfg.merge = true
-	mergeCfg.shardDir = shardDir
-	mergeCfg.sweepOut = filepath.Join(dir, "merged.json")
-	if err := execute(context.Background(), mergeCfg); err != nil {
-		t.Fatal(err)
-	}
-
 	seqJSON, err := os.ReadFile(seqCfg.sweepOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergedJSON, err := os.ReadFile(mergeCfg.sweepOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqJSON, mergedJSON) {
-		t.Fatalf("run manifests differ\nseq:    %s\nmerged: %s", seqJSON, mergedJSON)
-	}
-	if seqOut.String() != mergeOut.String() {
-		t.Fatalf("stdout differs\nseq:\n%s\nmerged:\n%s", seqOut.String(), mergeOut.String())
+
+	for name, cacheDir := range map[string]string{"shared cache dir": filepath.Join(dir, "cache"), "no cache dir": ""} {
+		shardDir := t.TempDir()
+		var wg sync.WaitGroup
+		errs := make([]error, 4)
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var out bytes.Buffer
+				cfg := baseCfg(tracePath, &out)
+				cfg.gridCore = grid
+				cfg.gridMem = "0.8,1.2"
+				cfg.shard = fmt.Sprintf("%d/4", i+1)
+				cfg.cacheDir = cacheDir
+				cfg.shardDir = shardDir
+				errs[i] = execute(context.Background(), cfg)
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: shard %d/4: %v", name, i+1, err)
+			}
+		}
+
+		var mergeOut bytes.Buffer
+		mergeCfg := baseCfg("", &mergeOut)
+		mergeCfg.merge = true
+		mergeCfg.shardDir = shardDir
+		mergeCfg.sweepOut = filepath.Join(shardDir, "merged.json")
+		if err := execute(context.Background(), mergeCfg); err != nil {
+			t.Fatal(err)
+		}
+		mergedJSON, err := os.ReadFile(mergeCfg.sweepOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(seqJSON, mergedJSON) {
+			t.Fatalf("%s: run manifests differ\nseq:    %s\nmerged: %s", name, seqJSON, mergedJSON)
+		}
+		if seqOut.String() != mergeOut.String() {
+			t.Fatalf("%s: stdout differs\nseq:\n%s\nmerged:\n%s", name, seqOut.String(), mergeOut.String())
+		}
 	}
 }
 
@@ -145,14 +143,6 @@ func TestSweepGridFlagValidation(t *testing.T) {
 	noDir.cacheDir = filepath.Join(dir, "c")
 	if err := execute(context.Background(), noDir); err == nil {
 		t.Fatal("-shard without -shard-dir accepted")
-	}
-
-	noCache := baseCfg(tracePath, &out)
-	noCache.gridCore = "1.0"
-	noCache.shard = "1/2"
-	noCache.shardDir = filepath.Join(dir, "m")
-	if err := execute(context.Background(), noCache); err == nil {
-		t.Fatal("-shard without -cache-dir accepted")
 	}
 
 	noShardDir := baseCfg("", &out)

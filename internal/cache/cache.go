@@ -74,10 +74,6 @@ type Stats struct {
 	Evictions int64 // in-memory entries evicted by the byte budget
 	Corrupt   int64 // disk entries dropped for failed framing/checksum
 	Errors    int64 // best-effort store/IO failures (cache kept going)
-	// StaleClaims counts leftover work-claim files (see claim.go) from
-	// dead or canceled workers that TryClaim removed and took over —
-	// the signal that a previous run exited uncleanly.
-	StaleClaims int64
 }
 
 // Cache is a two-tier content-addressed result store. Safe for
@@ -102,7 +98,6 @@ type Cache struct {
 	evictions         atomic.Int64
 	corrupt           atomic.Int64
 	errs              atomic.Int64
-	staleClaims       atomic.Int64
 }
 
 // New builds a cache, creating the disk directory when one is
@@ -134,14 +129,13 @@ func (c *Cache) Stats() Stats {
 	// snapshot.
 	mem, disk := c.memHits.Load(), c.diskHits.Load()
 	return Stats{
-		Hits:        mem + disk,
-		MemHits:     mem,
-		DiskHits:    disk,
-		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
-		Corrupt:     c.corrupt.Load(),
-		Errors:      c.errs.Load(),
-		StaleClaims: c.staleClaims.Load(),
+		Hits:      mem + disk,
+		MemHits:   mem,
+		DiskHits:  disk,
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Corrupt:   c.corrupt.Load(),
+		Errors:    c.errs.Load(),
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // ShardSweepRequest asks the server to price ONE shard of a config
 // grid over a registered workload. The grid is specified exactly like
 // /v1/sweep's, so a fleet of these requests (one per shard, against
-// one server or several sharing a cache directory) covers the same
-// grid a single /v1/sweep would.
+// one server or several) covers the same grid a single /v1/sweep
+// would.
 type ShardSweepRequest struct {
 	Workload   string    `json:"workload"`
 	CoreClocks []float64 `json:"core_clocks,omitempty"` // default: the standard ladder
@@ -40,12 +40,12 @@ type ShardSweepResponse struct {
 	ManifestDigest string `json:"manifest_digest"`
 }
 
-// handleShardSweep dispatches one shard of a sweep. It rides the same
+// handleShardSweep prices one shard of a sweep with shard.RunShard,
+// through the server's result cache when it has one. It rides the same
 // admission/coalescing path as every compute query, but NOT the
 // response cache: the response embeds a manifest whose per-task
-// pricing is already served by the result cache, and dispatchers
-// re-request shards precisely when they want the worker to re-examine
-// the shared cache state.
+// pricing is already served by the result cache, and its stats report
+// which tasks this request priced and which it read from the cache.
 func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 	var req ShardSweepRequest
 	if err := s.decodeReq(r, &req); err != nil {
@@ -86,8 +86,7 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 	flightKey := "shardsweep:" + kb.Sum().String()
 	s.runQuery(w, r, flightKey, func(ctx context.Context) (any, error) {
 		cfgs := sweep.Grid(gpu.BaseConfig(), req.CoreClocks, req.MemClocks)
-		wk := shard.NewWorker(shard.WorkerOptions{Cache: s.opt.Cache, Owner: "subsetd"})
-		m, st, err := wk.Run(ctx, e.W, cfgs, spec)
+		m, st, err := shard.RunShard(ctx, s.opt.Cache, e.W, cfgs, spec)
 		if err != nil {
 			return nil, err
 		}

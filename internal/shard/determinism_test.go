@@ -5,11 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/gpu"
@@ -33,16 +33,6 @@ func detProfiles() []synth.Profile {
 	return ps
 }
 
-// claimFiles lists leftover *.claim markers under a cache directory.
-func claimFiles(t testing.TB, cacheDir string) []string {
-	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(cacheDir, "*", "*.claim"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return paths
-}
-
 // sweepShards runs one worker per shard concurrently over a shared
 // cache directory and merges their manifests. Each worker opens its
 // OWN cache handle on the directory — the cross-process topology,
@@ -62,12 +52,7 @@ func sweepShards(t testing.TB, w *trace.Workload, cfgs []gpu.Config, n int, cach
 				errs[i] = err
 				return
 			}
-			wk := NewWorker(WorkerOptions{
-				Cache: c,
-				Owner: fmt.Sprintf("worker-%d", i),
-				Poll:  time.Millisecond,
-			})
-			manifests[i], stats[i], errs[i] = wk.Run(context.Background(), w, cfgs, Spec{Index: i, Count: n})
+			manifests[i], stats[i], errs[i] = RunShard(context.Background(), c, w, cfgs, Spec{Index: i, Count: n})
 		}(i)
 	}
 	wg.Wait()
@@ -81,6 +66,16 @@ func sweepShards(t testing.TB, w *trace.Workload, cfgs []gpu.Config, n int, cach
 		t.Fatalf("merge %d shards: %v", n, err)
 	}
 	return rm, stats
+}
+
+// newDiskCache opens a cache handle on dir, as one worker process would.
+func newDiskCache(t testing.TB, dir string) *cache.Cache {
+	t.Helper()
+	c, err := cache.New(cache.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func encodeRM(t testing.TB, rm *RunManifest) []byte {
@@ -131,130 +126,114 @@ func TestShardedSweepByteIdenticalToSequential(t *testing.T) {
 					if owned != len(cfgs) {
 						t.Fatalf("%d shards own %d tasks, grid has %d", n, owned, len(cfgs))
 					}
-					if left := claimFiles(t, cacheDir); len(left) != 0 {
-						t.Fatalf("%d shards left claims behind: %v", n, left)
-					}
 				}
 			})
 		}
 	}
 }
 
-// TestCrashedWorkerResumedViaStaleClaim kills a worker mid-shard —
-// after it has claimed a task but before it prices it, the one window
-// where state leaks — then restarts it against the same cache
-// directory. The restart must detect the dead claim (counted in
-// Stats.StaleClaims), take the task over, and the final merge must
-// still be byte-identical to the sequential run.
-func TestCrashedWorkerResumedViaStaleClaim(t *testing.T) {
+// TestKilledShardResumesByRerun: a worker killed mid-shard leaves
+// behind the cache entries of the owned tasks it finished, a prefix in
+// grid order. For every such prefix, rerunning the shard on a fresh
+// handle over the same directory reads the prefix as cache hits,
+// prices only the rest, and merges to the sequential run's bytes.
+func TestKilledShardResumesByRerun(t *testing.T) {
 	w := testWorkload(t, 7)
 	cfgs := testGrid(4, 2)
-	cacheDir := t.TempDir()
-
-	crashed := errors.New("simulated crash")
-	c1, err := cache.New(cache.Config{Dir: cacheDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := NewWorker(WorkerOptions{Cache: c1, Owner: "victim"})
-	var claims int
-	victim.hookAfterClaim = func(seq int) error {
-		claims++
-		if claims == 2 {
-			return crashed // die holding the second claim
-		}
-		return nil
-	}
 	spec := Spec{Index: 0, Count: 2}
-	if _, _, err := victim.Run(context.Background(), w, cfgs, spec); !errors.Is(err, crashed) {
-		t.Fatalf("victim run: %v, want simulated crash", err)
-	}
-	if left := claimFiles(t, cacheDir); len(left) != 1 {
-		t.Fatalf("crash should leave exactly the held claim, found %v", left)
-	}
-
-	// Restart: a short lease makes the debris immediately stale.
-	time.Sleep(20 * time.Millisecond)
-	c2, err := cache.New(cache.Config{Dir: cacheDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restarted := NewWorker(WorkerOptions{Cache: c2, Owner: "restart", LeaseTTL: time.Millisecond})
-	m0, st, err := restarted.Run(context.Background(), w, cfgs, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c2.Stats().StaleClaims; got < 1 {
-		t.Fatalf("restart observed %d stale claims, want >= 1", got)
-	}
-	// The task priced before the crash is served from cache, not
-	// repriced.
-	if st.CacheHits < 1 {
-		t.Fatalf("restart stats %+v: expected at least one cache hit from pre-crash work", st)
-	}
-	if left := claimFiles(t, cacheDir); len(left) != 0 {
-		t.Fatalf("claims left after restart: %v", left)
-	}
-
-	// The other shard, then the byte-identity check.
-	c3, err := cache.New(cache.Config{Dir: cacheDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := NewWorker(WorkerOptions{Cache: c3, Owner: "other"})
-	m1, _, err := other.Run(context.Background(), w, cfgs, Spec{Index: 1, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm, err := Merge([]*Manifest{m0, m1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref, err := RunSequential(context.Background(), nil, w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeRM(t, rm), encodeRM(t, ref)) {
-		t.Fatal("merge after crash+restart differs from sequential")
-	}
-}
-
-// TestCanceledWorkerReleasesClaims: cancellation is not a crash — the
-// deferred release must clean the in-flight claim up, so a canceled
-// sweep leaves the cache directory claim-free (satellite: no stale
-// debris to age out on the next run).
-func TestCanceledWorkerReleasesClaims(t *testing.T) {
-	w := testWorkload(t, 7)
-	cfgs := testGrid(4, 2)
-	cacheDir := t.TempDir()
-	c, err := cache.New(cache.Config{Dir: cacheDir})
+	other, _, err := RunShard(context.Background(), nil, w, cfgs, Spec{Index: 1, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	wk := NewWorker(WorkerOptions{Cache: c, Owner: "canceled"})
-	wk.hookAfterClaim = func(seq int) error {
-		cancel() // the claim is held; pricing will see a dead context
-		return nil
+	tasks, _, err := Plan(w.Fingerprint(), cfgs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, _, err = wk.Run(ctx, w, cfgs, Spec{Index: 0, Count: 1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled run: %v, want context.Canceled", err)
+	var owned []Task
+	for _, task := range tasks {
+		if spec.Owns(task.Seq) {
+			owned = append(owned, task)
+		}
 	}
-	if left := claimFiles(t, cacheDir); len(left) != 0 {
-		t.Fatalf("cancellation leaked claims: %v", left)
+	base, err := gpu.NewSimulator(cfgs[0], w)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := c.Stats().StaleClaims; got != 0 {
-		t.Fatalf("clean cancellation should not count stale claims, got %d", got)
+	for k := 0; k <= len(owned); k++ {
+		cacheDir := t.TempDir()
+		killed := newDiskCache(t, cacheDir)
+		if _, _, err := priceTasks(context.Background(), killed, base, w, owned[:k]); err != nil {
+			t.Fatal(err)
+		}
+		killed.Flush()
+		m, st, err := RunShard(context.Background(), newDiskCache(t, cacheDir), w, cfgs, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (WorkerStats{Owned: len(owned), Computed: len(owned) - k, CacheHits: k}); st != want {
+			t.Fatalf("rerun after %d stored tasks: stats %+v, want %+v", k, st, want)
+		}
+		rm, err := Merge([]*Manifest{m, other})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeRM(t, rm), encodeRM(t, ref)) {
+			t.Fatalf("rerun after %d stored tasks: merge differs from sequential", k)
+		}
+	}
+}
+
+// TestOneCacheMissPerColdTask: a cold cached sweep counts one cache
+// miss per task, sharded or sequential, on a disk cache and on a
+// memory-only one, and a rerun on the same cache reads every task as a
+// hit and prices none.
+func TestOneCacheMissPerColdTask(t *testing.T) {
+	w := testWorkload(t, 7)
+	cfgs := testGrid(4, 2)
+	n := int64(len(cfgs))
+	for _, disk := range []bool{false, true} {
+		for _, sharded := range []bool{false, true} {
+			var cfg cache.Config
+			if disk {
+				cfg.Dir = t.TempDir()
+			}
+			c, err := cache.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st [2]WorkerStats
+			for run := range st {
+				if sharded {
+					_, st[run], err = RunShard(context.Background(), c, w, cfgs, Spec{Index: 0, Count: 1})
+				} else {
+					_, err = RunSequential(context.Background(), c, w, cfgs)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := c.Stats(); got.Misses != n || got.Hits != int64(run)*n {
+					t.Errorf("disk %v, sharded %v, run %d: %d misses and %d hits in all, want %d and %d",
+						disk, sharded, run+1, got.Misses, got.Hits, n, int64(run)*n)
+				}
+			}
+			cold, warm := WorkerStats{Owned: len(cfgs), Computed: len(cfgs)}, WorkerStats{Owned: len(cfgs), CacheHits: len(cfgs)}
+			if sharded && (st[0] != cold || st[1] != warm) {
+				t.Errorf("disk %v: shard stats %+v then %+v, want %+v then %+v", disk, st[0], st[1], cold, warm)
+			}
+		}
 	}
 }
 
 // TestOverlappingShardsAgree races two workers over the SAME full-grid
-// shard on one cache directory — every task double-claimed, every
-// lookup contended. Both must emit byte-identical manifests, and the
-// merge of the pair must equal the sequential run. Run under -race,
-// this is the claim protocol's data-race proof.
+// shard on one cache directory, each through its own cache handle, so
+// both price every task and store the same entries. Both must emit
+// byte-identical manifests, and the merge of the pair must equal the
+// sequential run. Run under -race, this is the shared directory's
+// data-race proof.
 func TestOverlappingShardsAgree(t *testing.T) {
 	w := testWorkload(t, 1234)
 	cfgs := testGrid(4, 2)
@@ -273,12 +252,7 @@ func TestOverlappingShardsAgree(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			wk := NewWorker(WorkerOptions{
-				Cache: c,
-				Owner: fmt.Sprintf("twin-%d", i),
-				Poll:  time.Millisecond,
-			})
-			manifests[i], _, errs[i] = wk.Run(context.Background(), w, cfgs, full)
+			manifests[i], _, errs[i] = RunShard(context.Background(), c, w, cfgs, full)
 		}(i)
 	}
 	wg.Wait()
@@ -337,12 +311,11 @@ func TestWorkerWithoutCache(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		var manifests []*Manifest
 		for i := 0; i < n; i++ {
-			wk := NewWorker(WorkerOptions{})
-			m, st, err := wk.Run(context.Background(), w, cfgs, Spec{Index: i, Count: n})
+			m, st, err := RunShard(context.Background(), nil, w, cfgs, Spec{Index: i, Count: n})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Owned != st.Computed || st.CacheHits != 0 || st.ClaimWaits != 0 || len(m.Entries) != st.Owned {
+			if st.Owned != st.Computed || st.CacheHits != 0 || len(m.Entries) != st.Owned {
 				t.Fatalf("%d shards, shard %d: cacheless worker stats %+v with %d entries: everything should be computed",
 					n, i+1, st, len(m.Entries))
 			}
@@ -358,15 +331,86 @@ func TestWorkerWithoutCache(t *testing.T) {
 	}
 }
 
-// TestWorkerWithoutCacheCanceled: a cache-free worker on a canceled
+// TestWorkerWithoutCacheCanceled: a cache-free shard on a canceled
 // context returns the cancellation and no manifest.
 func TestWorkerWithoutCacheCanceled(t *testing.T) {
 	w := testWorkload(t, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, _, err := NewWorker(WorkerOptions{}).Run(ctx, w, testGrid(4, 2), Spec{Index: 0, Count: 2})
+	m, _, err := RunShard(ctx, nil, w, testGrid(4, 2), Spec{Index: 0, Count: 2})
 	if !errors.Is(err, context.Canceled) || m != nil {
 		t.Fatalf("canceled cacheless worker: manifest %v, err %v; want none and context.Canceled", m, err)
+	}
+}
+
+// cancelAtMiss is a context that cancels itself the first time Err is
+// consulted once its cache has counted n misses: with n = 2, a shard
+// over a cold cache prices and stores its first owned task, then sees
+// a dead context right after the second task's lookup misses.
+type cancelAtMiss struct {
+	context.Context
+	c      *cache.Cache
+	n      int64
+	cancel context.CancelFunc
+}
+
+func (x cancelAtMiss) Err() error {
+	if x.c.Stats().Misses >= x.n {
+		x.cancel()
+	}
+	return x.Context.Err()
+}
+
+// TestCanceledWorkerReleasesClaims: cancellation is not a crash. A
+// shard canceled mid-run over a disk cache returns the cancellation
+// and no manifest, and holds nothing in the cache directory afterwards
+// but the whole entry of the task it finished (no temp files or other
+// debris for the next run to trip over). A rerun on the same directory
+// reads that entry as a hit, prices the rest, and merges to the
+// sequential run's bytes.
+func TestCanceledWorkerReleasesClaims(t *testing.T) {
+	w := testWorkload(t, 7)
+	cfgs := testGrid(4, 2)
+	full := Spec{Index: 0, Count: 1}
+	cacheDir := t.TempDir()
+	c := newDiskCache(t, cacheDir)
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m, _, err := RunShard(cancelAtMiss{inner, c, 2, cancel}, c, w, cfgs, full)
+	if !errors.Is(err, context.Canceled) || m != nil {
+		t.Fatalf("canceled worker: manifest %v, err %v; want none and context.Canceled", m, err)
+	}
+	c.Flush()
+	var left []string
+	err = filepath.WalkDir(cacheDir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			left = append(left, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || filepath.Ext(left[0]) != ".s3dc" {
+		t.Fatalf("cancellation after one priced task left %v in the cache directory, want one whole entry", left)
+	}
+	m, st, err := RunShard(context.Background(), newDiskCache(t, cacheDir), w, cfgs, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (WorkerStats{Owned: len(cfgs), Computed: len(cfgs) - 1, CacheHits: 1}); st != want {
+		t.Fatalf("rerun after a canceled shard: stats %+v, want %+v", st, want)
+	}
+	rm, err := Merge([]*Manifest{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := RunSequential(context.Background(), nil, w, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeRM(t, rm), encodeRM(t, ref)) {
+		t.Fatal("rerun after a canceled shard differs from sequential")
 	}
 }
 
@@ -397,7 +441,7 @@ func TestPricingPassesPerPath(t *testing.T) {
 		want int64
 	}{{Spec{Index: 0, Count: 1}, 3}, {Spec{Index: 1, Count: 4}, 2}, {Spec{Index: 0, Count: 8}, 1}} {
 		if got := passes(func(ctx context.Context) error {
-			_, _, err := NewWorker(WorkerOptions{}).Run(ctx, w, cfgs, tc.spec)
+			_, _, err := RunShard(ctx, nil, w, cfgs, tc.spec)
 			return err
 		}); got != tc.want {
 			t.Errorf("cache-free worker %s: %d passes, want %d", tc.spec, got, tc.want)
@@ -431,8 +475,7 @@ func TestSequentialWarmsShardsAndViceVersa(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Flush()
-	wk := NewWorker(WorkerOptions{Cache: c, Owner: "warmed"})
-	m, st, err := wk.Run(context.Background(), w, cfgs, Spec{Index: 0, Count: 1})
+	m, st, err := RunShard(context.Background(), c, w, cfgs, Spec{Index: 0, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

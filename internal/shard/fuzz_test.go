@@ -78,7 +78,7 @@ func FuzzShardManifestDecode(f *testing.F) {
 		}
 		// Gob is not a canonical encoding, so the re-encoding need not
 		// equal the arbitrary input — but encoding the same value twice
-		// must be stable (the double-claim byte-equality contract).
+		// must be stable (the overlapping-shards byte-equality contract).
 		reenc2, err := m2.Encode()
 		if err != nil {
 			t.Fatal(err)

@@ -24,8 +24,8 @@ const ManifestVersion = 1
 
 // Entry records one completed task: the measured pricing of one grid
 // configuration, plus enough identity (config fingerprint, cache key,
-// per-frame digest) for a merge to prove that two shards claiming the
-// same task produced the same bytes. Entries are comparable with ==,
+// per-frame digest) for a merge to prove that two shards that both
+// priced the same task produced the same bytes. Entries are comparable with ==,
 // which is exactly the duplicate-consistency check Merge runs.
 type Entry struct {
 	// Seq is the task's grid position — the fold order.
@@ -37,8 +37,8 @@ type Entry struct {
 	MemClockGHz  float64
 	ConfigFP     [sha256.Size]byte
 
-	// Key is the content address the result was claimed and cached
-	// under.
+	// Key is the content address the result is cached under
+	// (sweep.PriceKey).
 	Key cache.Key
 
 	// Frames is the parent's frame count; FrameDigest is the SHA-256

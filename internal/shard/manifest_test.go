@@ -62,7 +62,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		}
 	}
 	// Gob over this fixed schema must be deterministic: the manifest is
-	// the unit the double-claim test compares byte-for-byte.
+	// the unit the overlapping-shards test compares byte-for-byte.
 	data2, err := m.Encode()
 	if err != nil {
 		t.Fatal(err)

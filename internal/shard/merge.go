@@ -211,11 +211,10 @@ func Merge(ms []*Manifest) (*RunManifest, error) {
 // RunSequential prices the whole grid in-process, in grid order, and
 // folds it with the same foldRun the merge path uses. This is the
 // reference the determinism suite compares every sharded run against;
-// it is also gpusim's single-process sweep mode. A non-nil cache is
-// consulted and populated exactly like a worker's, one config per
-// entry on one goroutine, so sequential and sharded runs interoperate
-// on one cache directory; without a cache the grid is priced across
-// all cores (priceTasks), bit-identical to pricing each config alone.
+// it is also gpusim's single-process sweep mode. It prices through the
+// same priceTasks as RunShard, so sequential and sharded runs read and
+// write the same entries of one cache. c is the only cache it uses;
+// ctx must carry no cache binding.
 func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu.Config) (*RunManifest, error) {
 	fp := w.Fingerprint()
 	tasks, grid, err := Plan(fp, cfgs)
@@ -226,42 +225,51 @@ func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs 
 	if err != nil {
 		return nil, err
 	}
-	if c == nil {
-		entries, err := priceTasks(ctx, base, w, tasks)
-		if err != nil {
-			return nil, err
-		}
-		return foldRun(fp, grid, len(tasks), entries)
-	}
-	entries := make([]Entry, 0, len(tasks))
-	cctx := cache.WithWorkload(ctx, c, fp)
-	for _, t := range tasks {
-		_, priced, err := sweep.PriceConfig(cctx, base, w, t.Config, t.Seq, len(tasks))
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, newEntry(t, priced))
+	entries, _, err := priceTasks(ctx, c, base, w, tasks)
+	if err != nil {
+		return nil, err
 	}
 	return foldRun(fp, grid, len(tasks), entries)
 }
 
-// priceTasks prices tasks without a cache, in one sweep.PriceGrid call
-// cut into GOMAXPROCS chunks, and returns their entries in task order.
-// It is the cache-free path of both RunSequential and a Worker: with
-// no cache there are no entries to store or claims to take, so nothing
-// needs pricing one config at a time.
-func priceTasks(ctx context.Context, base *gpu.Simulator, w *trace.Workload, tasks []Task) ([]Entry, error) {
-	cfgs := make([]gpu.Config, len(tasks))
-	for i, t := range tasks {
-		cfgs[i] = t.Config
-	}
-	parents, err := sweep.PriceGrid(ctx, base, w, cfgs, 0)
-	if err != nil {
-		return nil, err
-	}
+// priceTasks prices tasks and returns their entries in task order and
+// the number of tasks it priced rather than read from c.
+//
+// Without a cache it prices every task in one sweep.PriceGrid call cut
+// into GOMAXPROCS chunks. With one, each task is one cache entry,
+// resolved by one cache.GetOrCompute on this goroutine: an entry is
+// stored as soon as its config is priced, which is what a rerun after
+// a crash resumes from. The compute prices through sweep.PriceConfig
+// on ctx, so ctx must carry no cache binding (cache.WithWorkload): under
+// one to c, PriceConfig would look the key up again and wait forever on
+// the single flight this call holds.
+func priceTasks(ctx context.Context, c *cache.Cache, base *gpu.Simulator, w *trace.Workload, tasks []Task) ([]Entry, int, error) {
 	var entries []Entry // nil for a shard that owns no task
-	for i, t := range tasks {
-		entries = append(entries, newEntry(t, parents[i]))
+	if c == nil {
+		cfgs := make([]gpu.Config, len(tasks))
+		for i, t := range tasks {
+			cfgs[i] = t.Config
+		}
+		parents, err := sweep.PriceGrid(ctx, base, w, cfgs, 0)
+		if err != nil {
+			return nil, 0, err
+		}
+		for i, t := range tasks {
+			entries = append(entries, newEntry(t, parents[i]))
+		}
+		return entries, len(tasks), nil
 	}
-	return entries, nil
+	computed := 0
+	for i, t := range tasks {
+		priced, err := cache.GetOrCompute(ctx, c, t.Key, func() (sweep.PricedParent, error) {
+			computed++
+			_, p, err := sweep.PriceConfig(ctx, base, w, t.Config, i, len(tasks))
+			return p, err
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		entries = append(entries, newEntry(t, priced))
+	}
+	return entries, computed, nil
 }

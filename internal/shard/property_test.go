@@ -16,8 +16,7 @@ import (
 // from.
 func fullManifest(t *testing.T, w *trace.Workload, cfgs []gpu.Config) *Manifest {
 	t.Helper()
-	wk := NewWorker(WorkerOptions{})
-	m, _, err := wk.Run(context.Background(), w, cfgs, Spec{Index: 0, Count: 1})
+	m, _, err := RunShard(context.Background(), nil, w, cfgs, Spec{Index: 0, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

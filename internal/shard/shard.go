@@ -1,24 +1,25 @@
 // Package shard distributes a config-grid sweep — the paper's
 // pathfinding use case, thousands of configurations priced on one
-// parent workload — across processes that share nothing but a cache
-// directory.
+// parent workload — across processes that share nothing.
 //
 // The model is coordinator-free: a sweep over N configs is a fixed,
 // deterministically ordered list of tasks (grid order, exactly the
 // fold order of the sequential path), and a shard spec "i/n" owns
-// every task whose sequence number is congruent to i-1 mod n. Each
-// worker claims its tasks by content-addressed cache key
-// (sweep.PriceKey), prices them into the shared cache, and emits a
-// per-shard manifest. A reducer (Merge) folds any set of manifests
-// covering the grid back into one run manifest, folding in grid order
-// — so the merged result is byte-identical to the sequential run no
-// matter how the grid was partitioned, how many workers ran, or how
-// many times one crashed and was restarted.
+// every task whose sequence number is congruent to i-1 mod n. RunShard
+// prices the tasks its spec owns and emits a per-shard manifest. With
+// a cache, each task is one entry under its content address
+// (sweep.PriceKey), the key RunSequential uses too, so a shard rerun
+// after a crash resumes from the entries that landed. A reducer
+// (Merge) folds any set of manifests covering the grid back into one
+// run manifest, folding in grid order — so the merged result is
+// byte-identical to the sequential run no matter how the grid was
+// partitioned, how many workers ran, or how many times one crashed and
+// was rerun.
 //
 // Nothing here is allowed to change results. The determinism suite in
 // this package proves sharded == sequential byte-identity across
-// profiles, seeds and shard counts, including a worker killed
-// mid-shard and fully overlapping (double-claiming) shards.
+// profiles, seeds and shard counts, including a shard killed mid-run
+// and fully overlapping shards.
 package shard
 
 import (

@@ -25,10 +25,10 @@ type PricedParent struct {
 
 // PriceKey is the content address of PriceParent's product: the cache
 // key under which pricing workload fp on cfg is stored. It is exported
-// because the shard layer claims and resolves distributed work by
-// exactly this key — a worker and the sequential path must always
-// agree on the address or sharded runs would recompute (or worse,
-// miss) the sequential path's entries.
+// because the shard layer stores each grid task under exactly this
+// key — a shard, the sequential path and PriceParent must always agree
+// on the address or a rerun would recompute the entries already
+// stored.
 func PriceKey(fp trace.Fingerprint, cfg gpu.Config) cache.Key {
 	cfgFp := cfg.Fingerprint()
 	return cache.NewKey("sweep.price", gpu.ModelVersion).
@@ -64,7 +64,7 @@ func PriceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfg
 // PriceConfig is the one per-config setup path every cache-bound grid
 // consumer shares: derive the per-config simulator from base (skipping
 // re-validation) and price the parent on it through the result cache
-// when ctx carries one. Cached sweeps and the shard worker go through
+// when ctx carries one. Cached sweeps and the shard layer go through
 // it, so a distributed shard can never drift from the sequential
 // path's setup or fold order. i and n only shape the error context
 // ("config i+1/n").
@@ -88,10 +88,10 @@ func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cf
 // bit-identical to pricing each config alone at any chunking.
 //
 // Only grids without a cache are batched: the cache-free sweeps here,
-// and shard.RunSequential and a shard.Worker without a cache. A cached
+// and shard.RunSequential and shard.RunShard without a cache. A cached
 // grid prices one config per cache entry (PriceConfig) so that each
-// entry is computed, stored and claimed on its own — the unit the
-// shard layer distributes and the cache deduplicates.
+// entry is stored as soon as its config is priced — the unit a shard
+// rerun resumes from and the cache deduplicates.
 func PriceGrid(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config, workers int) ([]PricedParent, error) {
 	n := min(parallel.Workers(workers), len(cfgs))
 	chunks, err := parallel.Map(ctx, n, n, func(ctx context.Context, k int) ([]PricedParent, error) {
