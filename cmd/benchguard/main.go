@@ -17,6 +17,9 @@
 // least (1 - max-regress) of its baseline value in -in. -min (may
 // repeat) requires group/path ratios to meet absolute floors
 // regardless of the baseline. At least one of the two must be given.
+// Every arm is printed with its strictest floor, its margin above it
+// and, when -in records them, the spreads of the arm and of its naive
+// reference over the run's repetitions.
 package main
 
 import (
@@ -32,6 +35,10 @@ import (
 // speedupFile is the slice of the benchjson schema this tool consumes.
 type speedupFile struct {
 	SpeedupVsNaive map[string]map[string]float64 `json:"speedup_vs_naive"`
+	Benchmarks     []struct {
+		Name   string  `json:"name"`
+		Spread float64 `json:"spread"`
+	} `json:"benchmarks"`
 }
 
 // minSpec is one parsed -min flag: group/path must reach floor.
@@ -94,7 +101,52 @@ func check(cur, base map[string]map[string]float64, mins []minSpec, maxRegress f
 	return bad
 }
 
-func load(path string) (map[string]map[string]float64, error) {
+// margins describes every arm of cur, in sorted order: its ratio, the
+// strictest floor a gate puts on it and its margin above that floor,
+// and the spread over the run's repetitions of the arm and of its
+// naive reference (spread maps benchmark name to spread), so a reader
+// can tell a margin from the noise around it.
+func margins(cur, base map[string]map[string]float64, mins []minSpec, maxRegress float64, spread map[string]float64) []string {
+	floors := map[string]float64{}
+	for group, paths := range base {
+		for path, want := range paths {
+			k := group + "/" + path
+			floors[k] = max(floors[k], want*(1-maxRegress))
+		}
+	}
+	for _, m := range mins {
+		k := m.group + "/" + m.path
+		floors[k] = max(floors[k], m.floor)
+	}
+	var groups []string
+	for g := range cur {
+		groups = append(groups, g)
+	}
+	sort.Strings(groups)
+	var out []string
+	for _, g := range groups {
+		var paths []string
+		for p := range cur[g] {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		for _, p := range paths {
+			got := cur[g][p]
+			line := fmt.Sprintf("%s/%s %.2fx", g, p, got)
+			if f, ok := floors[g+"/"+p]; ok {
+				line += fmt.Sprintf(", floor %.2fx, margin %+.1f%%", f, (got/f-1)*100)
+			}
+			sn, sa := spread[g+"/path=naive"], spread[g+"/path="+p]
+			if sn > 0 || sa > 0 {
+				line += fmt.Sprintf(", spread naive %.1f%% / %s %.1f%%", sn*100, p, sa*100)
+			}
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+func load(path string) (*speedupFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -106,7 +158,7 @@ func load(path string) (map[string]map[string]float64, error) {
 	if len(f.SpeedupVsNaive) == 0 {
 		return nil, fmt.Errorf("%s: no speedup_vs_naive section", path)
 	}
-	return f.SpeedupVsNaive, nil
+	return &f, nil
 }
 
 func run(inPath, basePath string, mins minFlags, maxRegress float64) error {
@@ -116,37 +168,32 @@ func run(inPath, basePath string, mins minFlags, maxRegress float64) error {
 	if maxRegress < 0 || maxRegress >= 1 {
 		return fmt.Errorf("-max-regress %v outside [0, 1)", maxRegress)
 	}
-	cur, err := load(inPath)
+	in, err := load(inPath)
 	if err != nil {
 		return err
 	}
 	base := map[string]map[string]float64{}
 	if basePath != "" {
-		if base, err = load(basePath); err != nil {
+		b, err := load(basePath)
+		if err != nil {
 			return err
 		}
+		base = b.SpeedupVsNaive
 	}
-	if bad := check(cur, base, mins, maxRegress); len(bad) > 0 {
+	spread := map[string]float64{}
+	for _, b := range in.Benchmarks {
+		spread[b.Name] = b.Spread
+	}
+	for _, line := range margins(in.SpeedupVsNaive, base, mins, maxRegress, spread) {
+		fmt.Println("benchguard:", line)
+	}
+	if bad := check(in.SpeedupVsNaive, base, mins, maxRegress); len(bad) > 0 {
 		for _, b := range bad {
 			fmt.Fprintln(os.Stderr, "benchguard:", b)
 		}
 		return fmt.Errorf("%d gate(s) failed", len(bad))
 	}
-	var groups []string
-	for g := range cur {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
-	for _, g := range groups {
-		var paths []string
-		for p := range cur[g] {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			fmt.Printf("benchguard: %s/%s %.2fx ok\n", g, p, cur[g][p])
-		}
-	}
+	fmt.Println("benchguard: ok")
 	return nil
 }
 

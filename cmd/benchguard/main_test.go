@@ -92,3 +92,19 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Error("bad -max-regress accepted")
 	}
 }
+
+func TestMarginsPrintFloorMarginAndSpread(t *testing.T) {
+	cur := map[string]map[string]float64{"CoordSweep": {"workers2": 1.56, "workers3": 2.0}}
+	base := map[string]map[string]float64{"CoordSweep": {"workers2": 1.6}}
+	mins := []minSpec{{group: "CoordSweep", path: "workers2", floor: 1.3}}
+	spread := map[string]float64{"CoordSweep/path=naive": 0.05, "CoordSweep/path=workers2": 0.125}
+	got := margins(cur, base, mins, 0.25, spread)
+	want := []string{
+		// The -min floor (1.30x) is stricter than the baseline's 1.20x.
+		"CoordSweep/workers2 1.56x, floor 1.30x, margin +20.0%, spread naive 5.0% / workers2 12.5%",
+		"CoordSweep/workers3 2.00x, spread naive 5.0% / workers3 0.0%",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("margins =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -6,7 +6,11 @@
 // convention likewise yields warm-vs-cold ratios (BENCH_cache.json) and
 // ".../path=NAME" yields speedups relative to the path=naive reference
 // arm (BENCH_hotpath.json). Repeated names from `go test -count N` are
-// collapsed to the fastest repetition before ratios are derived.
+// collapsed to the fastest repetition before ratios are derived, and
+// each collapsed line records its spread. Input concatenated from
+// rounds of `go test -count 1`, where the arms' repetitions interleave,
+// instead yields each path=NAME speedup as the median ratio of
+// repetitions paired by round.
 //
 // Usage:
 //
@@ -21,6 +25,8 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -51,6 +57,11 @@ type Benchmark struct {
 	// Metrics maps unit to value: "ns/op", "B/op", "allocs/op" and any
 	// custom b.ReportMetric units.
 	Metrics map[string]float64 `json:"metrics"`
+
+	// Spread is (max - min) / median ns/op over the repetitions the
+	// line was collapsed from (0 for a single run): how far the arm
+	// swung within the run, to read beside a gate's margin.
+	Spread float64 `json:"spread,omitempty"`
 }
 
 // Output is the file schema.
@@ -193,33 +204,69 @@ func modeGroupOf(name string) string {
 
 // naiveSpeedups derives per-group curves normalized to the path=naive
 // arm — how much faster each hot-path arm ran than the frozen
-// pre-optimization reference.
-func naiveSpeedups(benches []Benchmark) map[string]map[string]float64 {
-	base := map[string]float64{} // group -> ns/op at path=naive
-	for _, b := range benches {
-		if b.Path == "naive" {
-			if ns, ok := b.Metrics["ns/op"]; ok {
-				base[pathGroupOf(b.Name)] = ns
-			}
+// pre-optimization reference. benches holds every repetition in input
+// order. Where each arm's repetitions are contiguous, as `go test
+// -count N` prints them, the speedup compares the arms' fastest
+// repetitions. A group whose repetitions interleave was run in rounds
+// of every arm: there the i-th repetition of each arm is paired with
+// the i-th of naive and the speedup is the median of the pairs'
+// ratios, so a slow stretch of the host lands on both sides of a pair
+// instead of on one arm. Such a group's arms must have as many
+// repetitions as its naive arm; a round that stopped part-way is an
+// error.
+func naiveSpeedups(benches []Benchmark) (map[string]map[string]float64, error) {
+	reps := map[string][]float64{} // name -> ns/op per repetition, in input order
+	path := map[string]string{}    // name -> its path=NAME arm
+	last := map[string]int{}       // name -> index of its latest line
+	rounds := map[string]bool{}    // group -> its repetitions interleave
+	for i, b := range benches {
+		ns, ok := b.Metrics["ns/op"]
+		if b.Path == "" || !ok {
+			continue
 		}
+		if j, seen := last[b.Name]; seen && j != i-1 {
+			rounds[pathGroupOf(b.Name)] = true
+		}
+		last[b.Name] = i
+		reps[b.Name] = append(reps[b.Name], ns)
+		path[b.Name] = b.Path
 	}
+	names := make([]string, 0, len(reps))
+	for name := range reps {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	out := map[string]map[string]float64{}
-	for _, b := range benches {
-		if b.Path == "" || b.Path == "naive" {
+	for _, name := range names {
+		g := pathGroupOf(name)
+		naive, ok := reps[g+"/path=naive"]
+		arm := reps[name]
+		if path[name] == "naive" || !ok {
 			continue
 		}
-		g := pathGroupOf(b.Name)
-		ref, ok := base[g]
-		ns := b.Metrics["ns/op"]
-		if !ok || ns == 0 {
+		var ratios []float64
+		if rounds[g] {
+			if len(arm) != len(naive) {
+				return nil, fmt.Errorf("%s has %d repetitions, %s/path=naive %d", name, len(arm), g, len(naive))
+			}
+			for i := range arm {
+				if arm[i] > 0 {
+					ratios = append(ratios, naive[i]/arm[i])
+				}
+			}
+		} else if m := slices.Min(arm); m > 0 {
+			ratios = append(ratios, slices.Min(naive)/m)
+		}
+		if len(ratios) == 0 {
 			continue
 		}
+		sort.Float64s(ratios)
 		if out[g] == nil {
 			out[g] = map[string]float64{}
 		}
-		out[g][b.Path] = ref / ns
+		out[g][path[name]] = ratios[(len(ratios)-1)/2]
 	}
-	return out
+	return out, nil
 }
 
 func pathGroupOf(name string) string {
@@ -231,20 +278,30 @@ func pathGroupOf(name string) string {
 
 // collapseRepeats merges duplicate benchmark names produced by
 // `go test -count N`, keeping per name the line with the smallest
-// ns/op. Minimum-of-repetitions is the standard noise-robust estimator
-// for wall-clock benchmarks: external load only ever adds time.
+// ns/op and recording the repetitions' Spread. Minimum-of-repetitions
+// is the standard noise-robust estimator for wall-clock benchmarks:
+// external load only ever adds time.
 func collapseRepeats(benches []Benchmark) []Benchmark {
 	bestAt := map[string]int{}
 	var out []Benchmark
+	var ns [][]float64 // per output line, the ns/op of each repetition
 	for _, b := range benches {
 		i, seen := bestAt[b.Name]
 		if !seen {
 			bestAt[b.Name] = len(out)
 			out = append(out, b)
+			ns = append(ns, []float64{b.Metrics["ns/op"]})
 			continue
 		}
+		ns[i] = append(ns[i], b.Metrics["ns/op"])
 		if b.Metrics["ns/op"] < out[i].Metrics["ns/op"] {
 			out[i] = b
+		}
+	}
+	for i, r := range ns {
+		sort.Float64s(r)
+		if m := r[(len(r)-1)/2]; len(r) > 1 && m > 0 {
+			out[i].Spread = (r[len(r)-1] - r[0]) / m
 		}
 	}
 	return out
@@ -289,10 +346,15 @@ func run(ctx context.Context, run *obs.Run, matchPat, outPath string) error {
 	run.Metrics().Counter("benchjson.benchmarks").Add(int64(len(out.Benchmarks)))
 
 	_, dsp := obs.StartSpan(ctx, "derive-speedups")
+	naive, err := naiveSpeedups(out.Benchmarks)
+	if err != nil {
+		dsp.End()
+		return fmt.Errorf("benchjson: %w", err)
+	}
+	out.SpeedupVsNaive = naive
 	out.Benchmarks = collapseRepeats(out.Benchmarks)
 	out.SpeedupVsSequential = speedups(out.Benchmarks)
 	out.WarmSpeedupVsCold = warmSpeedups(out.Benchmarks)
-	out.SpeedupVsNaive = naiveSpeedups(out.Benchmarks)
 	dsp.AddItems(int64(len(out.SpeedupVsSequential) + len(out.WarmSpeedupVsCold) + len(out.SpeedupVsNaive)))
 	dsp.End()
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -127,7 +128,10 @@ func TestNaiveSpeedups(t *testing.T) {
 		{Name: "NoBase/path=fast", Path: "fast", Metrics: map[string]float64{"ns/op": 50}},
 		{Name: "Plain", Metrics: map[string]float64{"ns/op": 10}},
 	}
-	s := naiveSpeedups(benches)
+	s, err := naiveSpeedups(benches)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := s["HotPath"]["bucketed"]; math.Abs(got-5) > 1e-12 {
 		t.Errorf("bucketed speedup = %v, want 5", got)
 	}
@@ -158,6 +162,70 @@ func TestCollapseRepeats(t *testing.T) {
 	}
 	if got[1].Name != "B" || got[1].Metrics["ns/op"] != 100 {
 		t.Errorf("B collapsed to %+v", got[1])
+	}
+}
+
+func TestCollapseRepeatsRecordsSpread(t *testing.T) {
+	benches := []Benchmark{
+		{Name: "A", Metrics: map[string]float64{"ns/op": 100}},
+		{Name: "A", Metrics: map[string]float64{"ns/op": 90}},
+		{Name: "A", Metrics: map[string]float64{"ns/op": 130}},
+		{Name: "B", Metrics: map[string]float64{"ns/op": 40}},
+		{Name: "B", Metrics: map[string]float64{"ns/op": 60}},
+		{Name: "B", Metrics: map[string]float64{"ns/op": 50}},
+		{Name: "B", Metrics: map[string]float64{"ns/op": 20}},
+		{Name: "Once", Metrics: map[string]float64{"ns/op": 7}},
+	}
+	got := collapseRepeats(benches)
+	// (max - min) over the median; an even count takes the lower middle.
+	for i, want := range []struct {
+		ns, spread float64
+	}{{90, 0.4}, {20, 1.0}, {7, 0}} {
+		if got[i].Metrics["ns/op"] != want.ns || math.Abs(got[i].Spread-want.spread) > 1e-12 {
+			t.Errorf("%s collapsed to ns/op %v spread %v, want %v and %v",
+				got[i].Name, got[i].Metrics["ns/op"], got[i].Spread, want.ns, want.spread)
+		}
+	}
+}
+
+func TestNaiveSpeedupsPairsRounds(t *testing.T) {
+	arm := func(path string, ns float64) Benchmark {
+		return Benchmark{Name: "G/path=" + path, Path: path, Metrics: map[string]float64{"ns/op": ns}}
+	}
+	naive := []float64{100, 90, 130}
+	fast := []float64{40, 60, 50}
+	// `go test -count 3`: each arm's repetitions back to back, so the
+	// fastest repetitions are compared: 90/40.
+	var backToBack []Benchmark
+	for _, ns := range naive {
+		backToBack = append(backToBack, arm("naive", ns))
+	}
+	for _, ns := range fast {
+		backToBack = append(backToBack, arm("fast", ns))
+	}
+	// Three rounds of `go test -count 1`: round i pairs naive[i] with
+	// fast[i], ratios 2.5, 1.5 and 2.6, median 2.5.
+	var rounds []Benchmark
+	for i := range naive {
+		rounds = append(rounds, arm("naive", naive[i]), arm("fast", fast[i]))
+	}
+	for _, c := range []struct {
+		name    string
+		benches []Benchmark
+		want    float64
+	}{{"back to back", backToBack, 2.25}, {"rounds", rounds, 2.5}} {
+		s, err := naiveSpeedups(c.benches)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := s["G"]["fast"]; math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: speedup = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// A round that stopped after naive leaves the arms unpaired.
+	if _, err := naiveSpeedups(append(rounds, arm("naive", 95))); err == nil ||
+		!strings.Contains(err.Error(), "G/path=fast has 3 repetitions, G/path=naive 4") {
+		t.Errorf("partial round: err = %v", err)
 	}
 }
 

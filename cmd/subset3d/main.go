@@ -140,8 +140,17 @@ func execute(ctx context.Context, cfg config) error {
 	return err
 }
 
+// recordInput records the input file's SHA-256 digest in the manifest,
+// under an input-digest span: hashing the whole file is a pass of its
+// own.
+func recordInput(ctx context.Context, run *obs.Run, path string) {
+	_, sp := obs.StartSpan(ctx, "input-digest")
+	run.RecordFile("input", path)
+	sp.End()
+}
+
 func runStream(ctx context.Context, run *obs.Run, cfg config) error {
-	run.RecordFile("input", cfg.streamIn)
+	recordInput(ctx, run, cfg.streamIn)
 	f, err := os.Open(cfg.streamIn)
 	if err != nil {
 		return err
@@ -177,7 +186,7 @@ func runStream(ctx context.Context, run *obs.Run, cfg config) error {
 }
 
 func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
-	run.RecordFile("input", cfg.tracePath)
+	recordInput(ctx, run, cfg.tracePath)
 	_, sp := obs.StartSpan(ctx, "decode-trace")
 	f, err := os.Open(cfg.tracePath)
 	if err != nil {

@@ -126,18 +126,39 @@ func TestManifestEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Each parent pricing pass of the validation sweep is a price-grid
-	// child counting draws x configs; the counters carry the same sums,
-	// so ns per draw x config can be read from the manifest alone.
+	// The work outside the stages above has spans of its own.
+	for _, want := range []string{"input-digest", "new-simulator", "new-extractor", "summarize"} {
+		if _, ok := byName[want]; !ok {
+			t.Errorf("manifest missing stage %q (have %v)", want, stageNames(m.Stages))
+		}
+	}
+	// clustering-eval is the frame pass: per-frame clustering, pricing
+	// and evaluation, each a merged child.
+	evalKids := stageNames(byName["clustering-eval"].Children)
+	for _, want := range []string{"clustering", "price-grid", "evaluation"} {
+		if !contains(evalKids, want) {
+			t.Errorf("clustering-eval missing child %q (have %v)", want, evalKids)
+		}
+	}
+
+	// Each parent pricing pass is a price-grid child counting draws x
+	// configs; the counters carry the same sums, so ns per draw x
+	// config can be read from the manifest alone. Without a cache the
+	// frame pass prices the parent on all 9 validation configs (the
+	// oracle's 1.0 GHz is one of them), and the validation sweep
+	// prices no parent at all.
 	var passes, priced int64
-	for _, c := range byName["validation-sweep"].Children {
+	for _, c := range byName["clustering-eval"].Children {
 		if c.Name == "price-grid" {
 			passes++
 			priced += c.Items
 		}
 	}
 	if passes == 0 || priced == 0 || priced%9 != 0 {
-		t.Errorf("validation-sweep has %d price-grid passes over %d draw x configs, want >= 1 pass over 9 configs", passes, priced)
+		t.Errorf("clustering-eval has %d price-grid passes over %d draw x configs, want >= 1 pass over 9 configs", passes, priced)
+	}
+	if kids := stageNames(byName["validation-sweep"].Children); contains(kids, "price-grid") {
+		t.Errorf("validation-sweep priced the parent again without a cache: %v", kids)
 	}
 	if got := m.Metrics.Counters["sweep.pricing_passes"]; got != passes {
 		t.Errorf("sweep.pricing_passes = %d, price-grid spans = %d", got, passes)

@@ -151,8 +151,16 @@ func (s *Subsetter) Run(w *trace.Workload) (*Report, error) {
 }
 
 // RunContext executes the pipeline on one workload, honoring
-// cancellation between pipeline stages and inside the validation
-// sweep. In lenient mode a damaged workload is sanitized first.
+// cancellation between pipeline stages and inside the frame pass and
+// the validation sweep. In lenient mode a damaged workload is
+// sanitized first.
+//
+// A run builds one simulator on the oracle and one frame clusterer,
+// and every stage shares them; their constructors are the run's
+// workload validation. Clustering evaluation is one pass over the
+// parent's frames (framePass) that also prices every validation
+// config when no cache is bound, so the sweep then prices only the
+// subset.
 func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report, error) {
 	if s.opt.Obs != nil && obs.RunFromContext(ctx) == nil {
 		ctx = s.opt.Obs.Context(ctx)
@@ -174,10 +182,27 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 			run.Logger().Warn("lenient sanitization degraded the workload",
 				"workload", w.Name, "draws_dropped", diag.DrawsDropped, "frames_skipped", diag.FramesSkipped)
 		}
-	} else if err := w.Validate(); err != nil {
+	}
+	validate := len(s.opt.ValidationClocks) >= 2
+	var sim *gpu.Simulator
+	if !s.opt.SkipClusteringEval || validate {
+		_, sp := obs.StartSpan(ctx, "new-simulator")
+		var err error
+		sim, err = gpu.NewSimulator(s.opt.Oracle, w)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+	}
+	_, sp := obs.StartSpan(ctx, "new-extractor")
+	fc, err := subset.NewFrameClusterer(w, s.opt.Subset.Method)
+	sp.End()
+	if err != nil {
 		return nil, err
 	}
+	_, sp = obs.StartSpan(ctx, "summarize")
 	rep.Summary = trace.Summarize(w)
+	sp.End()
 	run.Logger().Info("workload ready", "workload", w.Name,
 		"frames", rep.Summary.Frames, "draws", rep.Summary.Draws)
 
@@ -193,23 +218,27 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 		}
 	}
 
+	var cfgs []gpu.Config
+	if validate {
+		cfgs = sweep.CoreClockSweep(s.opt.Oracle, s.opt.ValidationClocks)
+	}
+	var parentNs []float64 // per config, when the frame pass priced the parent
 	if !s.opt.SkipClusteringEval {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: canceled before clustering evaluation: %w", err)
 		}
-		sim, err := gpu.NewSimulator(s.opt.Oracle, w)
-		if err != nil {
-			return nil, err
+		// A cache-bound sweep keeps one entry per config (the unit a
+		// rerun resumes from), so the frame pass prices the oracle alone.
+		passCfgs := cfgs
+		if _, _, cached := cache.ForWorkload(ctx); cached {
+			passCfgs = nil
 		}
-		fc, err := subset.NewFrameClusterer(w, s.opt.Subset.Method)
-		if err != nil {
-			return nil, err
-		}
-		wr, err := metrics.EvaluateWorkloadContext(ctx, sim, w, fc, s.opt.OutlierThreshold, s.opt.Workers)
+		wr, totals, err := framePass(ctx, sim, fc, w, passCfgs, s.opt.OutlierThreshold, s.opt.Workers)
 		if err != nil {
 			return nil, err
 		}
 		rep.Clustering = &wr
+		parentNs = totals
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -222,7 +251,7 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 	if sopt.Cache == nil {
 		sopt.Cache = s.opt.Cache
 	}
-	sub, err := subset.BuildContext(ctx, w, sopt)
+	sub, err := subset.BuildWith(ctx, fc, w, sopt)
 	if err != nil {
 		return nil, err
 	}
@@ -235,8 +264,8 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 	run.Metrics().Counter("subset.frames").Add(int64(len(sub.Frames)))
 	run.Metrics().Counter("subset.draws").Add(int64(sub.NumDraws()))
 
-	if len(s.opt.ValidationClocks) >= 2 {
-		res, err := sweep.RunParallel(ctx, w, sub, sweep.CoreClockSweep(s.opt.Oracle, s.opt.ValidationClocks), s.opt.Workers)
+	if validate {
+		res, err := sweep.RunWith(ctx, sim, w, sub, cfgs, parentNs, s.opt.Workers)
 		if err != nil {
 			return nil, err
 		}

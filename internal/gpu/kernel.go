@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/shader"
 	"repro/internal/trace"
@@ -221,42 +222,83 @@ func (cfg *Config) clockFrame(cycles, traffic, z []float64, tot *Totals) (frameN
 	return frameNs
 }
 
-// PricedRun is one config's share of a PriceGrid pass: the run result
-// plus the aggregate totals the power model consumes.
-type PricedRun struct {
-	RunResult
-	Totals Totals
+// clockDraws is clockFrame for a column whose per-draw times are
+// wanted instead of its Totals: it writes each draw's time into
+// drawNs. It is a loop of its own so that the Totals loop, the inner
+// loop of every grid, carries no per-draw branch or store.
+func (cfg *Config) clockDraws(cycles, traffic, z, drawNs []float64) (frameNs float64) {
+	traffic, z, drawNs = traffic[:len(cycles)], z[:len(cycles)], drawNs[:len(cycles)]
+	for di, cyc := range cycles {
+		_, _, totalNs, _ := cfg.clock(cyc, traffic[di], z[di])
+		frameNs += totalNs
+		drawNs[di] = totalNs
+	}
+	return frameNs
 }
 
-// PriceGrid prices every frame of the simulator's workload on each of
-// cfgs in one pass over the draws. Configs that differ only in Name
-// and clocks form one architecture class. Per frame, each draw's
-// config-independent terms are computed once, its texture traffic once
-// per distinct cache geometry, and its core cycles and traffic (arch)
-// once per class, into frame-sized scratch. Then, per config, the
-// clock half runs over the frame's draws in draw order.
+// FramePricer is the per-frame pricing kernel: it prices one frame of
+// its simulator's workload on a fixed list of configs. Configs that
+// differ only in Name and clocks form one architecture class. Per
+// frame, each draw's config-independent terms are computed once, its
+// texture traffic once per distinct cache geometry, and its core
+// cycles and traffic (arch) once per class, into frame-sized scratch;
+// then, per config, the clock half runs over the frame's draws in
+// draw order.
 //
-// Fold-order contract: for each config, a frame's time sums its draws'
-// TotalNs in draw order, TotalNs sums frames in frame order, and each
-// Totals field sums the draws in workload order — exactly the
-// accumulation of pricing that config alone, so every result is
-// bit-identical to a one-config pass, and to DrawCost summed by hand.
-//
-// Cancellation is checked once per frame; a canceled pass returns the
-// wrapped ctx.Err() and no partial result.
-func (s *Simulator) PriceGrid(ctx context.Context, cfgs []Config) ([]PricedRun, error) {
-	type geometry struct{ cacheBytes, lineB int }
-	var geoms []geometry
+// A FramePricer is read-only once built, so frames may be priced
+// concurrently, each goroutine with its own FrameScratch.
+type FramePricer struct {
+	t       *tables
+	cfgs    []Config
+	geoms   []geometry
+	classes []priceClass
+	classOf []int // per config: its class
+}
+
+type geometry struct{ cacheBytes, lineB int }
+
+type priceClass struct {
+	cfg  *Config // the first config of the class
+	geom int
+}
+
+// FrameScratch is one goroutine's working memory for
+// FramePricer.Price. The zero value is ready; it grows to the largest
+// frame priced through it.
+type FrameScratch struct {
+	cycles, traffic []float64 // per class and draw, class-major
+	noiseZ          []float64 // per draw
+	tex             []texTraffic
+}
+
+func growTo(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// grow sizes sc for a frame of n draws on p's classes and geometries.
+// Sized once for a workload's largest frame, it prices every frame
+// without allocating.
+func (sc *FrameScratch) grow(p *FramePricer, n int) {
+	sc.cycles = growTo(sc.cycles, len(p.classes)*n)
+	sc.traffic = growTo(sc.traffic, len(p.classes)*n)
+	sc.noiseZ = growTo(sc.noiseZ, n)
+	if len(sc.tex) < len(p.geoms) {
+		sc.tex = make([]texTraffic, len(p.geoms))
+	}
+}
+
+// NewFramePricer validates cfgs and groups them into architecture
+// classes and cache geometries. The pricer keeps its own copy of cfgs.
+func (s *Simulator) NewFramePricer(cfgs []Config) (*FramePricer, error) {
+	cfgs = slices.Clone(cfgs)
+	p := &FramePricer{t: s.t, cfgs: cfgs, classOf: make([]int, len(cfgs))}
 	geomIndex := map[geometry]int{}
 	// A class key is the config with Name and clocks cleared; Validate
 	// keeps NaN, which is unequal to itself, out of the keys.
-	type class struct {
-		cfg  *Config // the first config of the class
-		geom int
-	}
-	var classes []class
 	classIndex := map[Config]int{}
-	classOf := make([]int, len(cfgs))
 	for c := range cfgs {
 		cfg := &cfgs[c]
 		if err := cfg.Validate(); err != nil {
@@ -269,59 +311,117 @@ func (s *Simulator) PriceGrid(ctx context.Context, cfgs []Config) ([]PricedRun, 
 			g := geometry{cfg.TexCacheKB * 1024, cfg.TexCacheLineB}
 			gi, ok := geomIndex[g]
 			if !ok {
-				gi = len(geoms)
+				gi = len(p.geoms)
 				geomIndex[g] = gi
-				geoms = append(geoms, g)
+				p.geoms = append(p.geoms, g)
 			}
-			k = len(classes)
+			k = len(p.classes)
 			classIndex[key] = k
-			classes = append(classes, class{cfg: cfg, geom: gi})
+			p.classes = append(p.classes, priceClass{cfg: cfg, geom: gi})
 		}
-		classOf[c] = k
+		p.classOf[c] = k
 	}
+	return p, nil
+}
 
-	frames := s.w.Frames
-	maxDraws := 0
-	for i := range frames {
-		maxDraws = max(maxDraws, len(frames[i].Draws))
+// Price prices the draws of f, a frame of the simulator's workload, on
+// every config of the pricer. frameNs[c] receives config c's frame
+// time: its draws' TotalNs summed in draw order. A non-nil tot has
+// every draw folded into tot[c] in draw order onto what tot[c] holds,
+// so pricing a workload's frames in frame order accumulates Totals
+// exactly as a one-config pass does. A non-nil drawNs[c] receives
+// config c's per-draw TotalNs instead, each bit-identical to DrawNs on
+// a simulator for config c: both run terms, arch and clock on the same
+// operands in the same order. No caller needs both for one config, so
+// such a config's Totals are not folded.
+//
+// Price panics on dangling VS/PS/RT/texture references, as DrawCost
+// does.
+func (p *FramePricer) Price(f *trace.Frame, sc *FrameScratch, frameNs []float64, tot []Totals, drawNs [][]float64) {
+	draws := f.Draws
+	n := len(draws)
+	sc.grow(p, n)
+	cycles, traffic, noiseZ, tex := sc.cycles, sc.traffic, sc.noiseZ, sc.tex
+	var t drawTerms
+	var dc DrawCost
+	for di := range draws {
+		p.t.terms(&draws[di], &t)
+		for g := range p.geoms {
+			tex[g] = t.texTraffic(p.geoms[g].cacheBytes, p.geoms[g].lineB)
+		}
+		for k := range p.classes {
+			p.classes[k].cfg.arch(&t, &tex[p.classes[k].geom], &dc)
+			cycles[k*n+di] = dc.CoreCycles
+			traffic[k*n+di] = dc.traffic()
+		}
+		noiseZ[di] = t.noiseZ
 	}
+	var discard Totals
+	for c := range p.cfgs {
+		off := p.classOf[c] * n
+		cy, tr := cycles[off:off+n], traffic[off:off+n]
+		if drawNs != nil && drawNs[c] != nil {
+			frameNs[c] = p.cfgs[c].clockDraws(cy, tr, noiseZ, drawNs[c])
+			continue
+		}
+		ct := &discard
+		if tot != nil {
+			ct = &tot[c]
+		}
+		frameNs[c] = p.cfgs[c].clockFrame(cy, tr, noiseZ, ct)
+	}
+}
+
+// PricedRun is one config's share of a PriceGrid pass: the run result
+// plus the aggregate totals the power model consumes.
+type PricedRun struct {
+	RunResult
+	Totals Totals
+}
+
+// PriceGrid prices every frame of the simulator's workload on each of
+// cfgs in one pass over the draws: the FramePricer kernel, run over
+// the frames in frame order on one goroutine.
+//
+// Fold-order contract: for each config, a frame's time sums its draws'
+// TotalNs in draw order, TotalNs sums frames in frame order, and each
+// Totals field sums the draws in workload order — exactly the
+// accumulation of pricing that config alone, so every result is
+// bit-identical to a one-config pass, and to DrawCost summed by hand.
+//
+// Cancellation is checked once per frame; a canceled pass returns the
+// wrapped ctx.Err() and no partial result.
+func (s *Simulator) PriceGrid(ctx context.Context, cfgs []Config) ([]PricedRun, error) {
+	p, err := s.NewFramePricer(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	frames := s.w.Frames
 	runs := make([]PricedRun, len(cfgs))
 	for c := range runs {
 		runs[c].ConfigName = cfgs[c].Name
 		runs[c].FrameNs = make([]float64, len(frames))
 	}
-	// Frame-sized scratch: each class's core cycles and traffic per
-	// draw, class-major, and each draw's noise z.
-	cycles := make([]float64, len(classes)*maxDraws)
-	traffic := make([]float64, len(classes)*maxDraws)
-	noiseZ := make([]float64, maxDraws)
-	tex := make([]texTraffic, len(geoms))
-	var t drawTerms
-	var dc DrawCost
+	frameNs := make([]float64, len(cfgs))
+	tot := make([]Totals, len(cfgs))
+	maxDraws := 0
+	for i := range frames {
+		maxDraws = max(maxDraws, len(frames[i].Draws))
+	}
+	var sc FrameScratch
+	sc.grow(p, maxDraws)
 	for i := range frames {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("gpu: pricing canceled at frame %d/%d: %w", i, len(frames), err)
 		}
-		draws := frames[i].Draws
-		for di := range draws {
-			s.t.terms(&draws[di], &t)
-			for g := range geoms {
-				tex[g] = t.texTraffic(geoms[g].cacheBytes, geoms[g].lineB)
-			}
-			for k := range classes {
-				classes[k].cfg.arch(&t, &tex[classes[k].geom], &dc)
-				cycles[k*maxDraws+di] = dc.CoreCycles
-				traffic[k*maxDraws+di] = dc.traffic()
-			}
-			noiseZ[di] = t.noiseZ
+		p.Price(&frames[i], &sc, frameNs, tot, nil)
+		for c := range runs {
+			runs[c].FrameNs[i] = frameNs[c]
+			runs[c].TotalNs += frameNs[c]
 		}
-		n := len(draws)
-		for c := range cfgs {
-			off := classOf[c] * maxDraws
-			run := &runs[c]
-			run.FrameNs[i] = cfgs[c].clockFrame(cycles[off:off+n], traffic[off:off+n], noiseZ[:n], &run.Totals)
-			run.TotalNs += run.FrameNs[i]
-		}
+	}
+	for c := range runs {
+		runs[c].Totals = tot[c]
 	}
 	return runs, nil
 }

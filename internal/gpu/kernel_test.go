@@ -132,6 +132,80 @@ func TestPriceGridMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFramePricerDrawColumnsEqualDrawNs is the frame pass's oracle
+// contract: every per-draw column the kernel writes equals DrawNs on a
+// simulator for that column's config, bit for bit, for every draw of
+// all three profiles (at test scale). The columns are the default
+// validation sweep plus the oracle appended as a column of its own,
+// and the mixed grid; the frame times must equal FrameNs, and
+// RunParallel must equal RunContext at several worker counts.
+func TestFramePricerDrawColumnsEqualDrawNs(t *testing.T) {
+	grids := [][]gpu.Config{
+		append(sweep.CoreClockSweep(gpu.BaseConfig(), sweep.DefaultCoreClocks()), gpu.BaseConfig()),
+		mixedGrid(),
+	}
+	for _, p := range diffProfiles() {
+		for _, seed := range []uint64{1, 2} {
+			w, err := tracetest.CachedWorkload(p, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := gpu.NewSimulator(gpu.BaseConfig(), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for gi, cfgs := range grids {
+				pricer, err := base.NewFramePricer(cfgs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sims := make([]*gpu.Simulator, len(cfgs))
+				for c := range cfgs {
+					if sims[c], err = base.WithConfig(cfgs[c]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var sc gpu.FrameScratch
+				frameNs := make([]float64, len(cfgs))
+				drawNs := make([][]float64, len(cfgs))
+				for fi := range w.Frames {
+					f := &w.Frames[fi]
+					for c := range drawNs {
+						drawNs[c] = make([]float64, len(f.Draws))
+					}
+					pricer.Price(f, &sc, frameNs, nil, drawNs)
+					for c, sim := range sims {
+						for di := range f.Draws {
+							if got, want := drawNs[c][di], sim.DrawNs(&f.Draws[di]); !sameBits([]float64{got}, []float64{want}) {
+								t.Fatalf("%s seed %d grid %d config %d frame %d draw %d: column %v, DrawNs %v",
+									p.Name, seed, gi, c, fi, di, got, want)
+							}
+						}
+						if got, want := frameNs[c], sim.FrameNs(f); !sameBits([]float64{got}, []float64{want}) {
+							t.Fatalf("%s seed %d grid %d config %d frame %d: frame time %v, FrameNs %v",
+								p.Name, seed, gi, c, fi, got, want)
+						}
+					}
+				}
+			}
+			want, err := base.RunContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				got, err := base.RunParallel(context.Background(), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.ConfigName != want.ConfigName || !sameBits(got.FrameNs, want.FrameNs) ||
+					!sameBits([]float64{got.TotalNs}, []float64{want.TotalNs}) {
+					t.Fatalf("%s seed %d: RunParallel(%d) differs from RunContext", p.Name, seed, workers)
+				}
+			}
+		}
+	}
+}
+
 // TestPriceGridChunkingsMatchReference prices a 9-config sweep through
 // sweep.PriceGrid at every chunking the workers knob produces — one
 // pass of 9, 2 passes (4+5), 4 passes (2+2+2+3) and 9 one-config

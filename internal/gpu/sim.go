@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/trace"
@@ -190,15 +191,24 @@ func (s *Simulator) RunContext(ctx context.Context) (RunResult, error) {
 }
 
 // RunParallel prices every frame across at most workers goroutines
-// (<= 0 selects GOMAXPROCS). Frames are priced independently —
-// DrawCost is read-only on the simulator — and TotalNs is folded over
-// the per-frame times in frame order, so the result is bit-identical
-// to RunContext at any worker count. Sweeps that already parallelize
-// across configurations should keep using RunContext inside each task
-// rather than nesting pools.
+// (<= 0 selects GOMAXPROCS) through the FramePricer kernel, each
+// goroutine with its own scratch. Frames are priced independently and
+// TotalNs is folded over the per-frame times in frame order, so the
+// result is bit-identical to RunContext at any worker count. Sweeps
+// that already parallelize across configurations should keep using
+// RunContext inside each task rather than nesting pools.
 func (s *Simulator) RunParallel(ctx context.Context, workers int) (RunResult, error) {
+	p, err := s.NewFramePricer([]Config{s.cfg})
+	if err != nil {
+		return RunResult{}, err
+	}
+	scratch := sync.Pool{New: func() any { return new(FrameScratch) }}
 	frameNs, err := parallel.Map(ctx, workers, len(s.w.Frames), func(_ context.Context, i int) (float64, error) {
-		return s.FrameNs(&s.w.Frames[i]), nil
+		sc := scratch.Get().(*FrameScratch)
+		var ns [1]float64
+		p.Price(&s.w.Frames[i], sc, ns[:], nil, nil)
+		scratch.Put(sc)
+		return ns[0], nil
 	})
 	if err != nil {
 		return RunResult{}, fmt.Errorf("gpu: parallel run: %w", err)

@@ -75,13 +75,23 @@ func EvaluateFrameScratch(o subset.CostOracle, f *trace.Frame, cf *subset.Cluste
 		s = &EvalScratch{}
 	}
 	s.costs = growFloats(s.costs, len(f.Draws))
-	costs := s.costs
 	for i := range f.Draws {
-		costs[i] = o.DrawNs(&f.Draws[i])
+		s.costs[i] = o.DrawNs(&f.Draws[i])
+	}
+	return EvaluateCosts(s.costs, cf, outlierThresh, s)
+}
+
+// EvaluateCosts derives a frame's quality measures from its
+// clustering and its draws' oracle costs, costs[i] for draw i — the
+// half of EvaluateFrameScratch after pricing, for callers that priced
+// the frame themselves. s may be nil.
+func EvaluateCosts(costs []float64, cf *subset.ClusteredFrame, outlierThresh float64, s *EvalScratch) FrameReport {
+	if s == nil {
+		s = &EvalScratch{}
 	}
 	rep := FrameReport{
 		FrameIndex: cf.FrameIndex,
-		Draws:      len(f.Draws),
+		Draws:      len(costs),
 		Clusters:   cf.Result.K,
 		Efficiency: cf.Result.Efficiency(),
 	}
@@ -162,7 +172,15 @@ func EvaluateWorkloadContext(ctx context.Context, o subset.CostOracle, w *trace.
 	if err != nil {
 		return WorkloadReport{}, err
 	}
-	rep := WorkloadReport{Name: w.Name, Frames: frames}
+	return Aggregate(ctx, w.Name, frames), nil
+}
+
+// Aggregate folds per-frame reports, in frame order, into a workload
+// report, and records the per-frame error histogram and the cluster
+// counters in ctx's observability run. Every workload evaluation ends
+// here, so the aggregate has one definition.
+func Aggregate(ctx context.Context, name string, frames []FrameReport) WorkloadReport {
+	rep := WorkloadReport{Name: name, Frames: frames}
 	relErrHist := obs.RunFromContext(ctx).Metrics().Histogram("cluster.frame_rel_error")
 	var errSum, effSum float64
 	for _, fr := range frames {
@@ -187,7 +205,7 @@ func EvaluateWorkloadContext(ctx context.Context, o subset.CostOracle, w *trace.
 		reg.Counter("cluster.clusters").Add(int64(rep.TotalClusters))
 		reg.Counter("cluster.outliers").Add(int64(rep.TotalOutliers))
 	}
-	return rep, nil
+	return rep
 }
 
 // Speedups converts a series of total runtimes into speedups relative

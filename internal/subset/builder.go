@@ -102,6 +102,14 @@ func Build(w *trace.Workload, opt Options) (*Subset, error) {
 // goroutines; the frame selection and assembly stay sequential, so the
 // subset is bit-identical at any worker count.
 func BuildContext(ctx context.Context, w *trace.Workload, opt Options) (*Subset, error) {
+	return BuildWith(ctx, nil, w, opt)
+}
+
+// BuildWith is BuildContext for a caller that already holds a frame
+// clusterer for w under opt.Method (nil builds one, as BuildContext
+// does): a pipeline pass shares one clusterer, and so one feature
+// extractor and one workload validation, across its stages.
+func BuildWith(ctx context.Context, fc *FrameClusterer, w *trace.Workload, opt Options) (*Subset, error) {
 	if opt.FramesPerPhase < 0 {
 		return nil, fmt.Errorf("subset: FramesPerPhase %d < 0", opt.FramesPerPhase)
 	}
@@ -126,9 +134,10 @@ func BuildContext(ctx context.Context, w *trace.Workload, opt Options) (*Subset,
 	if err != nil {
 		return nil, err
 	}
-	fc, err := NewFrameClusterer(w, opt.Method)
-	if err != nil {
-		return nil, err
+	if fc == nil {
+		if fc, err = NewFrameClusterer(w, opt.Method); err != nil {
+			return nil, err
+		}
 	}
 	phaseFrames := make([]int, det.NumPhases) // parent frames per phase
 	for _, iv := range det.Intervals {

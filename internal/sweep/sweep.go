@@ -106,28 +106,51 @@ func RunContext(ctx context.Context, w *trace.Workload, s *subset.Subset, cfgs [
 // worker count. Cancellation is checked once per parent frame inside
 // each pricing pass.
 func RunParallel(ctx context.Context, w *trace.Workload, s *subset.Subset, cfgs []gpu.Config, workers int) (Result, error) {
+	return RunWith(ctx, nil, w, s, cfgs, nil, workers)
+}
+
+// RunWith is RunParallel for a caller that already holds a simulator
+// built on w (base, on any config: it is only derived from; nil builds
+// one on cfgs[0]) and, when parentNs is non-nil, the parent's total
+// time on every config in grid order, priced in its own pass. Without
+// parentNs the parent is priced here, as RunParallel prices it. Either
+// way the points and statistics come from the same code, so a Result
+// built from a caller's pricing is bit-identical to RunParallel's when
+// the caller folded each config's total as PriceGrid does.
+func RunWith(ctx context.Context, base *gpu.Simulator, w *trace.Workload, s *subset.Subset, cfgs []gpu.Config, parentNs []float64, workers int) (Result, error) {
 	if len(cfgs) < 2 {
 		return Result{}, fmt.Errorf("sweep: need at least 2 configs, have %d", len(cfgs))
+	}
+	if parentNs != nil && len(parentNs) != len(cfgs) {
+		return Result{}, fmt.Errorf("sweep: %d parent totals for %d configs", len(parentNs), len(cfgs))
 	}
 	ctx, sp := obs.StartSpan(ctx, "validation-sweep")
 	defer sp.End()
 	sp.AddItems(int64(len(cfgs)))
 	sp.SetWorkers(parallel.Workers(workers))
 	obs.RunFromContext(ctx).Metrics().Counter("sweep.configs_priced").Add(int64(len(cfgs)))
-	base, err := gpu.NewSimulator(cfgs[0], w)
-	if err != nil {
-		return Result{}, err
+	if base == nil {
+		var err error
+		if base, err = gpu.NewSimulator(cfgs[0], w); err != nil {
+			return Result{}, err
+		}
 	}
-	parents, err := priceParents(ctx, base, w, cfgs, workers)
-	if err != nil {
-		return Result{}, err
+	if parentNs == nil {
+		parents, err := priceParents(ctx, base, w, cfgs, workers)
+		if err != nil {
+			return Result{}, err
+		}
+		parentNs = make([]float64, len(cfgs))
+		for i := range parents {
+			parentNs[i] = parents[i].TotalNs
+		}
 	}
 	points, err := parallel.MapSlice(ctx, workers, cfgs, func(ctx context.Context, i int, cfg gpu.Config) (Point, error) {
 		sim, err := base.WithConfig(cfg)
 		if err != nil {
 			return Point{}, err
 		}
-		return Point{Config: cfg, ParentNs: parents[i].TotalNs, SubsetNs: s.EstimateParentNs(sim)}, nil
+		return Point{Config: cfg, ParentNs: parentNs[i], SubsetNs: s.EstimateParentNs(sim)}, nil
 	})
 	if err != nil {
 		return Result{}, err

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"repro/internal/dcmath"
@@ -28,9 +29,7 @@ type Summary struct {
 // Summarize computes the workload summary.
 func Summarize(w *Workload) Summary {
 	s := Summary{Name: w.Name, Frames: len(w.Frames)}
-	vs := map[uint32]bool{}
-	ps := map[uint32]bool{}
-	mats := map[uint32]bool{}
+	ids := new([3]idSet) // VS, PS, materials
 	sceneSeen := map[string]bool{}
 	perFrame := make([]float64, 0, len(w.Frames))
 	for fi := range w.Frames {
@@ -50,18 +49,46 @@ func Summarize(w *Workload) Summary {
 		}
 		for di := range f.Draws {
 			d := &f.Draws[di]
-			vs[uint32(d.VS)] = true
-			ps[uint32(d.PS)] = true
-			mats[d.MaterialID] = true
+			ids[0].add(uint32(d.VS))
+			ids[1].add(uint32(d.PS))
+			ids[2].add(d.MaterialID)
 			s.TotalVertices += d.TotalVertices()
 			s.TotalPrimitives += d.TotalPrimitives()
 		}
 	}
 	s.DrawsPerFrame = dcmath.Mean(perFrame)
-	s.UniqueVS = len(vs)
-	s.UniquePS = len(ps)
-	s.UniqueMaterials = len(mats)
+	s.UniqueVS = ids[0].len()
+	s.UniquePS = ids[1].len()
+	s.UniqueMaterials = ids[2].len()
 	return s
+}
+
+// idSet is a set of uint32 ids: a fixed bitset for the ids below
+// 1<<16, where captures keep their shader and material ids, and a map
+// for any above.
+type idSet struct {
+	low  [1 << 16 / 64]uint64
+	high map[uint32]struct{}
+}
+
+func (s *idSet) add(id uint32) {
+	if id < 1<<16 {
+		s.low[id/64] |= 1 << (id % 64)
+		return
+	}
+	if s.high == nil {
+		s.high = map[uint32]struct{}{}
+	}
+	s.high[id] = struct{}{}
+}
+
+// len returns the number of distinct ids added.
+func (s *idSet) len() int {
+	n := len(s.high)
+	for _, word := range s.low {
+		n += bits.OnesCount64(word)
+	}
+	return n
 }
 
 // WriteTable renders a fixed-width corpus table for the given

@@ -2,9 +2,12 @@ package trace_test
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/shader"
+	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/tracetest"
 )
@@ -61,5 +64,57 @@ func TestPixelShaderUsage(t *testing.T) {
 	total := usage[0].Draws + usage[1].Draws
 	if total != w.NumDraws() {
 		t.Errorf("usage total %d != draws %d", total, w.NumDraws())
+	}
+}
+
+// mapCounts is the map-based distinct count Summarize used before its
+// id bitsets: the reference the bitset count must equal.
+func mapCounts(w *trace.Workload) (vs, ps, mats int) {
+	v, p, m := map[uint32]bool{}, map[uint32]bool{}, map[uint32]bool{}
+	for fi := range w.Frames {
+		for di := range w.Frames[fi].Draws {
+			d := &w.Frames[fi].Draws[di]
+			v[uint32(d.VS)] = true
+			p[uint32(d.PS)] = true
+			m[d.MaterialID] = true
+		}
+	}
+	return len(v), len(p), len(m)
+}
+
+// TestSummarizeDistinctCountsMatchMaps holds the bitset id counts to
+// the map-based reference on all three game profiles and on ids at the
+// bitset's edges: 0, 1<<16 - 1 (last bitset id), 1<<16 (first map id)
+// and the largest uint32, each used twice.
+func TestSummarizeDistinctCountsMatchMaps(t *testing.T) {
+	var ws []*trace.Workload
+	for _, p := range synth.SuiteProfiles() {
+		p.Frames = 24
+		w, err := tracetest.CachedWorkload(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	edge := tracetest.Tiny()
+	edgeIDs := []uint32{0, 1<<16 - 1, 1 << 16, math.MaxUint32}
+	for fi := range edge.Frames {
+		for di := range edge.Frames[fi].Draws {
+			id := edgeIDs[(fi+di)%len(edgeIDs)]
+			d := &edge.Frames[fi].Draws[di]
+			d.VS, d.PS, d.MaterialID = shader.ID(id), shader.ID(edgeIDs[di%len(edgeIDs)]), id
+		}
+	}
+	ws = append(ws, edge)
+	for _, w := range ws {
+		s := trace.Summarize(w)
+		vs, ps, mats := mapCounts(w)
+		if s.UniqueVS != vs || s.UniquePS != ps || s.UniqueMaterials != mats {
+			t.Errorf("%s: distinct VS/PS/materials = %d/%d/%d, map reference %d/%d/%d",
+				w.Name, s.UniqueVS, s.UniquePS, s.UniqueMaterials, vs, ps, mats)
+		}
+	}
+	if s := trace.Summarize(edge); s.UniqueVS != 4 || s.UniqueMaterials != 4 {
+		t.Errorf("edge ids: distinct VS %d, materials %d, want 4 each", s.UniqueVS, s.UniqueMaterials)
 	}
 }
