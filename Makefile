@@ -107,11 +107,13 @@ bench-parallel:
 	$(GO) run ./cmd/benchjson -match '^Parallel' -o BENCH_parallel.json < bench.out
 
 # bench-cache times the validation sweep against a cold and a warm
-# result cache and records the cold/warm ratio in BENCH_cache.json
-# (warm_speedup_vs_cold; the cache's contract is >= 2x).
+# result cache (warm_speedup_vs_cold; the cache's contract is >= 2x),
+# and one whole pipeline pass uncached, cold and warm (time_vs_uncached:
+# the cold and warm passes as multiples of the uncached one). Each arm
+# keeps the fastest of 5 repetitions; both land in BENCH_cache.json.
 bench-cache:
-	$(GO) test -bench='^BenchmarkCacheSweep' -run '^$$' . | tee bench-cache.out
-	$(GO) run ./cmd/benchjson -match '^CacheSweep' -o BENCH_cache.json < bench-cache.out
+	$(GO) test -bench='^BenchmarkCache(Sweep|Pass)$$' -count 5 -run '^$$' . | tee bench-cache.out
+	$(GO) run ./cmd/benchjson -match '^Cache(Sweep|Pass)/' -o BENCH_cache.json < bench-cache.out
 
 # bench-hotpath regenerates BENCH_hotpath.json: per-draw clustering
 # throughput of the exact path against the frozen pre-optimization

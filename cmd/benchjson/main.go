@@ -3,7 +3,9 @@
 // convention it additionally derives per-group speedup curves relative
 // to workers=1, which is how `make bench` produces BENCH_parallel.json
 // from the parallel execution-engine benchmarks. The ".../mode=cold|warm"
-// convention likewise yields warm-vs-cold ratios (BENCH_cache.json) and
+// convention likewise yields warm-vs-cold ratios and, with a
+// ".../mode=uncached" arm, each cached arm's time as a multiple of the
+// uncached one (BENCH_cache.json), and
 // ".../path=NAME" yields speedups relative to the path=naive reference
 // arm (BENCH_hotpath.json). Repeated names from `go test -count N` are
 // collapsed to the fastest repetition before ratios are derived, and
@@ -43,8 +45,9 @@ type Benchmark struct {
 	// Workers is parsed from a "workers=N" path element (0 if absent).
 	Workers int `json:"workers,omitempty"`
 
-	// Mode is parsed from a "mode=cold" / "mode=warm" path element
-	// (empty if absent) — the cache benchmarks' arm convention.
+	// Mode is parsed from a "mode=cold" / "mode=warm" /
+	// "mode=uncached" path element (empty if absent) — the cache
+	// benchmarks' arm convention.
 	Mode string `json:"mode,omitempty"`
 
 	// Path is parsed from a "path=NAME" path element (empty if absent)
@@ -84,6 +87,14 @@ type Output struct {
 	// in BENCH_cache.json.
 	WarmSpeedupVsCold map[string]float64 `json:"warm_speedup_vs_cold,omitempty"`
 
+	// TimeVsUncached maps a benchmark group (the name up to "/mode=")
+	// to mode -> ns/op(mode) / ns/op(mode=uncached), e.g.
+	// {"CachePass": {"cold": 1.1, "warm": 0.4}}: each cached arm's time
+	// as a multiple of the same work without a cache. Only present when
+	// a group has a mode=uncached arm — the pipeline-level cache ledger
+	// `make bench-cache` records in BENCH_cache.json.
+	TimeVsUncached map[string]map[string]float64 `json:"time_vs_uncached,omitempty"`
+
 	// SpeedupVsNaive maps a benchmark group (the name up to "/path=")
 	// to path -> ns/op(path=naive) / ns/op(path), e.g.
 	// {"HotPath": {"exact": 2.9}}. Only present when the group has a
@@ -99,7 +110,7 @@ var (
 	benchLine = regexp.MustCompile(`^Benchmark(\S+)\s+(\d+)\s+(.+)$`)
 	cpuSuffix = regexp.MustCompile(`-\d+$`)
 	workersRe = regexp.MustCompile(`(?:^|/)workers=(\d+)(?:$|/)`)
-	modeRe    = regexp.MustCompile(`(?:^|/)mode=(cold|warm)(?:$|/)`)
+	modeRe    = regexp.MustCompile(`(?:^|/)mode=(cold|warm|uncached)(?:$|/)`)
 	pathRe    = regexp.MustCompile(`(?:^|/)path=([a-z][a-z0-9]*)(?:$|/)`)
 )
 
@@ -191,6 +202,31 @@ func warmSpeedups(benches []Benchmark) map[string]float64 {
 		if w, ok := warm[g]; ok && w > 0 {
 			out[g] = c / w
 		}
+	}
+	return out
+}
+
+// timesVsUncached derives, per group with a mode=uncached arm, each
+// cached arm's ns/op as a multiple of the uncached arm's.
+func timesVsUncached(benches []Benchmark) map[string]map[string]float64 {
+	uncached := map[string]float64{}
+	for _, b := range benches {
+		if ns := b.Metrics["ns/op"]; b.Mode == "uncached" && ns > 0 {
+			uncached[modeGroupOf(b.Name)] = ns
+		}
+	}
+	out := map[string]map[string]float64{}
+	for _, b := range benches {
+		ref, ok := uncached[modeGroupOf(b.Name)]
+		ns, measured := b.Metrics["ns/op"]
+		if b.Mode == "" || b.Mode == "uncached" || !ok || !measured {
+			continue
+		}
+		g := modeGroupOf(b.Name)
+		if out[g] == nil {
+			out[g] = map[string]float64{}
+		}
+		out[g][b.Mode] = ns / ref
 	}
 	return out
 }
@@ -355,7 +391,8 @@ func run(ctx context.Context, run *obs.Run, matchPat, outPath string) error {
 	out.Benchmarks = collapseRepeats(out.Benchmarks)
 	out.SpeedupVsSequential = speedups(out.Benchmarks)
 	out.WarmSpeedupVsCold = warmSpeedups(out.Benchmarks)
-	dsp.AddItems(int64(len(out.SpeedupVsSequential) + len(out.WarmSpeedupVsCold) + len(out.SpeedupVsNaive)))
+	out.TimeVsUncached = timesVsUncached(out.Benchmarks)
+	dsp.AddItems(int64(len(out.SpeedupVsSequential) + len(out.WarmSpeedupVsCold) + len(out.TimeVsUncached) + len(out.SpeedupVsNaive)))
 	dsp.End()
 
 	_, wsp := obs.StartSpan(ctx, "write-json")

@@ -247,3 +247,30 @@ func TestWarmSpeedups(t *testing.T) {
 		t.Error("modeless benchmark got a speedup")
 	}
 }
+
+func TestTimesVsUncached(t *testing.T) {
+	b, ok := parseLine("BenchmarkCachePass/mode=uncached-2 \t 20\t 4000000 ns/op")
+	if !ok || b.Mode != "uncached" {
+		t.Fatalf("parse: %+v ok=%v", b, ok)
+	}
+	benches := []Benchmark{
+		b,
+		{Name: "CachePass/mode=cold", Mode: "cold", Metrics: map[string]float64{"ns/op": 5000000}},
+		{Name: "CachePass/mode=warm", Mode: "warm", Metrics: map[string]float64{"ns/op": 1000000}},
+		{Name: "CacheSweep/mode=cold", Mode: "cold", Metrics: map[string]float64{"ns/op": 8000}},
+		{Name: "CacheSweep/mode=warm", Mode: "warm", Metrics: map[string]float64{"ns/op": 1000}},
+	}
+	got := timesVsUncached(benches)
+	if c, w := got["CachePass"]["cold"], got["CachePass"]["warm"]; math.Abs(c-1.25) > 1e-12 || math.Abs(w-0.25) > 1e-12 {
+		t.Errorf("CachePass cold %v warm %v, want 1.25 and 0.25", c, w)
+	}
+	if _, ok := got["CachePass"]["uncached"]; ok {
+		t.Error("the uncached arm got a ratio to itself")
+	}
+	if _, ok := got["CacheSweep"]; ok {
+		t.Error("group without an uncached arm got ratios")
+	}
+	if s := warmSpeedups(benches); math.Abs(s["CachePass"]-5) > 1e-12 {
+		t.Errorf("CachePass warm speedup = %v, want 5", s["CachePass"])
+	}
+}

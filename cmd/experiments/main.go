@@ -77,9 +77,9 @@ type ctx struct {
 
 	// cache is the optional content-addressed result cache
 	// (-cache-dir/-cache-mem): experiments over the same corpus
-	// workload then share feature extraction, clustering and parent
-	// pricing instead of recomputing them. Nil disables it; results
-	// are identical either way.
+	// workload then share parent pricing (one sweep.price entry per
+	// config) instead of recomputing it. Nil disables it; results are
+	// identical either way.
 	cache *cache.Cache
 	fps   map[*trace.Workload]trace.Fingerprint
 
@@ -88,11 +88,10 @@ type ctx struct {
 }
 
 // subsetOptions is the default subset configuration with the run's
-// worker bound and result cache applied.
+// worker bound applied.
 func (c *ctx) subsetOptions() subset.Options {
 	opt := subset.DefaultOptions()
 	opt.Workers = c.workers
-	opt.Cache = c.cache
 	return opt
 }
 

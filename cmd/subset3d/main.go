@@ -25,10 +25,12 @@
 // count; the flag trades wall-clock time only.
 //
 // -cache-dir and -cache-mem enable the content-addressed result cache:
-// feature matrices, clusterings, phase vectors and parent pricing are
-// then reused across runs over the same trace (-cache-dir persists
-// them on disk; -cache-mem sets the in-memory budget in MiB). Caching
-// never changes the report — warm and cold runs are byte-identical.
+// the pass's clustering evaluation and the parent's time on every
+// validation clock, one entry (with -fast, one parent price per
+// clock), are then reused across runs over the same trace (-cache-dir
+// persists them on disk; -cache-mem sets the in-memory budget in MiB).
+// Caching never changes the report — warm and cold runs are
+// byte-identical.
 //
 // Observability: -log-level {debug,info,warn,error,off} enables
 // structured key=value logging to stderr (default off), -manifest

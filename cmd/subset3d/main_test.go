@@ -194,6 +194,61 @@ func TestManifestEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCachedRunsPriceTheSameColumns runs subset3d uncached, then cold
+// and warm over one -cache-dir at another worker count. All three print
+// the same report. The cold run prices the same draw x configs as the
+// uncached one and stores its frame pass as one entry; the warm run
+// prices no parent draw. A -fast run stores one parent price per
+// validation clock instead.
+func TestCachedRunsPriceTheSameColumns(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := writeTestTrace(t, dir)
+	run := func(name, cacheDir string, workers int, fast bool) (string, int64) {
+		t.Helper()
+		cfg := defaultTestConfig(t)
+		cfg.tracePath = tracePath
+		cfg.cacheDir = cacheDir
+		cfg.workers = workers
+		cfg.fast = fast
+		cfg.manifest = filepath.Join(dir, name+".json")
+		if err := execute(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.out.(*bytes.Buffer).String(), readManifest(t, cfg.manifest).Metrics.Counters["sweep.draw_configs_priced"]
+	}
+	entries := func(cacheDir string) int {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(cacheDir, "*", "*.s3dc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+
+	want, uncached := run("uncached", "", 4, false)
+	cacheDir := filepath.Join(dir, "cache")
+	cold, coldPriced := run("cold", cacheDir, 4, false)
+	warm, warmPriced := run("warm", cacheDir, 1, false)
+	if cold != want || warm != want {
+		t.Errorf("reports differ:\nuncached:\n%s\ncold:\n%s\nwarm:\n%s", want, cold, warm)
+	}
+	if uncached == 0 || coldPriced != uncached {
+		t.Errorf("cold run priced %d draw x configs, uncached %d", coldPriced, uncached)
+	}
+	if warmPriced != 0 {
+		t.Errorf("warm run priced %d draw x configs, want 0", warmPriced)
+	}
+	if n := entries(cacheDir); n != 1 {
+		t.Errorf("cold run stored %d entries, want the frame pass's 1", n)
+	}
+
+	fastDir := filepath.Join(dir, "fast-cache")
+	run("fast", fastDir, 4, true)
+	if n, want := entries(fastDir), len(core.DefaultOptions().ValidationClocks); n != want {
+		t.Errorf("-fast run stored %d entries, want one per validation clock (%d)", n, want)
+	}
+}
+
 // TestManifestLenientDiagnostics corrupts one stream record and runs
 // the -stream -lenient path: the manifest must account for the skipped
 // data and the report must tell the user the run degraded.

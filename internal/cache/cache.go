@@ -5,10 +5,14 @@
 //
 // It exists because architecture pathfinding recomputes the same
 // sub-results over and over: a config-grid sweep re-prices the same
-// parent workload per configuration, repeated runs re-extract the same
-// MAI feature matrices and re-cluster the same frames. The paper's
-// whole argument is that redundant simulation work should be computed
-// once; this package applies the same idea to the pipeline itself.
+// parent workload per configuration, and repeated runs re-cluster and
+// re-price the same frames. The paper's whole argument is that
+// redundant simulation work should be computed once; this package
+// applies the same idea to the pipeline itself. Entries are stage
+// products, not per-frame intermediates: a pipeline pass stores its
+// clustering evaluation and parent pricing as one core.framepass
+// entry, and a grid one sweep.price entry per configuration (DESIGN
+// §9 lists the kinds).
 //
 // Design rules, enforced by tests:
 //
@@ -459,9 +463,9 @@ type binding struct {
 type bindingKey struct{}
 
 // WithWorkload returns ctx carrying (cache, workload fingerprint) for
-// the pipeline stages below: features, clustering, phase vectors and
-// sweep pricing all key their entries on the bound fingerprint. A nil
-// cache returns ctx unchanged.
+// the pipeline stages below: the core frame pass and sweep pricing key
+// their entries on the bound fingerprint. A nil cache returns ctx
+// unchanged.
 func WithWorkload(ctx context.Context, c *Cache, fp trace.Fingerprint) context.Context {
 	if c == nil {
 		return ctx

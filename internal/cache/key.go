@@ -39,7 +39,7 @@ const (
 )
 
 // NewKey starts a key for one kind of cached value. kind namespaces
-// the cache (e.g. "features.frame"); version is the algorithm/schema
+// the cache (e.g. "sweep.price"); version is the algorithm/schema
 // version of the producing code — bump it whenever the computation
 // changes meaning, and old entries become unreachable instead of
 // stale.

@@ -41,11 +41,11 @@ func TestKeyTypeTagged(t *testing.T) {
 }
 
 func TestKeyKindAndVersionSeparate(t *testing.T) {
-	base := NewKey("features.frame", 1).Int(3).Sum()
-	if k := NewKey("features.frame", 2).Int(3).Sum(); k == base {
+	base := NewKey("sweep.price", 1).Int(3).Sum()
+	if k := NewKey("sweep.price", 2).Int(3).Sum(); k == base {
 		t.Fatal("version bump did not change the key")
 	}
-	if k := NewKey("subset.clusterframe", 1).Int(3).Sum(); k == base {
+	if k := NewKey("core.framepass", 1).Int(3).Sum(); k == base {
 		t.Fatal("kind did not change the key")
 	}
 }

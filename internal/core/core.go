@@ -77,14 +77,17 @@ type Options struct {
 	// Report, an invariant the determinism tests assert.
 	Obs *obs.Run
 
-	// Cache attaches a content-addressed result cache spanning every
-	// pipeline stage: per-frame feature matrices, per-frame
-	// clusterings, phase shader vectors and per-config parent pricing
-	// are served by (workload fingerprint, options, algorithm version)
-	// instead of recomputed. Nil — the default — disables caching.
-	// Caching never changes results: a warm run's Report is
-	// byte-identical to a cold run's, an invariant the golden and
-	// determinism tests assert.
+	// Cache attaches a content-addressed result cache. The frame pass
+	// stores its whole product (the clustering evaluation and the
+	// parent's total on every validation config) as one entry, keyed
+	// by workload fingerprint, method, configs, threshold and
+	// algorithm versions; a run that skips clustering evaluation
+	// stores the parent's price per validation config instead
+	// (sweep.price). The phase detection and the subset build are
+	// always computed. Nil — the default — disables caching. Caching
+	// never changes results: a warm run's Report is byte-identical to
+	// a cold run's, an invariant the golden and determinism tests
+	// assert.
 	Cache *cache.Cache
 }
 
@@ -159,8 +162,9 @@ func (s *Subsetter) Run(w *trace.Workload) (*Report, error) {
 // and every stage shares them; their constructors are the run's
 // workload validation. Clustering evaluation is one pass over the
 // parent's frames (framePass) that also prices every validation
-// config when no cache is bound, so the sweep then prices only the
-// subset.
+// config, so the sweep then prices only the subset. With a cache the
+// pass's whole product is one entry, and the pass prices the same
+// columns as without one.
 func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report, error) {
 	if s.opt.Obs != nil && obs.RunFromContext(ctx) == nil {
 		ctx = s.opt.Obs.Context(ctx)
@@ -206,17 +210,9 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 	run.Logger().Info("workload ready", "workload", w.Name,
 		"frames", rep.Summary.Frames, "draws", rep.Summary.Draws)
 
-	// Bind the cache once, after sanitization settled the workload's
-	// content: the fingerprint must describe the frames the stages
-	// actually see. Every downstream stage then shares the binding.
-	if s.opt.Cache != nil {
-		if _, _, bound := cache.ForWorkload(ctx); !bound {
-			_, fsp := obs.StartSpan(ctx, "fingerprint")
-			fp := w.Fingerprint()
-			fsp.End()
-			ctx = cache.WithWorkload(ctx, s.opt.Cache, fp)
-		}
-	}
+	// Bind the cache after sanitization settled the workload's content:
+	// the fingerprint must describe the frames the stages actually see.
+	ctx = s.bindCache(ctx, w)
 
 	var cfgs []gpu.Config
 	if validate {
@@ -227,18 +223,12 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: canceled before clustering evaluation: %w", err)
 		}
-		// A cache-bound sweep keeps one entry per config (the unit a
-		// rerun resumes from), so the frame pass prices the oracle alone.
-		passCfgs := cfgs
-		if _, _, cached := cache.ForWorkload(ctx); cached {
-			passCfgs = nil
-		}
-		wr, totals, err := framePass(ctx, sim, fc, w, passCfgs, s.opt.OutlierThreshold, s.opt.Workers)
+		pass, err := framePass(ctx, sim, fc, w, s.opt, cfgs)
 		if err != nil {
 			return nil, err
 		}
-		rep.Clustering = &wr
-		parentNs = totals
+		rep.Clustering = &pass.Report
+		parentNs = pass.ParentNs
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -247,9 +237,6 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 	sopt := s.opt.Subset
 	if s.opt.Workers != 0 {
 		sopt.Workers = s.opt.Workers
-	}
-	if sopt.Cache == nil {
-		sopt.Cache = s.opt.Cache
 	}
 	sub, err := subset.BuildWith(ctx, fc, w, sopt)
 	if err != nil {
@@ -273,6 +260,19 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 		rep.Validated = true
 	}
 	return rep, nil
+}
+
+// bindCache binds the run's cache to w's fingerprint in ctx, for the
+// frame pass's entry and the sweep's per-config entries. A ctx that
+// already carries a binding (subsetd's queries) keeps it, and a run
+// without a cache is left unbound.
+func (s *Subsetter) bindCache(ctx context.Context, w *trace.Workload) context.Context {
+	if _, _, bound := cache.ForWorkload(ctx); bound || s.opt.Cache == nil {
+		return ctx
+	}
+	_, sp := obs.StartSpan(ctx, "fingerprint")
+	defer sp.End()
+	return cache.WithWorkload(ctx, s.opt.Cache, w.Fingerprint())
 }
 
 // PhaseTimeline re-exposes the detection timeline for callers that

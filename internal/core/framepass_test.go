@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -28,9 +30,6 @@ func stagedReference(ctx context.Context, opt Options, w *trace.Workload) (*Repo
 		return nil, err
 	}
 	rep.Summary = trace.Summarize(w)
-	if opt.Cache != nil {
-		ctx = cache.WithWorkload(ctx, opt.Cache, w.Fingerprint())
-	}
 	if !opt.SkipClusteringEval {
 		sim, err := gpu.NewSimulator(opt.Oracle, w)
 		if err != nil {
@@ -49,9 +48,6 @@ func stagedReference(ctx context.Context, opt Options, w *trace.Workload) (*Repo
 	sopt := opt.Subset
 	if opt.Workers != 0 {
 		sopt.Workers = opt.Workers
-	}
-	if sopt.Cache == nil {
-		sopt.Cache = opt.Cache
 	}
 	sub, err := subset.BuildContext(ctx, w, sopt)
 	if err != nil {
@@ -232,6 +228,100 @@ func TestStrictRunKeepsValidationErrorClass(t *testing.T) {
 			if errors.Is(err, sentinel) != errors.Is(verr, sentinel) {
 				t.Errorf("errors.Is(err, %v) differs from Validate's error", sentinel)
 			}
+		}
+	}
+}
+
+// perturb changes a struct field of any kind these option types use.
+func perturb(t *testing.T, name string, f reflect.Value) {
+	t.Helper()
+	switch f.Kind() {
+	case reflect.Float64:
+		f.SetFloat(f.Float() + 0.25)
+	case reflect.Int:
+		f.SetInt(f.Int() + 1)
+	case reflect.Uint8, reflect.Uint64:
+		f.SetUint(f.Uint() + 1)
+	case reflect.String:
+		f.SetString(f.String() + "x")
+	case reflect.Slice:
+		f.Set(reflect.Append(f, reflect.Zero(f.Type().Elem())))
+	default:
+		t.Fatalf("field %s: no perturbation for kind %v", name, f.Kind())
+	}
+}
+
+// TestPassKeyCoversItsInputs: the frame pass's cache key changes with
+// every input that can change its product: the workload fingerprint,
+// each clustering method field, each cost field of the oracle and of
+// one validation config, the configs' count and order, the outlier
+// threshold and each version constant. It does not change with what
+// cannot: the worker count, observability, lenient mode and config
+// names. Method and Config fields are walked by reflection, so a field
+// added to either must feed the key or fail here.
+func TestPassKeyCoversItsInputs(t *testing.T) {
+	type inputs struct {
+		fp   trace.Fingerprint
+		opt  Options
+		cfgs []gpu.Config
+		v    passVersions
+	}
+	fresh := func() inputs {
+		opt := DefaultOptions()
+		return inputs{opt: opt, cfgs: sweep.CoreClockSweep(opt.Oracle, opt.ValidationClocks), v: currentVersions}
+	}
+	key := func(in inputs) cache.Key { return passKey(in.fp, in.opt, in.cfgs, in.v) }
+	base := key(fresh())
+
+	changes := map[string]func(*inputs){
+		"fingerprint":  func(in *inputs) { in.fp[0] ^= 1 },
+		"threshold":    func(in *inputs) { in.opt.OutlierThreshold = 0.3 },
+		"config count": func(in *inputs) { in.cfgs = in.cfgs[:len(in.cfgs)-1] },
+		"config order": func(in *inputs) { in.cfgs[0], in.cfgs[1] = in.cfgs[1], in.cfgs[0] },
+		"no configs":   func(in *inputs) { in.cfgs = nil },
+	}
+	for i := range currentVersions {
+		changes[fmt.Sprintf("version %d", i)] = func(in *inputs) { in.v[i]++ }
+	}
+	mt := reflect.TypeOf(subset.Method{})
+	for i := 0; i < mt.NumField(); i++ {
+		name := "Method." + mt.Field(i).Name
+		changes[name] = func(in *inputs) { perturb(t, name, reflect.ValueOf(&in.opt.Subset.Method).Elem().Field(i)) }
+	}
+	same := map[string]func(*inputs){
+		"Workers":        func(in *inputs) { in.opt.Workers = 3 },
+		"Obs":            func(in *inputs) { in.opt.Obs = obs.NewRun("key-test") },
+		"Lenient":        func(in *inputs) { in.opt.Lenient = true },
+		"Subset.Workers": func(in *inputs) { in.opt.Subset.Workers = 3 },
+		"Subset.Phase":   func(in *inputs) { in.opt.Subset.Phase.IntervalFrames = 8 },
+	}
+	ct := reflect.TypeOf(gpu.Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		name := ct.Field(i).Name
+		set := changes
+		if name == "Name" {
+			set = same
+		}
+		set["Oracle."+name] = func(in *inputs) { perturb(t, name, reflect.ValueOf(&in.opt.Oracle).Elem().Field(i)) }
+		for c := range len(fresh().cfgs) {
+			set[fmt.Sprintf("config %d.%s", c, name)] = func(in *inputs) {
+				perturb(t, name, reflect.ValueOf(&in.cfgs[c]).Elem().Field(i))
+			}
+		}
+	}
+
+	for name, set := range changes {
+		in := fresh()
+		set(&in)
+		if key(in) == base {
+			t.Errorf("%s: key unchanged", name)
+		}
+	}
+	for name, set := range same {
+		in := fresh()
+		set(&in)
+		if key(in) != base {
+			t.Errorf("%s: key changed", name)
 		}
 	}
 }

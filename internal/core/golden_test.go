@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -196,6 +197,78 @@ func TestCacheOnVsOffIdenticalReports(t *testing.T) {
 			}
 			if warm := goldenBytes(t, goldenRun(t, w, c, 4)); !bytes.Equal(warm, baseline) {
 				t.Errorf("%s seed %d: warm cached run differs from uncached run", p.Name, seed)
+			}
+		}
+	}
+}
+
+// readTree returns every regular file under dir, by slash path
+// relative to dir, with its bytes.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		files[filepath.ToSlash(rel)], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestColdCacheDirectoriesReproducible: two cold passes into two fresh
+// disk caches, at different worker counts, write the same file names
+// with the same bytes, with clustering evaluation (the frame pass's
+// entry) and without it (the sweep's per-config entries). A cache
+// directory can then be compared with diff -r.
+func TestColdCacheDirectoriesReproducible(t *testing.T) {
+	for _, p := range detProfiles() {
+		w, err := tracetest.CachedWorkload(p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, skipEval := range []bool{false, true} {
+			var trees []map[string][]byte
+			for _, workers := range []int{4, 1} {
+				dir := t.TempDir()
+				c, err := cache.New(cache.Config{Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := DefaultOptions()
+				opt.SkipClusteringEval = skipEval
+				opt.Workers = workers
+				opt.Cache = c
+				s, err := New(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Run(w); err != nil {
+					t.Fatal(err)
+				}
+				trees = append(trees, readTree(t, dir))
+			}
+			a, b := trees[0], trees[1]
+			if len(a) == 0 {
+				t.Fatalf("%s skip-eval=%v: cold run wrote no entries", p.Name, skipEval)
+			}
+			if len(a) != len(b) {
+				t.Errorf("%s skip-eval=%v: %d files vs %d", p.Name, skipEval, len(a), len(b))
+			}
+			for name, data := range a {
+				if other, ok := b[name]; !ok {
+					t.Errorf("%s skip-eval=%v: %s written by one cold run only", p.Name, skipEval, name)
+				} else if !bytes.Equal(data, other) {
+					t.Errorf("%s skip-eval=%v: %s differs between cold runs", p.Name, skipEval, name)
+				}
 			}
 		}
 	}

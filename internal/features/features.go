@@ -11,12 +11,10 @@
 package features
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
-	"repro/internal/cache"
 	"repro/internal/linalg"
 	"repro/internal/shader"
 	"repro/internal/trace"
@@ -24,10 +22,10 @@ import (
 
 // SchemaVersion versions the feature vector definition: the constant
 // index order below, the per-feature transforms, and NumFeatures. The
-// result cache mixes it into every cached feature matrix's key, so
-// changing what a feature means invalidates cached matrices instead
-// of silently serving stale ones. Bump it with any change to the
-// extraction.
+// core frame pass's cache entry mixes it into its key, so changing
+// what a feature means invalidates cached clustering evaluations
+// instead of silently serving stale ones. Bump it with any change to
+// the extraction.
 const SchemaVersion = 1
 
 // Feature indices of the default schema. Order is load-bearing: the
@@ -273,28 +271,6 @@ func (e *Extractor) FrameInto(f *trace.Frame, m *linalg.Matrix) *linalg.Matrix {
 		e.DrawInto(&f.Draws[i], m.Row(i))
 	}
 	return m
-}
-
-// FrameContext is Frame through the result cache: when ctx carries a
-// cache binding (cache.WithWorkload), the frame's feature matrix is
-// served content-addressed under (workload fingerprint, frame index,
-// feature schema version) and computed at most once per key across
-// the process — concurrent stages clustering the same frame share one
-// extraction. Without a binding it computes directly. The returned
-// matrix is always private to the caller (cache hits decode a fresh
-// copy), so in-place normalization downstream stays safe.
-func (e *Extractor) FrameContext(ctx context.Context, f *trace.Frame, frameIndex int) (*linalg.Matrix, error) {
-	c, fp, ok := cache.ForWorkload(ctx)
-	if !ok {
-		return e.Frame(f), nil
-	}
-	key := cache.NewKey("features.frame", SchemaVersion).
-		Bytes(fp[:]).
-		Int(int64(frameIndex)).
-		Sum()
-	return cache.GetOrCompute(ctx, c, key, func() (*linalg.Matrix, error) {
-		return e.Frame(f), nil
-	})
 }
 
 // Select returns a copy of m keeping only the given feature columns,

@@ -159,8 +159,8 @@ func EvaluateWorkloadContext(ctx context.Context, o subset.CostOracle, w *trace.
 	sp.AddItems(int64(len(w.Frames)))
 	sp.SetWorkers(parallel.Workers(workers))
 	scratch := sync.Pool{New: func() any { return &EvalScratch{} }}
-	frames, err := parallel.Map(ctx, workers, len(w.Frames), func(ctx context.Context, fi int) (FrameReport, error) {
-		cf, err := fc.ClusterFrameContext(ctx, &w.Frames[fi], fi)
+	frames, err := parallel.Map(ctx, workers, len(w.Frames), func(_ context.Context, fi int) (FrameReport, error) {
+		cf, err := fc.ClusterFrame(&w.Frames[fi], fi)
 		if err != nil {
 			return FrameReport{}, fmt.Errorf("metrics: frame %d: %w", fi, err)
 		}

@@ -21,18 +21,11 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/shader"
 	"repro/internal/trace"
 )
-
-// VectorVersion versions the shader-vector computation (the work
-// weighting and normalization in VectorOfFrames). The result cache
-// mixes it into every cached interval vector's key; bump it with any
-// change that can move a share.
-const VectorVersion = 1
 
 // Vector is the work-weighted shader usage of a frame interval,
 // normalized to shares that sum to 1 (over pixel shaders with nonzero
@@ -259,7 +252,7 @@ func DetectContext(ctx context.Context, w *trace.Workload, o Options, workers in
 		if end > n {
 			end = n
 		}
-		v, err := intervalVectorCached(ctx, w, start, end)
+		v, err := IntervalVector(w, start, end)
 		if err != nil {
 			return charzed{}, err
 		}
@@ -270,68 +263,62 @@ func DetectContext(ctx context.Context, w *trace.Workload, o Options, workers in
 	}
 
 	det := Detection{Opt: o}
-	sigToPhase := map[Signature]int{}
-	var reps []Vector // per phase, the founding vector (cosine mode)
-	numPhases := 0
+	phases := NewAssigner(o)
 	for _, c := range chars {
-		v, sig := c.v, c.sig
-		var id int
-		var seen bool
-		if o.MatchCosine > 0 {
-			id = -1
-			for p, rv := range reps {
-				if Cosine(v, rv) >= o.MatchCosine {
-					id = p
-					break
-				}
-			}
-			seen = id >= 0
-			if !seen {
-				id = numPhases
-				reps = append(reps, v)
-			}
-		} else {
-			id, seen = sigToPhase[sig]
-			if !seen {
-				id = numPhases
-				sigToPhase[sig] = id
-			}
-		}
-		if !seen {
-			numPhases++
+		id, founded := phases.Assign(c.v, c.sig)
+		if founded {
 			det.Representatives = append(det.Representatives, len(det.Intervals))
 		}
-		det.Intervals = append(det.Intervals, Interval{Start: c.start, End: c.end, Sig: sig, Phase: id})
+		det.Intervals = append(det.Intervals, Interval{Start: c.start, End: c.end, Sig: c.sig, Phase: id})
 	}
-	det.NumPhases = numPhases
+	det.NumPhases = phases.NumPhases()
 	if run := obs.RunFromContext(ctx); run != nil {
 		run.Metrics().Counter("phase.intervals").Add(int64(len(det.Intervals)))
-		run.Metrics().Counter("phase.phases").Add(int64(numPhases))
+		run.Metrics().Counter("phase.phases").Add(int64(det.NumPhases))
 	}
 	return det, nil
 }
 
-// intervalVectorCached serves an interval's shader vector from the
-// result cache bound to ctx (cache.WithWorkload), keyed by (workload
-// fingerprint, frame range, vector version) — the interval boundaries
-// alone, because the vector depends on nothing else. Signatures are
-// derived afterwards from the vector, so one cached characterization
-// serves every phase.Options variant. Without a binding it computes
-// directly.
-func intervalVectorCached(ctx context.Context, w *trace.Workload, start, end int) (Vector, error) {
-	c, fp, ok := cache.ForWorkload(ctx)
-	if !ok {
-		return IntervalVector(w, start, end)
-	}
-	key := cache.NewKey("phase.vector", VectorVersion).
-		Bytes(fp[:]).
-		Int(int64(start)).
-		Int(int64(end)).
-		Sum()
-	return cache.GetOrCompute(ctx, c, key, func() (Vector, error) {
-		return IntervalVector(w, start, end)
-	})
+// Assigner numbers phases in first-seen order as characterized
+// intervals arrive in capture order: an interval joins the phase of an
+// equal signature or, when MatchCosine is set, the first phase whose
+// founding vector is at least that similar to its own; otherwise it
+// founds a new phase. DetectContext and the streaming subsetter both
+// assign through it, so batch and stream detection agree.
+type Assigner struct {
+	opt        Options
+	sigToPhase map[Signature]int
+	reps       []Vector // per phase, the founding vector (cosine mode)
+	n          int
 }
+
+// NewAssigner returns an assigner with no phases yet.
+func NewAssigner(o Options) *Assigner {
+	return &Assigner{opt: o, sigToPhase: map[Signature]int{}}
+}
+
+// Assign returns the phase of the next interval, whose shader vector
+// is v and signature sig, and whether the interval founded it.
+func (a *Assigner) Assign(v Vector, sig Signature) (id int, founded bool) {
+	if a.opt.MatchCosine > 0 {
+		for p, rv := range a.reps {
+			if Cosine(v, rv) >= a.opt.MatchCosine {
+				return p, false
+			}
+		}
+		a.reps = append(a.reps, v)
+	} else {
+		if id, ok := a.sigToPhase[sig]; ok {
+			return id, false
+		}
+		a.sigToPhase[sig] = a.n
+	}
+	a.n++
+	return a.n - 1, true
+}
+
+// NumPhases returns how many phases have been founded so far.
+func (a *Assigner) NumPhases() int { return a.n }
 
 // RepresentativeFrames returns the frame indices covered by the
 // representative interval of each phase, in phase order.

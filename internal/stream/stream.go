@@ -88,15 +88,15 @@ type Subsetter struct {
 	opt   Options
 	fc    *subset.FrameClusterer
 
-	buf        []trace.Frame // current interval, <= IntervalFrames
-	frameIdx   int           // frames consumed so far
-	draws      int
-	sigToPhase map[phase.Signature]int
-	phaseLen   []int  // parent frames per phase
-	timeline   []byte // one rune per interval
-	frames     []subset.Frame
-	finished   bool
-	diag       traceerr.Diagnostics
+	buf      []trace.Frame // current interval, <= IntervalFrames
+	frameIdx int           // frames consumed so far
+	draws    int
+	phases   *phase.Assigner
+	phaseLen []int  // parent frames per phase
+	timeline []byte // one rune per interval
+	frames   []subset.Frame
+	finished bool
+	diag     traceerr.Diagnostics
 }
 
 // New builds a streaming subsetter bound to the stream's shell
@@ -110,10 +110,10 @@ func New(shell *trace.Workload, opt Options) (*Subsetter, error) {
 		return nil, err
 	}
 	return &Subsetter{
-		shell:      shell,
-		opt:        opt,
-		fc:         fc,
-		sigToPhase: map[phase.Signature]int{},
+		shell:  shell,
+		opt:    opt,
+		fc:     fc,
+		phases: phase.NewAssigner(opt.Phase),
 	}, nil
 }
 
@@ -149,11 +149,8 @@ func (s *Subsetter) flush() error {
 	if err != nil {
 		return err
 	}
-	sig := v.Signature(s.opt.Phase)
-	id, seen := s.sigToPhase[sig]
-	if !seen {
-		id = len(s.sigToPhase)
-		s.sigToPhase[sig] = id
+	id, founded := s.phases.Assign(v, v.Signature(s.opt.Phase))
+	if founded {
 		s.phaseLen = append(s.phaseLen, 0)
 
 		mid := len(s.buf) / 2
@@ -198,7 +195,7 @@ func (s *Subsetter) Finish() (*Result, error) {
 	}
 	return &Result{
 		Frames:       s.frames,
-		NumPhases:    len(s.sigToPhase),
+		NumPhases:    s.phases.NumPhases(),
 		ParentFrames: s.frameIdx,
 		ParentDraws:  s.draws,
 		Timeline:     string(s.timeline),

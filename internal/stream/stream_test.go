@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/phase"
 	"repro/internal/subset"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -39,53 +40,77 @@ func shellOf(t *testing.T, w *trace.Workload) *trace.Workload {
 	return shell
 }
 
+// TestStreamMatchesBatchBuild holds the streaming subsetter to
+// subset.Build under three phase settings: the defaults (shader-set
+// equality), cosine matching, and quantized weights with a noise
+// floor. Both must find the same phases in the same order and keep the
+// same frames at the same scales.
 func TestStreamMatchesBatchBuild(t *testing.T) {
 	w := streamGame(t)
+	cosine := phase.DefaultOptions()
+	cosine.MatchCosine = 0.5
+	weighted := phase.DefaultOptions()
+	weighted.QuantizeWeights = true
+	weighted.MinShare = 0.01
+	for _, tc := range []struct {
+		name  string
+		phase phase.Options
+	}{
+		{"defaults", phase.DefaultOptions()},
+		{"cosine 0.5", cosine},
+		{"weighted min-share 0.01", weighted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bopt := subset.DefaultOptions()
+			bopt.Phase = tc.phase
+			batch, err := subset.Build(w, bopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sopt := DefaultOptions()
+			sopt.Phase = tc.phase
+			s, err := New(shellOf(t, w), sopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range w.Frames {
+				if err := s.Push(w.Frames[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := s.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	batch, err := subset.Build(w, subset.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := New(shellOf(t, w), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range w.Frames {
-		if err := s.Push(w.Frames[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if res.NumPhases != batch.Detection.NumPhases {
-		t.Fatalf("phases: stream %d, batch %d", res.NumPhases, batch.Detection.NumPhases)
-	}
-	if len(res.Frames) != len(batch.Frames) {
-		t.Fatalf("frames: stream %d, batch %d", len(res.Frames), len(batch.Frames))
-	}
-	if res.ParentFrames != w.NumFrames() || res.ParentDraws != w.NumDraws() {
-		t.Errorf("accounting: %d frames / %d draws", res.ParentFrames, res.ParentDraws)
-	}
-	sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := res.EstimateParentNs(sim)
-	b := batch.EstimateParentNs(sim)
-	if math.Abs(a-b)/b > 1e-9 {
-		t.Errorf("estimates differ: stream %v, batch %v", a, b)
-	}
-	for i := range res.Frames {
-		if res.Frames[i].ParentFrame != batch.Frames[i].ParentFrame {
-			t.Errorf("frame %d: parent %d vs %d", i, res.Frames[i].ParentFrame, batch.Frames[i].ParentFrame)
-		}
-		if res.Frames[i].PhaseScale != batch.Frames[i].PhaseScale {
-			t.Errorf("frame %d: scale %v vs %v", i, res.Frames[i].PhaseScale, batch.Frames[i].PhaseScale)
-		}
+			if res.NumPhases != batch.Detection.NumPhases || res.Timeline != batch.Detection.Timeline() {
+				t.Fatalf("phases: stream %d (%s), batch %d (%s)",
+					res.NumPhases, res.Timeline, batch.Detection.NumPhases, batch.Detection.Timeline())
+			}
+			if len(res.Frames) != len(batch.Frames) {
+				t.Fatalf("frames: stream %d, batch %d", len(res.Frames), len(batch.Frames))
+			}
+			if res.ParentFrames != w.NumFrames() || res.ParentDraws != w.NumDraws() {
+				t.Errorf("accounting: %d frames / %d draws", res.ParentFrames, res.ParentDraws)
+			}
+			sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := res.EstimateParentNs(sim)
+			b := batch.EstimateParentNs(sim)
+			if math.Abs(a-b)/b > 1e-9 {
+				t.Errorf("estimates differ: stream %v, batch %v", a, b)
+			}
+			for i := range res.Frames {
+				if res.Frames[i].ParentFrame != batch.Frames[i].ParentFrame {
+					t.Errorf("frame %d: parent %d vs %d", i, res.Frames[i].ParentFrame, batch.Frames[i].ParentFrame)
+				}
+				if res.Frames[i].PhaseScale != batch.Frames[i].PhaseScale {
+					t.Errorf("frame %d: scale %v vs %v", i, res.Frames[i].PhaseScale, batch.Frames[i].PhaseScale)
+				}
+			}
+		})
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/phase"
 	"repro/internal/trace"
 )
@@ -23,8 +23,8 @@ type Frame struct {
 	Draws []trace.DrawCall
 	// Weights holds, per draw, the size of the cluster it represents.
 	Weights []float64
-	// PhaseScale is how many parent frames this one frame stands for
-	// (phase frame count / representative frames of the phase).
+	// PhaseScale is how many parent frames this one frame stands for:
+	// its phase's frame count, since a subset keeps one frame per phase.
 	PhaseScale float64
 }
 
@@ -58,13 +58,6 @@ type Options struct {
 	Method Method
 	Phase  phase.Options
 
-	// FramesPerPhase is how many frames of each phase's representative
-	// interval the subset keeps (0 or 1 = one, the default). Keeping
-	// more frames grows the subset proportionally but averages out
-	// frame-to-frame jitter in the reconstruction; the trade is
-	// exercised in subset tests.
-	FramesPerPhase int
-
 	// Workers bounds the goroutines used for phase characterization and
 	// per-frame clustering during Build (<= 0 selects GOMAXPROCS, 1 is
 	// fully sequential). The built subset is bit-identical at any
@@ -75,14 +68,6 @@ type Options struct {
 	// directly (core threads its own). Nil is a complete no-op, and
 	// spans/metrics never alter the built subset.
 	Obs *obs.Run
-
-	// Cache attaches a content-addressed result cache: phase shader
-	// vectors, per-frame feature matrices and per-frame clusterings
-	// are then served by (workload fingerprint, options, algorithm
-	// version) instead of recomputed. Nil disables caching. Caching
-	// never changes the built subset — warm and cold builds are
-	// byte-identical, an invariant the golden tests assert.
-	Cache *cache.Cache
 }
 
 // DefaultOptions returns the experiment configuration.
@@ -90,9 +75,9 @@ func DefaultOptions() Options {
 	return Options{Method: DefaultMethod(), Phase: phase.DefaultOptions()}
 }
 
-// Build constructs a subset: detect phases, keep FramesPerPhase frames
-// of each phase's representative interval (the middle one by default),
-// cluster them, and keep only cluster representatives with weights.
+// Build constructs a subset: detect phases, keep the middle frame of
+// each phase's representative interval, cluster it, and keep only
+// cluster representatives with weights.
 func Build(w *trace.Workload, opt Options) (*Subset, error) {
 	return BuildContext(context.Background(), w, opt)
 }
@@ -110,26 +95,11 @@ func BuildContext(ctx context.Context, w *trace.Workload, opt Options) (*Subset,
 // does): a pipeline pass shares one clusterer, and so one feature
 // extractor and one workload validation, across its stages.
 func BuildWith(ctx context.Context, fc *FrameClusterer, w *trace.Workload, opt Options) (*Subset, error) {
-	if opt.FramesPerPhase < 0 {
-		return nil, fmt.Errorf("subset: FramesPerPhase %d < 0", opt.FramesPerPhase)
-	}
 	if opt.Obs != nil && obs.RunFromContext(ctx) == nil {
 		ctx = opt.Obs.Context(ctx)
 	}
-	if opt.Cache != nil {
-		if _, _, bound := cache.ForWorkload(ctx); !bound {
-			_, fsp := obs.StartSpan(ctx, "fingerprint")
-			fp := w.Fingerprint()
-			fsp.End()
-			ctx = cache.WithWorkload(ctx, opt.Cache, fp)
-		}
-	}
 	ctx, sp := obs.StartSpan(ctx, "subset-build")
 	defer sp.End()
-	perPhase := opt.FramesPerPhase
-	if perPhase == 0 {
-		perPhase = 1
-	}
 	det, err := phase.DetectContext(ctx, w, opt.Phase, opt.Workers)
 	if err != nil {
 		return nil, err
@@ -146,34 +116,34 @@ func BuildWith(ctx context.Context, fc *FrameClusterer, w *trace.Workload, opt O
 	s := &Subset{Parent: w, Detection: det, ParentDraws: w.NumDraws()}
 
 	// Select the kept frames sequentially, cluster them in parallel,
-	// then assemble in selection order.
-	var keep []int
-	var meta []Frame // Draws left nil until clustering lands
+	// then assemble in phase order. Each kept frame stands for all of
+	// its phase's parent frames.
+	keep := make([]int, len(det.Representatives))
 	for p, ii := range det.Representatives {
 		iv := det.Intervals[ii]
-		for _, fi := range pickFrames(iv.Start, iv.End, perPhase) {
-			keep = append(keep, fi)
-			meta = append(meta, Frame{
-				ParentFrame: fi,
-				Phase:       p,
-				// Each kept frame stands for an equal share of the
-				// phase's parent frames.
-				PhaseScale: float64(phaseFrames[p]) / float64(minInt(perPhase, iv.End-iv.Start)),
-			})
-		}
+		keep[p] = iv.Start + (iv.End-iv.Start)/2
 	}
+	// Each frame's clustering is independent (normalizers, PCA fits and
+	// the k-means RNG, seeded per frame index, are per-call state), so
+	// the subset is bit-identical at any worker count.
 	cctx, csp := obs.StartSpan(ctx, "cluster-frames")
 	csp.AddItems(int64(len(keep)))
-	cfs, err := fc.ClusterFrames(cctx, w.Frames, keep, opt.Workers)
+	cfs, err := parallel.MapSlice(cctx, opt.Workers, keep, func(_ context.Context, _ int, fi int) (ClusteredFrame, error) {
+		return fc.ClusterFrame(&w.Frames[fi], fi)
+	})
 	csp.End()
 	if err != nil {
 		return nil, err
 	}
-	for i, cf := range cfs {
-		sf := meta[i]
-		fi := sf.ParentFrame
-		sf.Weights = cf.Weights
-		sf.Draws = make([]trace.DrawCall, len(cf.RepDraws))
+	for p, cf := range cfs {
+		fi := keep[p]
+		sf := Frame{
+			ParentFrame: fi,
+			Phase:       p,
+			Weights:     cf.Weights,
+			PhaseScale:  float64(phaseFrames[p]),
+			Draws:       make([]trace.DrawCall, len(cf.RepDraws)),
+		}
 		for c, di := range cf.RepDraws {
 			sf.Draws[c] = w.Frames[fi].Draws[di]
 		}
@@ -181,28 +151,6 @@ func BuildWith(ctx context.Context, fc *FrameClusterer, w *trace.Workload, opt O
 	}
 	sp.AddItems(int64(len(s.Frames)))
 	return s, nil
-}
-
-// pickFrames returns up to n frame indices spread evenly across
-// [start, end), centered (the single-frame case picks the middle).
-func pickFrames(start, end, n int) []int {
-	span := end - start
-	if n > span {
-		n = span
-	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		// Midpoints of n equal strips.
-		out[i] = start + (2*i+1)*span/(2*n)
-	}
-	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // NumDraws returns the subset's total simulated draw count.

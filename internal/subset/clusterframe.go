@@ -7,7 +7,6 @@
 package subset
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -16,15 +15,14 @@ import (
 	"repro/internal/dcmath"
 	"repro/internal/features"
 	"repro/internal/linalg"
-	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
 // ClusterVersion versions the per-frame clustering computation —
 // normalizers, PCA, the clustering algorithms and representative
-// selection. The result cache mixes it into every cached
-// ClusteredFrame's key; bump it with any change that can move an
-// assignment, medoid or weight.
+// selection. The core frame pass's cache entry mixes it into its key;
+// bump it with any change that can move an assignment, medoid or
+// weight.
 //
 // v2: Method gained a hot-path mode and a mini-batch size.
 // v3: Method lost both; every algorithm runs exact.
@@ -138,10 +136,10 @@ func (m Method) validate() error {
 	return nil
 }
 
-// keyInto mixes every field that can change a clustering into a cache
+// KeyInto mixes every field that can change a clustering into a cache
 // key builder. Each field is written unconditionally and in fixed
 // order, so two Methods key identically iff they cluster identically.
-func (m Method) keyInto(b *cache.KeyBuilder) *cache.KeyBuilder {
+func (m Method) KeyInto(b *cache.KeyBuilder) *cache.KeyBuilder {
 	return b.Uint(uint64(m.Algo)).
 		Float(m.Threshold).
 		Int(int64(m.K)).
@@ -229,72 +227,14 @@ func newClusterer(ex *features.Extractor, m Method) (*FrameClusterer, error) {
 	return &FrameClusterer{ex: ex, method: m, featIdx: idx}, nil
 }
 
-// ClusterFrames clusters the frames at the given indices concurrently
-// with at most workers goroutines (workers <= 0 selects GOMAXPROCS),
-// returning results in idx order. A nil idx clusters every frame. Each
-// frame's clustering is fully independent — normalizers, PCA fits, and
-// the k-means RNG (seeded per frame index) are all per-call state — so
-// the result is bit-identical at any worker count.
-func (fc *FrameClusterer) ClusterFrames(ctx context.Context, frames []trace.Frame, idx []int, workers int) ([]ClusteredFrame, error) {
-	if idx == nil {
-		return parallel.Map(ctx, workers, len(frames), func(ctx context.Context, i int) (ClusteredFrame, error) {
-			return fc.ClusterFrameContext(ctx, &frames[i], i)
-		})
-	}
-	return parallel.MapSlice(ctx, workers, idx, func(ctx context.Context, _ int, fi int) (ClusteredFrame, error) {
-		if fi < 0 || fi >= len(frames) {
-			return ClusteredFrame{}, fmt.Errorf("subset: frame index %d outside [0, %d)", fi, len(frames))
-		}
-		return fc.ClusterFrameContext(ctx, &frames[fi], fi)
-	})
-}
-
-// ClusterFrame clusters one frame and selects representatives,
-// without cache involvement. Use ClusterFrameContext on paths that
-// may run under a cache binding.
-func (fc *FrameClusterer) ClusterFrame(f *trace.Frame, frameIndex int) (ClusteredFrame, error) {
-	return fc.clusterFrame(context.Background(), f, frameIndex)
-}
-
-// ClusterFrameContext is ClusterFrame through the result cache: when
-// ctx carries a cache binding (cache.WithWorkload), the frame's
-// ClusteredFrame is served content-addressed under (workload
-// fingerprint, frame index, method fields, cluster version), and
-// concurrent workers clustering the same frame share one computation.
-// A clustering hit skips feature extraction entirely; a clustering
-// miss still reuses a cached feature matrix when one exists, so a
-// method sweep over one workload extracts each frame's features once.
-func (fc *FrameClusterer) ClusterFrameContext(ctx context.Context, f *trace.Frame, frameIndex int) (ClusteredFrame, error) {
-	c, fp, ok := cache.ForWorkload(ctx)
-	if !ok {
-		return fc.clusterFrame(ctx, f, frameIndex)
-	}
-	key := fc.method.keyInto(cache.NewKey("subset.clusterframe", ClusterVersion).
-		Bytes(fp[:]).
-		Int(int64(frameIndex))).
-		Sum()
-	return cache.GetOrCompute(ctx, c, key, func() (ClusteredFrame, error) {
-		return fc.clusterFrame(ctx, f, frameIndex)
-	})
-}
-
-// frameScratch pools feature matrices for the uncached hot path: one
-// Get/Put per frame instead of one n x d allocation per frame. Only
-// safe off the cache path — cached matrices outlive the call.
+// frameScratch pools feature matrices: one Get/Put per frame instead
+// of one n x d allocation per frame.
 var frameScratch = sync.Pool{New: func() any { return &linalg.Matrix{} }}
 
-func (fc *FrameClusterer) clusterFrame(ctx context.Context, f *trace.Frame, frameIndex int) (ClusteredFrame, error) {
-	var x *linalg.Matrix
-	var err error
-	if _, _, cached := cache.ForWorkload(ctx); cached {
-		x, err = fc.ex.FrameContext(ctx, f, frameIndex)
-		if err != nil {
-			return ClusteredFrame{}, err
-		}
-	} else {
-		x = fc.ex.FrameInto(f, frameScratch.Get().(*linalg.Matrix))
-		defer frameScratch.Put(x)
-	}
+// ClusterFrame clusters one frame and selects representatives.
+func (fc *FrameClusterer) ClusterFrame(f *trace.Frame, frameIndex int) (ClusteredFrame, error) {
+	x := fc.ex.FrameInto(f, frameScratch.Get().(*linalg.Matrix))
+	defer frameScratch.Put(x)
 	if fc.featIdx != nil {
 		x = features.Select(x, fc.featIdx)
 	}
@@ -312,6 +252,7 @@ func (fc *FrameClusterer) clusterFrame(ctx context.Context, f *trace.Frame, fram
 	}
 
 	var res cluster.Result
+	var err error
 	switch fc.method.Algo {
 	case AlgoLeader:
 		res, err = cluster.Leader(x, fc.method.Threshold)

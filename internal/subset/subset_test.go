@@ -63,9 +63,9 @@ func TestMethodValidation(t *testing.T) {
 }
 
 // TestCacheKeyCoversEveryMethodField: every Method field feeds the
-// clustering cache key. Each variant differs from DefaultMethod in one
+// cache key (KeyInto), which the core frame pass's entry is keyed on. Each variant differs from DefaultMethod in one
 // field alone, and no two keys may collide. The field count ties the
-// variants to the struct, so a field added without a keyInto write
+// variants to the struct, so a field added without a KeyInto write
 // fails here instead of silently aliasing cache entries.
 func TestCacheKeyCoversEveryMethodField(t *testing.T) {
 	base := DefaultMethod()
@@ -81,10 +81,10 @@ func TestCacheKeyCoversEveryMethodField(t *testing.T) {
 	}
 	typ := reflect.TypeOf(Method{})
 	if typ.NumField() != len(variants) {
-		t.Fatalf("Method has %d fields, the test varies %d: give the new field a keyInto write and a variant",
+		t.Fatalf("Method has %d fields, the test varies %d: give the new field a KeyInto write and a variant",
 			typ.NumField(), len(variants))
 	}
-	seen := map[cache.Key]string{base.keyInto(cache.NewKey("test", 1)).Sum(): "DefaultMethod"}
+	seen := map[cache.Key]string{base.KeyInto(cache.NewKey("test", 1)).Sum(): "DefaultMethod"}
 	for field, set := range variants {
 		m := base
 		set(&m)
@@ -95,7 +95,7 @@ func TestCacheKeyCoversEveryMethodField(t *testing.T) {
 				t.Fatalf("variant %s: field %s differs = %v", field, typ.Field(i).Name, differs)
 			}
 		}
-		k := m.keyInto(cache.NewKey("test", 1)).Sum()
+		k := m.KeyInto(cache.NewKey("test", 1)).Sum()
 		if prev, dup := seen[k]; dup {
 			t.Errorf("variant %s shares a cache key with %s", field, prev)
 		}
@@ -379,58 +379,34 @@ func TestAlgoString(t *testing.T) {
 	}
 }
 
-func TestBuildMultipleFramesPerPhase(t *testing.T) {
+// TestBuildKeepsMiddleFrameOfRepresentative: each phase keeps one
+// frame, the middle one of its representative interval (frame 10 of
+// [8, 12)), and that frame stands for every frame of its phase.
+func TestBuildKeepsMiddleFrameOfRepresentative(t *testing.T) {
 	w := testGame(t)
-	opt := DefaultOptions()
-	opt.FramesPerPhase = 2
-	s2, err := Build(w, opt)
+	s, err := Build(w, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Validate(); err != nil {
-		t.Fatal(err)
+	det := s.Detection
+	if len(s.Frames) != det.NumPhases {
+		t.Fatalf("%d frames for %d phases", len(s.Frames), det.NumPhases)
 	}
-	s1, err := Build(w, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s2.Frames) != 2*len(s1.Frames) {
-		t.Errorf("frames: %d with 2/phase vs %d with 1/phase", len(s2.Frames), len(s1.Frames))
-	}
-	// Both subsets must remain usable estimators; which one is closer
-	// on a given seed is frame-selection luck.
-	sim := testOracle(t, w)
-	parent := sim.Run().TotalNs
-	e1 := math.Abs(s1.EstimateParentNs(sim)-parent) / parent
-	e2 := math.Abs(s2.EstimateParentNs(sim)-parent) / parent
-	if e1 > 0.10 || e2 > 0.10 {
-		t.Errorf("estimate errors: 1/phase %.3f, 2/phase %.3f", e1, e2)
-	}
-	// Distinct parent frames must be selected per phase.
-	seen := map[int]bool{}
-	for i := range s2.Frames {
-		if seen[s2.Frames[i].ParentFrame] {
-			t.Fatalf("parent frame %d selected twice", s2.Frames[i].ParentFrame)
+	for p, sf := range s.Frames {
+		iv := det.Intervals[det.Representatives[p]]
+		if want := iv.Start + (iv.End-iv.Start)/2; sf.Phase != p || sf.ParentFrame != want {
+			t.Errorf("frame %d: phase %d, parent frame %d; want phase %d, frame %d of [%d, %d)",
+				p, sf.Phase, sf.ParentFrame, p, want, iv.Start, iv.End)
 		}
-		seen[s2.Frames[i].ParentFrame] = true
-	}
-	if _, err := Build(w, Options{Method: DefaultMethod(), Phase: DefaultOptions().Phase, FramesPerPhase: -1}); err == nil {
-		t.Error("negative FramesPerPhase accepted")
-	}
-}
-
-func TestPickFrames(t *testing.T) {
-	got := pickFrames(10, 14, 1)
-	if len(got) != 1 || got[0] != 12 {
-		t.Errorf("single pick = %v, want [12]", got)
-	}
-	got = pickFrames(0, 4, 2)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("two picks = %v, want [1 3]", got)
-	}
-	got = pickFrames(0, 2, 5) // clamp to span
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("clamped picks = %v, want [0 1]", got)
+		frames := 0
+		for _, iv := range det.Intervals {
+			if iv.Phase == p {
+				frames += iv.End - iv.Start
+			}
+		}
+		if sf.PhaseScale != float64(frames) {
+			t.Errorf("phase %d: scale %v, want %d frames", p, sf.PhaseScale, frames)
+		}
 	}
 }
 
