@@ -147,8 +147,9 @@ bench-shard:
 
 # bench-shard-check is the CI scaling gate: 25% tolerance against the
 # checked-in curve plus absolute floors — sharding must keep paying at
-# every width (>= 1.5x at 2, >= 2x at 4, >= 3x at 8; the per-worker
-# fixed cost of fingerprinting and planning bounds it away from ideal).
+# every width (>= 1.5x at 2, >= 2x at 4, >= 3x at 8; the slowest
+# shard and each shard's set-up and cache flush bound it away from
+# ideal).
 bench-shard-check:
 	$(GO) test -bench='^BenchmarkShardSweep$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | $(GO) run ./cmd/benchjson -match '^ShardSweep' -o bench-shard-new.json
 	$(GO) run ./cmd/benchguard -in bench-shard-new.json -baseline BENCH_shard.json -max-regress 0.25 \

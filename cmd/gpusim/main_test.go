@@ -194,3 +194,40 @@ func TestNonFiniteClocksRejectedBeforePricing(t *testing.T) {
 		}
 	}
 }
+
+// TestGridManifestAttributesSetUp: a grid sweep's manifest records its
+// set-up, the fingerprint and the base simulator, as spans beside the
+// decode and the pricing chunks, so none of it falls outside the tree.
+func TestGridManifestAttributesSetUp(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	cfg := baseCfg(writeTrace(t, dir), &out)
+	cfg.gridCore = "0.6,1.0,1.4,1.8"
+	cfg.gridMem = "0.75,1.0,1.25,1.5"
+	cfg.manifest = filepath.Join(dir, "run.json")
+	if err := execute(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m obs.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	var walk func([]obs.StageManifest)
+	walk = func(stages []obs.StageManifest) {
+		for _, s := range stages {
+			names[s.Name] = true
+			walk(s.Children)
+		}
+	}
+	walk(m.Stages)
+	for _, want := range []string{"decode-trace", "fingerprint", "new-simulator", "price-grid"} {
+		if !names[want] {
+			t.Errorf("manifest stages %v lack %q", names, want)
+		}
+	}
+}

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -76,12 +76,14 @@ func (c *Cache) StoreWorkload(w *trace.Workload) error {
 }
 
 // LoadWorkloads rescans the workload store and returns every decodable
-// workload, sorted by fingerprint so a rebuilt registry lists in a
-// deterministic order. Damage degrades to omission, never to failure:
-// a file whose framing, stream payload or fingerprint-vs-filename
-// identity does not check out is counted corrupt, removed and skipped —
-// the same contract diskLookup applies to result entries. Nil and
-// memory-only caches return nothing.
+// workload, once each, sorted by fingerprint so a rebuilt registry
+// lists in a deterministic order. Damage degrades to omission, never
+// to failure: a file whose framing or stream payload does not check
+// out is counted corrupt, removed and skipped — the same contract
+// diskLookup applies to result entries. An intact file stored under
+// another name, such as the fingerprint an older fingerprintVersion
+// gave it, is refiled under its content's fingerprint and returned.
+// Nil and memory-only caches return nothing.
 func (c *Cache) LoadWorkloads(ctx context.Context) ([]*trace.Workload, error) {
 	if c == nil || c.dir == "" {
 		return nil, nil
@@ -92,7 +94,12 @@ func (c *Cache) LoadWorkloads(ctx context.Context) ([]*trace.Workload, error) {
 	}
 	sort.Strings(paths)
 	run := obs.RunFromContext(ctx)
-	var out []*trace.Workload
+	type stored struct {
+		fp trace.Fingerprint
+		w  *trace.Workload
+	}
+	var found []stored
+	seen := map[trace.Fingerprint]bool{}
 	for _, p := range paths {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -108,15 +115,45 @@ func (c *Cache) LoadWorkloads(ctx context.Context) ([]*trace.Workload, error) {
 			}
 			continue
 		}
-		out = append(out, w)
+		fp := w.Fingerprint()
+		if fp.String()+workloadExt != filepath.Base(p) {
+			c.refileWorkload(run, p, w, fp)
+		}
+		if !seen[fp] {
+			seen[fp] = true
+			found = append(found, stored{fp, w})
+		}
+	}
+	slices.SortFunc(found, func(a, b stored) int { return bytes.Compare(a.fp[:], b.fp[:]) })
+	out := make([]*trace.Workload, len(found))
+	for i, s := range found {
+		out[i] = s.w
 	}
 	return out, nil
 }
 
-// loadWorkloadFile reads one store file: framed container, strict
+// refileWorkload moves the intact workload w, read from path, to the
+// name its fingerprint fp gives it. Its content passed the checksum
+// and the strict decode, so only its address is stale; if the store
+// fails, the old file stays for the next rescan.
+func (c *Cache) refileWorkload(run *obs.Run, path string, w *trace.Workload, fp trace.Fingerprint) {
+	if err := c.StoreWorkload(w); err != nil {
+		c.errs.Add(1)
+		run.Logger().Warn("persisted workload not refiled",
+			"file", filepath.Base(path), "err", err)
+		return
+	}
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		c.errs.Add(1)
+	}
+	run.Metrics().Counter("cache.workload_refiled").Inc()
+	run.Logger().Info("persisted workload refiled under its fingerprint",
+		"file", filepath.Base(path), "fingerprint", fp.String())
+}
+
+// loadWorkloadFile reads one store file: framed container and strict
 // stream decode (the bytes were written by this process family, so any
-// damage is damage — leniency would mask it), and the identity check
-// that the content's fingerprint matches the name it was stored under.
+// damage is damage — leniency would mask it).
 func (c *Cache) loadWorkloadFile(path string) (*trace.Workload, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -127,13 +164,5 @@ func (c *Cache) loadWorkloadFile(path string) (*trace.Workload, error) {
 		return nil, err
 	}
 	w, _, err := trace.ReadStream(bytes.NewReader(payload), trace.ReaderOptions{})
-	if err != nil {
-		return nil, err
-	}
-	fp := w.Fingerprint()
-	want := strings.TrimSuffix(filepath.Base(path), workloadExt)
-	if fp.String() != want {
-		return nil, fmt.Errorf("cache: workload fingerprint %s does not match store name %s", fp, want)
-	}
-	return w, nil
+	return w, err
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/tracetest"
 )
 
@@ -124,9 +125,9 @@ func TestWorkloadStoreNilAndMemoryOnly(t *testing.T) {
 }
 
 // TestWorkloadStoreDropsCorruptFiles: a truncated store file and a
-// file whose content does not match its fingerprint-keyed name are
-// both counted corrupt, removed from disk and omitted from the scan —
-// never returned, never fatal.
+// framed file whose payload is not a stream are both counted corrupt,
+// removed from disk and omitted from the scan — never returned, never
+// fatal.
 func TestWorkloadStoreDropsCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
 	c, err := New(Config{Dir: dir})
@@ -148,9 +149,9 @@ func TestWorkloadStoreDropsCorruptFiles(t *testing.T) {
 	if err := os.WriteFile(torn, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Arm 2: intact bytes filed under the wrong fingerprint.
-	misfiled := filepath.Join(filepath.Dir(good), "ffeeddccbbaa99887766554433221100ffeeddccbbaa99887766554433221100"+workloadExt)
-	if err := os.WriteFile(misfiled, raw, 0o644); err != nil {
+	// Arm 2: intact framing around a payload that is not a stream.
+	garbage := filepath.Join(filepath.Dir(good), "ffeeddccbbaa99887766554433221100ffeeddccbbaa99887766554433221100"+workloadExt)
+	if err := os.WriteFile(garbage, encodeEntry([]byte("not a stream container")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,15 +163,76 @@ func TestWorkloadStoreDropsCorruptFiles(t *testing.T) {
 		t.Fatalf("scan over damaged store returned %d workloads, want the 1 intact one", len(got))
 	}
 	if n := c.Stats().Corrupt; n != 2 {
-		t.Fatalf("Corrupt = %d, want 2 (torn + misfiled)", n)
+		t.Fatalf("Corrupt = %d, want 2 (torn + garbage)", n)
 	}
-	for _, p := range []string{torn, misfiled} {
+	for _, p := range []string{torn, garbage} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("damaged file %s not removed", filepath.Base(p))
 		}
 	}
 	if _, err := os.Stat(good); err != nil {
 		t.Fatalf("intact file removed: %v", err)
+	}
+}
+
+// TestWorkloadStoreRefilesMisnamedFiles: an intact workload stored
+// under a name that is not its fingerprint, as every file an older
+// fingerprintVersion wrote is, is moved to its fingerprint's name and
+// returned, once, beside a copy already filed there; nothing counts
+// corrupt and a second scan finds the store settled.
+func TestWorkloadStoreRefilesMisnamedFiles(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := tracetest.Tiny()
+	b := tracetest.Tiny()
+	b.Frames[0].Draws[0].VertexCount += 7
+	if err := c.StoreWorkload(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StoreWorkload(b); err != nil {
+		t.Fatal(err)
+	}
+	// a is filed under its name and an old one; b only under an old one.
+	store := c.workloadsDir()
+	oldA := filepath.Join(store, "00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"+workloadExt)
+	oldB := filepath.Join(store, "ffeeddccbbaa99887766554433221100ffeeddccbbaa99887766554433221100"+workloadExt)
+	raw, err := os.ReadFile(c.workloadPath(a.Fingerprint()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(oldA, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(c.workloadPath(b.Fingerprint()), oldB); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []*trace.Workload{a, b}
+	if a.Fingerprint().String() > b.Fingerprint().String() {
+		want[0], want[1] = b, a
+	}
+	for scan := 1; scan <= 2; scan++ {
+		got, err := c.LoadWorkloads(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scan %d returned %d workloads, want a and b once each in fingerprint order", scan, len(got))
+		}
+		files, err := filepath.Glob(filepath.Join(store, "*"+workloadExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFiles := []string{c.workloadPath(want[0].Fingerprint()), c.workloadPath(want[1].Fingerprint())}
+		if !reflect.DeepEqual(files, wantFiles) {
+			t.Fatalf("scan %d left store files %v, want %v", scan, files, wantFiles)
+		}
+	}
+	if st := c.Stats(); st.Corrupt != 0 || st.Errors != 0 {
+		t.Fatalf("refiling counted Corrupt=%d Errors=%d, want 0 and 0", st.Corrupt, st.Errors)
 	}
 }
 

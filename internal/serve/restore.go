@@ -23,7 +23,7 @@ import (
 // rather than failing startup — serving the workloads that fit beats
 // serving none.
 func (s *Server) RestoreWorkloads(ctx context.Context) (int, error) {
-	wls, err := s.opt.Cache.LoadWorkloads(ctx)
+	wls, err := s.opt.Cache.LoadWorkloads(s.run.Context(ctx))
 	if err != nil {
 		return 0, err
 	}

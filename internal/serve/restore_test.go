@@ -125,6 +125,45 @@ func TestRestoreWorkloadsSkipsCorrupt(t *testing.T) {
 	}
 }
 
+// TestRestoreWorkloadsRefilesOldNames: a workload persisted under a
+// name that is not its fingerprint, as a build with another
+// fingerprintVersion filed it, is restored and served under its
+// fingerprint, the server's run counts the refile, and the store keeps
+// it under that name alone.
+func TestRestoreWorkloadsRefilesOldNames(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := cache.New(cache.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := upload(t, newTestServer(t, Options{Cache: c1}).Handler(), streamBody(t, tracetest.Tiny()))
+	current := filepath.Join(dir, "workloads", fp+".s3dw")
+	old := filepath.Join(dir, "workloads",
+		"00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff.s3dw")
+	if err := os.Rename(current, old); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := cache.New(cache.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := newTestServer(t, Options{Cache: c2})
+	if n, err := s2.RestoreWorkloads(context.Background()); err != nil || n != 1 {
+		t.Fatalf("restore over an old name: %d, %v; want 1, nil", n, err)
+	}
+	if rec := do(s2.Handler(), "GET", "/v1/workloads/"+fp, nil); rec.Code != http.StatusOK {
+		t.Fatalf("refiled workload lookup: status %d: %s", rec.Code, rec.Body)
+	}
+	if n := s2.run.Metrics().Counter("cache.workload_refiled").Value(); n != 1 {
+		t.Fatalf("cache.workload_refiled = %d in the server's run, want 1", n)
+	}
+	stores, err := filepath.Glob(filepath.Join(dir, "workloads", "*.s3dw"))
+	if err != nil || len(stores) != 1 || stores[0] != current {
+		t.Fatalf("workload store after restore: %v, %v; want only %s", stores, err, current)
+	}
+}
+
 // TestRestoreWorkloadsRegistryCap: a registry smaller than the store
 // restores what fits and keeps starting — partial service beats none.
 func TestRestoreWorkloadsRegistryCap(t *testing.T) {

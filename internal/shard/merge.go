@@ -216,12 +216,12 @@ func Merge(ms []*Manifest) (*RunManifest, error) {
 // write the same entries of one cache. c is the only cache it uses;
 // ctx must carry no cache binding.
 func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu.Config) (*RunManifest, error) {
-	fp := w.Fingerprint()
+	fp := fingerprint(ctx, w)
 	tasks, grid, err := Plan(fp, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	base, err := gpu.NewSimulator(cfgs[0], w)
+	base, err := newSimulator(ctx, cfgs[0], w)
 	if err != nil {
 		return nil, err
 	}

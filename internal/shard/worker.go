@@ -32,14 +32,14 @@ func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu
 	ctx, sp := obs.StartSpan(ctx, "shard-worker")
 	defer sp.End()
 
-	fp := w.Fingerprint()
+	fp := fingerprint(ctx, w)
 	tasks, grid, err := Plan(fp, cfgs)
 	if err != nil {
 		return nil, WorkerStats{}, err
 	}
 	// The base simulator validates the workload once; per-task sims
 	// derive from it exactly like the sequential sweep's do.
-	base, err := gpu.NewSimulator(cfgs[0], w)
+	base, err := newSimulator(ctx, cfgs[0], w)
 	if err != nil {
 		return nil, WorkerStats{}, err
 	}
@@ -67,6 +67,20 @@ func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu
 		Shard:    spec,
 		Entries:  entries,
 	}, stats, nil
+}
+
+// fingerprint and newSimulator are a sweep's set-up, each recorded as
+// a span of its own.
+func fingerprint(ctx context.Context, w *trace.Workload) trace.Fingerprint {
+	_, sp := obs.StartSpan(ctx, "fingerprint")
+	defer sp.End()
+	return w.Fingerprint()
+}
+
+func newSimulator(ctx context.Context, cfg gpu.Config, w *trace.Workload) (*gpu.Simulator, error) {
+	_, sp := obs.StartSpan(ctx, "new-simulator")
+	defer sp.End()
+	return gpu.NewSimulator(cfg, w)
 }
 
 // newEntry records task t's priced parent as a manifest entry.

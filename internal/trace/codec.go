@@ -22,6 +22,9 @@
 // allocated, and the decoder is exact: an overflowing varint, a value
 // wider than its field, an unknown flag bit, a texture-id total the
 // draws do not use up, or trailing bytes all reject the payload.
+//
+// Workload.Fingerprint hashes these payloads, so any change to them
+// moves every fingerprint and needs a fingerprintVersion bump.
 package trace
 
 import (

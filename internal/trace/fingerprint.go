@@ -4,9 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"io"
-	"math"
 )
 
 // Fingerprint is the SHA-256 of a workload's canonical encoding: the
@@ -19,130 +16,42 @@ type Fingerprint [sha256.Size]byte
 // String returns the fingerprint in hex.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
-// fingerprintVersion versions the canonical encoding itself. Bump it
-// whenever the encoding below changes (field added, order changed), so
-// fingerprints from older builds can never alias new ones.
-const fingerprintVersion = 1
+// fingerprintVersion versions the hashed byte stream and the codec
+// payloads in it. Bump it whenever either changes (a field added, an
+// order changed), so fingerprints from older builds can never alias
+// new ones. Version 1 hashed a second, fixed-width serialization;
+// version 2 hashes the stream codec's payloads.
+const fingerprintVersion = 2
 
-// fpWriter serializes workload content into a hash with a fixed field
-// order and fixed-width integer encoding, so the digest is independent
-// of map iteration, pointer values, or encoding-library internals.
-// Fields are staged in a fixed buffer and flushed to the hash in
-// order: the hashed byte stream is exactly the field sequence, but the
-// hash sees a few large writes instead of ~16 eight-byte writes per
-// draw.
-type fpWriter struct {
-	h   hash.Hash
-	buf [4096]byte
-	n   int // staged bytes in buf
-}
-
-func (w *fpWriter) u64(v uint64) {
-	if w.n+8 > len(w.buf) {
-		w.flush()
-	}
-	binary.BigEndian.PutUint64(w.buf[w.n:], v)
-	w.n += 8
-}
-
-func (w *fpWriter) flush() {
-	w.h.Write(w.buf[:w.n])
-	w.n = 0
-}
-
-func (w *fpWriter) i(v int)     { w.u64(uint64(int64(v))) }
-func (w *fpWriter) f(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w *fpWriter) str(s string) {
-	w.u64(uint64(len(s)))
-	if len(s) > len(w.buf)-w.n {
-		w.flush()
-		if len(s) > len(w.buf) {
-			io.WriteString(w.h, s)
-			return
-		}
-	}
-	w.n += copy(w.buf[w.n:], s)
-}
-
-func (w *fpWriter) b(v bool) {
-	if v {
-		w.u64(1)
-	} else {
-		w.u64(0)
-	}
-}
-
-// Fingerprint computes the workload's content fingerprint in one pass.
-// It walks every field the pipeline can read; capture metadata that
-// influences output (scene names feed evaluation, material ids feed
-// validity scoring) is included. The cost is one linear hash over the
-// workload (~100 bytes/draw); callers that need it repeatedly should
-// compute it once and pass it down, which is what core does when a
-// cache is attached.
+// Fingerprint computes the workload's content fingerprint: one SHA-256
+// over fingerprintVersion (8 bytes, big-endian), the appendHeader
+// payload, then each frame's appendFrame payload in frame order. Every
+// payload is self-delimiting, so the stream parses one way, and the
+// codec round-trips every model field, so the hash covers everything
+// the pipeline reads (capture metadata too: scene names feed
+// evaluation, material ids validity scoring). A nil shader registry
+// hashes as zero programs.
+//
+// The hash is over a re-encoding of the workload as it is in memory,
+// never over input bytes, and nothing is memoized: a sanitized or
+// mutated workload hashes its current content. The cost is one
+// encoding and one sequential SHA-256 of the codec's payload bytes
+// (about 45 per draw), through one reused frame buffer; callers that
+// need it repeatedly compute it once and pass it down, which is what
+// core does when a cache is attached.
 func (w *Workload) Fingerprint() Fingerprint {
-	fw := &fpWriter{h: sha256.New()}
-	fw.u64(fingerprintVersion)
-	fw.str(w.Name)
-
-	fw.i(len(w.Textures))
-	for _, t := range w.Textures {
-		fw.i(t.Width)
-		fw.i(t.Height)
-		fw.i(t.BytesPerTexel)
-		fw.i(t.MipLevels)
+	h := Header{Name: w.Name, Textures: w.Textures, RenderTargets: w.RenderTargets}
+	if w.Shaders != nil {
+		h = HeaderOf(w)
 	}
-	fw.i(len(w.RenderTargets))
-	for _, rt := range w.RenderTargets {
-		fw.i(rt.Width)
-		fw.i(rt.Height)
-		fw.i(rt.BytesPerPixel)
-		fw.b(rt.HasDepth)
+	buf := appendHeader(binary.BigEndian.AppendUint64(nil, fingerprintVersion), &h)
+	sum := sha256.New()
+	sum.Write(buf)
+	for i := range w.Frames {
+		buf = appendFrame(buf[:0], &w.Frames[i])
+		sum.Write(buf)
 	}
-	if w.Shaders == nil {
-		fw.i(0)
-	} else {
-		progs := w.Shaders.Programs() // id order: deterministic
-		fw.i(len(progs))
-		for _, p := range progs {
-			fw.u64(uint64(p.ID))
-			fw.u64(uint64(p.Stage))
-			fw.str(p.Name)
-			fw.i(len(p.Body))
-			for _, in := range p.Body {
-				fw.u64(uint64(in.Op)<<8 | uint64(in.Slot))
-			}
-		}
-	}
-
-	fw.i(len(w.Frames))
-	for fi := range w.Frames {
-		f := &w.Frames[fi]
-		fw.str(f.Scene)
-		fw.i(len(f.Draws))
-		for di := range f.Draws {
-			d := &f.Draws[di]
-			fw.i(d.VertexCount)
-			fw.i(d.InstanceCount)
-			fw.u64(uint64(d.Topology))
-			fw.u64(uint64(d.VS))
-			fw.u64(uint64(d.PS))
-			fw.i(len(d.Textures))
-			for _, tid := range d.Textures {
-				fw.u64(uint64(tid))
-			}
-			fw.u64(uint64(d.RT))
-			fw.b(d.BlendEnable)
-			fw.b(d.DepthEnable)
-			fw.f(d.CoverageFrac)
-			fw.f(d.Overdraw)
-			fw.f(d.TexLocality)
-			fw.u64(uint64(d.MaterialID))
-		}
-	}
-
-	fw.flush()
 	var fp Fingerprint
-	fw.h.Sum(fp[:0])
+	sum.Sum(fp[:0])
 	return fp
 }
