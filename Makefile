@@ -140,9 +140,12 @@ bench-hotpath-check:
 # split across 2/4/8 shard workers versus the sequential path
 # (path=naive). The arms report the distributed CRITICAL PATH (slowest
 # worker + merge) as ns/op, so the speedup curve is core-count
-# independent and the gate transfers across CI hosts.
+# independent and the gate transfers across CI hosts. Like the coord
+# recipes, both shard recipes run 7 rounds of all four arms into a
+# file, so benchjson pairs the arms by round (see bench-coord-check).
 bench-shard:
-	$(GO) test -bench='^BenchmarkShardSweep$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee bench-shard.out
+	for i in $$(seq 7); do $(GO) test -bench='^BenchmarkShardSweep$$' -run '^$$' -benchtime $(BENCHTIME) -count 1 . || exit 1; done > bench-shard.out
+	cat bench-shard.out
 	$(GO) run ./cmd/benchjson -match '^ShardSweep' -o BENCH_shard.json < bench-shard.out
 
 # bench-shard-check is the CI scaling gate: 25% tolerance against the
@@ -151,7 +154,8 @@ bench-shard:
 # shard and each shard's set-up and cache flush bound it away from
 # ideal).
 bench-shard-check:
-	$(GO) test -bench='^BenchmarkShardSweep$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | $(GO) run ./cmd/benchjson -match '^ShardSweep' -o bench-shard-new.json
+	for i in $$(seq 7); do $(GO) test -bench='^BenchmarkShardSweep$$' -run '^$$' -benchtime $(BENCHTIME) -count 1 . || exit 1; done > bench-shard-new.out
+	$(GO) run ./cmd/benchjson -match '^ShardSweep' -o bench-shard-new.json < bench-shard-new.out
 	$(GO) run ./cmd/benchguard -in bench-shard-new.json -baseline BENCH_shard.json -max-regress 0.25 \
 	  -min ShardSweep/shards2=1.5 -min ShardSweep/shards4=2.0 -min ShardSweep/shards8=3.0
 
@@ -285,5 +289,5 @@ coord-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f bench.out bench-cache.out bench-hotpath.out bench-hotpath-new.json bench-shard.out bench-shard-new.json bench-coord.out bench-coord-new.out bench-coord-new.json cover.out cover-cluster.out cover-export.out cover-shard.out cover-coord.out BENCH_parallel.json BENCH_cache.json
+	rm -f bench.out bench-cache.out bench-hotpath.out bench-hotpath-new.json bench-shard.out bench-shard-new.out bench-shard-new.json bench-coord.out bench-coord-new.out bench-coord-new.json cover.out cover-cluster.out cover-export.out cover-shard.out cover-coord.out BENCH_parallel.json BENCH_cache.json
 	rm -rf serve-scratch coord-scratch

@@ -64,7 +64,7 @@ func BenchmarkShardSweep(b *testing.B) {
 						b.Fatal(err)
 					}
 					t0 := time.Now()
-					m, _, err := shard.RunShard(context.Background(), c, w, cfgs, shard.Spec{Index: s, Count: n})
+					m, _, err := shard.RunShard(context.Background(), c, w, w.Fingerprint(), cfgs, shard.Spec{Index: s, Count: n})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -33,7 +34,7 @@ func (c *ctx) ensureEvals() error {
 		if err != nil {
 			return err
 		}
-		rep, err := metrics.EvaluateWorkloadContext(c.wctx(w), sim, w, fc, metrics.DefaultOutlierThreshold, c.workers)
+		rep, err := metrics.EvaluateWorkloadContext(context.Background(), sim, w, fc, metrics.DefaultOutlierThreshold, c.workers)
 		if err != nil {
 			return err
 		}

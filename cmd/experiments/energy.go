@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gpu"
@@ -21,11 +22,11 @@ func runE16(c *ctx) error {
 		pm.CoreDynW, pm.VSlope, pm.MemPJPerByte, pm.IdleW)
 	fmt.Printf("%-14s %10s %14s %14s %12s\n", "workload", "agree", "EDP best", "subset best", "EDP corr")
 	for _, w := range c.suite {
-		s, err := subset.BuildContext(c.wctx(w), w, c.subsetOptions())
+		s, err := subset.BuildContext(context.Background(), w, c.subsetOptions())
 		if err != nil {
 			return err
 		}
-		res, err := sweep.RunEnergyParallel(c.wctx(w), w, s, pm, cfgs, c.workers)
+		res, err := sweep.RunEnergyParallel(context.Background(), w, s, pm, cfgs, c.workers)
 		if err != nil {
 			return err
 		}

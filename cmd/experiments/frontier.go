@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/apicmd"
@@ -44,11 +45,11 @@ func runE19(c *ctx) error {
 	fmt.Printf("%-14s %10s %10s %12s %16s %16s\n",
 		"workload", "frontier", "agreement", "capped agree", "capped/parent", "capped/subset")
 	for _, w := range c.suite {
-		s, err := subset.BuildContext(c.wctx(w), w, c.subsetOptions())
+		s, err := subset.BuildContext(context.Background(), w, c.subsetOptions())
 		if err != nil {
 			return err
 		}
-		res, err := sweep.RunEnergyParallel(c.wctx(w), w, s, pm, grid, c.workers)
+		res, err := sweep.RunEnergyParallel(context.Background(), w, s, pm, grid, c.workers)
 		if err != nil {
 			return err
 		}

@@ -17,7 +17,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -28,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/subset"
 	"repro/internal/synth"
@@ -75,14 +73,6 @@ type ctx struct {
 	short   bool
 	workers int // goroutine bound for every parallel stage
 
-	// cache is the optional content-addressed result cache
-	// (-cache-dir/-cache-mem): experiments over the same corpus
-	// workload then share parent pricing (one sweep.price entry per
-	// config) instead of recomputing it. Nil disables it; results are
-	// identical either way.
-	cache *cache.Cache
-	fps   map[*trace.Workload]trace.Fingerprint
-
 	suite []*trace.Workload
 	evals []gameEval // filled by ensureEvals (E2-E4)
 }
@@ -93,25 +83,6 @@ func (c *ctx) subsetOptions() subset.Options {
 	opt := subset.DefaultOptions()
 	opt.Workers = c.workers
 	return opt
-}
-
-// wctx returns a context carrying the run's result cache bound to w.
-// Fingerprints are memoized per workload (the corpus is built once and
-// shared), so repeated stages hash each workload only once. Without a
-// cache it is a plain background context.
-func (c *ctx) wctx(w *trace.Workload) context.Context {
-	if c.cache == nil {
-		return context.Background()
-	}
-	if c.fps == nil {
-		c.fps = make(map[*trace.Workload]trace.Fingerprint)
-	}
-	fp, ok := c.fps[w]
-	if !ok {
-		fp = w.Fingerprint()
-		c.fps[w] = fp
-	}
-	return cache.WithWorkload(context.Background(), c.cache, fp)
 }
 
 func (c *ctx) ensureSuite() error {
@@ -158,8 +129,6 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "corpus seed")
 		short    = flag.Bool("short", false, "shrink corpus to 48 frames/game for quick runs")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "max goroutines for evaluations and sweeps (results are identical at any count)")
-		cacheDir = flag.String("cache-dir", "", "directory for the on-disk result cache (empty = memory-only when -cache-mem is set, else no caching)")
-		cacheMem = flag.Int("cache-mem", 0, "in-memory result cache budget in MiB (0 with no -cache-dir disables caching)")
 		logLevel = flag.String("log-level", "error", "structured logging to stderr: debug, info, warn, error or off")
 		manifest = flag.String("manifest", "", "write the run manifest (one stage per experiment, metrics, durations) to this JSON file")
 		pprofDir = flag.String("pprof-dir", "", "write cpu.pprof and heap.pprof to this directory")
@@ -205,12 +174,6 @@ func main() {
 	}
 
 	c := &ctx{seed: *seed, short: *short, workers: *workers}
-	c.cache, err = cache.FromFlags(*cacheDir, *cacheMem)
-	if err != nil {
-		run.Logger().Error("cache setup failed", "err", err, "class", obs.ErrorClass(err))
-		finish(2)
-	}
-
 	if failed := runAll(experiments, selected, c, run, os.Stdout); failed > 0 {
 		finish(1)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -37,7 +38,7 @@ func runE20(c *ctx) error {
 	tab := report.New("subset fidelity on micro-architectural sweeps",
 		"workload", "dimension", "pearson r", "spearman", "parent range", "subset range")
 	for _, w := range c.suite {
-		s, err := subset.BuildContext(c.wctx(w), w, c.subsetOptions())
+		s, err := subset.BuildContext(context.Background(), w, c.subsetOptions())
 		if err != nil {
 			return err
 		}
@@ -49,7 +50,7 @@ func runE20(c *ctx) error {
 			{"tex cache 32K-4M", cacheSweep},
 			{"device tiers", gpu.Tiers()},
 		} {
-			res, err := sweep.RunParallel(c.wctx(w), w, s, arm.cfgs, c.workers)
+			res, err := sweep.RunParallel(context.Background(), w, s, arm.cfgs, c.workers)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/phase"
@@ -14,7 +15,7 @@ func runE6(c *ctx) error {
 	}
 	opt := phase.DefaultOptions()
 	for _, w := range c.suite {
-		det, err := phase.DetectContext(c.wctx(w), w, opt, c.workers)
+		det, err := phase.DetectContext(context.Background(), w, opt, c.workers)
 		if err != nil {
 			return err
 		}
@@ -39,7 +40,7 @@ func runE7(c *ctx) error {
 	}
 	fmt.Printf("%-14s %10s %12s %12s %12s\n", "workload", "frames", "parent draws", "subset draws", "ratio")
 	for _, w := range c.suite {
-		s, err := subset.BuildContext(c.wctx(w), w, c.subsetOptions())
+		s, err := subset.BuildContext(context.Background(), w, c.subsetOptions())
 		if err != nil {
 			return err
 		}

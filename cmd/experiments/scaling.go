@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gpu"
@@ -25,11 +26,11 @@ func runScaling(c *ctx, domain string, cfgs []gpu.Config) error {
 	}
 	fmt.Printf("%-14s %12s %12s\n", "workload", "pearson r", "spearman")
 	for _, w := range c.suite {
-		s, err := subset.BuildContext(c.wctx(w), w, c.subsetOptions())
+		s, err := subset.BuildContext(context.Background(), w, c.subsetOptions())
 		if err != nil {
 			return err
 		}
-		res, err := sweep.RunParallel(c.wctx(w), w, s, cfgs, c.workers)
+		res, err := sweep.RunParallel(context.Background(), w, s, cfgs, c.workers)
 		if err != nil {
 			return err
 		}
@@ -67,11 +68,11 @@ func runE12(c *ctx) error {
 	fmt.Printf("grid: %d configs (3 core clocks x 4 mem clocks)\n", len(grid))
 	fmt.Printf("%-14s %10s %12s %12s %10s\n", "workload", "agree", "best/parent", "best/subset", "spearman")
 	for _, w := range c.suite {
-		s, err := subset.BuildContext(c.wctx(w), w, c.subsetOptions())
+		s, err := subset.BuildContext(context.Background(), w, c.subsetOptions())
 		if err != nil {
 			return err
 		}
-		res, err := sweep.RunParallel(c.wctx(w), w, s, grid, c.workers)
+		res, err := sweep.RunParallel(context.Background(), w, s, grid, c.workers)
 		if err != nil {
 			return err
 		}

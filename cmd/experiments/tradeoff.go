@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dcmath"
@@ -30,7 +31,7 @@ func runE5(c *ctx) error {
 			if err != nil {
 				return err
 			}
-			rep, err := metrics.EvaluateWorkloadContext(c.wctx(w), sim, w, fc, metrics.DefaultOutlierThreshold, c.workers)
+			rep, err := metrics.EvaluateWorkloadContext(context.Background(), sim, w, fc, metrics.DefaultOutlierThreshold, c.workers)
 			if err != nil {
 				return err
 			}

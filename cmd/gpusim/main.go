@@ -62,6 +62,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sweep"
 	"repro/internal/trace"
+	"repro/internal/traceerr"
 )
 
 type config struct {
@@ -159,8 +160,9 @@ func execute(ctx context.Context, cfg config) error {
 	return err
 }
 
-// loadWorkload decodes (and under -lenient, sanitizes) the input
-// trace — the shared front half of every pricing mode.
+// loadWorkload decodes the input trace — the shared front half of
+// every pricing mode. Under -lenient the reader resyncs past corrupt
+// records and drops invalid frames and draws as they arrive.
 func loadWorkload(ctx context.Context, run *obs.Run, cfg config) (*trace.Workload, error) {
 	run.RecordFile("input", cfg.tracePath)
 	_, dsp := obs.StartSpan(ctx, "decode-trace")
@@ -170,7 +172,15 @@ func loadWorkload(ctx context.Context, run *obs.Run, cfg config) (*trace.Workloa
 		return nil, err
 	}
 	defer f.Close()
-	w, err := trace.Decode(f)
+	var (
+		w    *trace.Workload
+		diag traceerr.Diagnostics
+	)
+	if cfg.lenient {
+		w, diag, err = trace.DecodeLenient(f, 0)
+	} else {
+		w, err = trace.Decode(f)
+	}
 	if err != nil {
 		dsp.End()
 		return nil, err
@@ -179,17 +189,10 @@ func loadWorkload(ctx context.Context, run *obs.Run, cfg config) (*trace.Workloa
 	dsp.End()
 
 	if cfg.lenient {
-		_, ssp := obs.StartSpan(ctx, "sanitize")
-		diag, err := w.Sanitize()
-		ssp.AddItems(int64(w.NumFrames()))
-		ssp.End()
-		if err != nil {
-			return nil, err
-		}
 		run.RecordDiagnostics(diag.Map())
 		if diag.Any() {
 			fmt.Fprintf(cfg.out, "degraded: %v\n", diag)
-			run.Logger().Warn("lenient sanitization degraded the workload",
+			run.Logger().Warn("lenient decode degraded the workload",
 				"workload", w.Name, "diagnostics", diag.String())
 		}
 	}
@@ -322,7 +325,10 @@ func sweepGrid(ctx context.Context, run *obs.Run, cfg config) error {
 		if cfg.shardDir == "" {
 			return fmt.Errorf("-shard needs -shard-dir for the per-shard manifest")
 		}
-		m, st, err := shard.RunShard(ctx, rcache, w, cfgs, spec)
+		_, fsp := obs.StartSpan(ctx, "fingerprint")
+		fp := w.Fingerprint()
+		fsp.End()
+		m, st, err := shard.RunShard(ctx, rcache, w, fp, cfgs, spec)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -192,6 +193,44 @@ func TestNonFiniteClocksRejectedBeforePricing(t *testing.T) {
 		if n := m.Metrics.Counters["sweep.pricing_passes"]; n != 0 {
 			t.Errorf("%s: %d pricing passes before failing, want 0", name, n)
 		}
+	}
+}
+
+// TestTraceLenientResyncsDamage corrupts one record of the trace and
+// prices it under -lenient: the decode must resync past the record
+// instead of aborting, and its accounting must reach the degraded line
+// and the manifest.
+func TestTraceLenientResyncsDamage(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTrace(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10 // one payload bit — checksum catches it, resync skips the record
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	cfg := baseCfg(path, &out)
+	cfg.lenient = true
+	cfg.manifest = filepath.Join(dir, "run.json")
+	if err := execute(context.Background(), cfg); err != nil {
+		t.Fatalf("-trace -lenient over a damaged trace: %v", err)
+	}
+	if !strings.Contains(out.String(), "degraded: 1 records resynced") {
+		t.Errorf("output does not surface the resynced record:\n%s", out.String())
+	}
+	data, err = os.ReadFile(cfg.manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m obs.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Diagnostics["records_resynced"] != 1 {
+		t.Errorf("manifest diagnostics %v, want records_resynced 1", m.Diagnostics)
 	}
 }
 

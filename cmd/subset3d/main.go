@@ -57,6 +57,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/trace"
+	"repro/internal/traceerr"
 )
 
 // config is the parsed command line — one struct so the end-to-end
@@ -196,13 +197,27 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 		return err
 	}
 	defer f.Close()
-	w, err := trace.Decode(f)
+	// Under -lenient the reader resyncs past corrupt records and drops
+	// invalid frames and draws as they arrive; its accounting joins the
+	// report's.
+	var (
+		w    *trace.Workload
+		diag traceerr.Diagnostics
+	)
+	if cfg.lenient {
+		w, diag, err = trace.DecodeLenient(f, 0)
+	} else {
+		w, err = trace.Decode(f)
+	}
 	if err != nil {
 		sp.End()
 		return err
 	}
 	sp.AddItems(int64(w.NumFrames()))
 	sp.End()
+	if cfg.lenient {
+		run.RecordDiagnostics(diag.Map())
+	}
 
 	opt := core.DefaultOptions()
 	opt.Subset.Method.Threshold = cfg.threshold
@@ -222,6 +237,7 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 	if err != nil {
 		return err
 	}
+	rep.Diagnostics.Add(diag)
 	_, rsp := obs.StartSpan(ctx, "render-report")
 	rep.Render(cfg.out)
 	rsp.End()

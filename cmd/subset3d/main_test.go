@@ -307,6 +307,43 @@ func TestManifestLenientDiagnostics(t *testing.T) {
 	}
 }
 
+// TestTraceLenientResyncsDamage corrupts one record of a .trace and
+// runs the -trace -lenient path: the decode must resync past the record
+// instead of aborting, and its accounting must reach the report's
+// degraded line and the manifest. A strict run over the same file fails.
+func TestTraceLenientResyncsDamage(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTestTrace(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10 // one payload bit — checksum catches it, resync skips the record
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := defaultTestConfig(t)
+	cfg.tracePath = path
+	if err := execute(context.Background(), cfg); err == nil {
+		t.Fatal("strict run over a damaged trace succeeded")
+	}
+
+	var out bytes.Buffer
+	cfg.lenient = true
+	cfg.manifest = filepath.Join(dir, "run.json")
+	cfg.out = &out
+	if err := execute(context.Background(), cfg); err != nil {
+		t.Fatalf("-trace -lenient over a damaged trace: %v", err)
+	}
+	if !strings.Contains(out.String(), "degraded:") || !strings.Contains(out.String(), "1 records resynced") {
+		t.Errorf("report does not surface the resynced record:\n%s", out.String())
+	}
+	if m := readManifest(t, cfg.manifest); m.Diagnostics["records_resynced"] != 1 {
+		t.Errorf("manifest diagnostics %v, want records_resynced 1", m.Diagnostics)
+	}
+}
+
 // TestStrictRunNoDiagnosticsLine: without -lenient a clean run must not
 // mention ingestion at all.
 func TestStrictStreamOutput(t *testing.T) {

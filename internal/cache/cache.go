@@ -24,9 +24,6 @@
 //     entries are checksummed (see entry.go); corruption is counted,
 //     the file dropped, and the value recomputed. Errors classify
 //     under the traceerr taxonomy.
-//   - Concurrent workers computing the same key share one computation
-//     (single-flight): the first caller computes, the rest wait and
-//     decode the stored bytes.
 //   - A canceled request never blocks on the disk. Disk reads and
 //     writes are interruptible: cancellation returns immediately while
 //     the operation completes in the background (never torn), and
@@ -94,9 +91,6 @@ type Cache struct {
 	// from corruption — and Flush waits for all of them.
 	ioWG sync.WaitGroup
 
-	flightMu sync.Mutex
-	flight   map[Key]chan struct{}
-
 	memHits, diskHits atomic.Int64 // Stats.Hits is their sum
 	misses            atomic.Int64
 	evictions         atomic.Int64
@@ -115,11 +109,7 @@ func New(cfg Config) (*Cache, error) {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
 	}
-	return &Cache{
-		dir:    cfg.Dir,
-		mem:    newLRU(cfg.MaxMemBytes),
-		flight: map[Key]chan struct{}{},
-	}, nil
+	return &Cache{dir: cfg.Dir, mem: newLRU(cfg.MaxMemBytes)}, nil
 }
 
 // Stats snapshots the cache's counters (zero value on a nil cache).
@@ -337,35 +327,14 @@ func (c *Cache) noteEvictions(ctx context.Context, n int) {
 	obs.RunFromContext(ctx).Metrics().Counter("cache.evict").Add(int64(n))
 }
 
-// join registers interest in computing a key. The first caller becomes
-// the leader (leader == true) and must call leave when done; others
-// get the leader's done channel to wait on.
-func (c *Cache) join(key Key) (leader bool, done chan struct{}) {
-	c.flightMu.Lock()
-	defer c.flightMu.Unlock()
-	if ch, ok := c.flight[key]; ok {
-		return false, ch
-	}
-	ch := make(chan struct{})
-	c.flight[key] = ch
-	return true, ch
-}
-
-// leave ends a leader's flight, releasing every waiter.
-func (c *Cache) leave(key Key, done chan struct{}) {
-	c.flightMu.Lock()
-	delete(c.flight, key)
-	c.flightMu.Unlock()
-	close(done)
-}
-
 // GetOrCompute returns the value for key, computing and storing it on
 // a miss. A nil cache computes directly. Hits gob-decode a fresh copy,
-// so the caller owns the result outright. Concurrent callers of the
-// same key on the same cache share one computation: the leader
-// computes and stores, waiters decode the stored bytes (and compute
-// themselves only if the leader failed to store, so dedup is
-// best-effort and never adds a failure mode).
+// so the caller owns the result outright. Concurrent misses on one key
+// each compute and store the same bytes: the LRU refreshes the entry
+// and the disk store renames a complete file over it, so the last
+// store wins and every reader sees a whole entry. Callers that must
+// not compute twice coalesce above the cache (subsetd's flight group),
+// and a compute may look its own key up without blocking.
 //
 // Lookup time (not compute time) aggregates into a "cache.lookup"
 // merged span under the stage span in ctx, when a run is attached.
@@ -374,73 +343,47 @@ func GetOrCompute[T any](ctx context.Context, c *Cache, key Key, compute func() 
 		return compute()
 	}
 	sp := obs.SpanFromContext(ctx).MergedChild("cache.lookup")
-	for attempt := 0; ; attempt++ {
-		t0 := time.Now()
-		data, ok := c.lookup(ctx, key)
-		if ok {
-			var v T
-			err := decodePayload(data, &v)
-			sp.AddDuration(time.Since(t0))
-			sp.AddItems(1)
-			if err == nil {
-				return v, nil
-			}
-			// Undecodable payload under a matching key: the stored
-			// type does not match the requested one (a kind reused
-			// across types, or bit rot inside a gob). Drop and
-			// recompute.
-			c.corrupt.Add(1)
-			run := obs.RunFromContext(ctx)
-			run.Metrics().Counter("cache.corrupt").Inc()
-			run.Logger().Warn("cache payload undecodable, recomputing", "key", key.String(), "err", err)
-			c.remove(key)
-		} else {
-			sp.AddDuration(time.Since(t0))
-			sp.AddItems(1)
+	t0 := time.Now()
+	data, ok := c.lookup(ctx, key)
+	if ok {
+		var v T
+		err := decodePayload(data, &v)
+		sp.AddDuration(time.Since(t0))
+		sp.AddItems(1)
+		if err == nil {
+			return v, nil
 		}
-		// A canceled context must not fall through to compute: the
-		// lookup above may have been cut short mid-disk-read, and the
-		// computation would only burn cycles before its own first
-		// cancellation check.
-		if err := ctx.Err(); err != nil {
-			var zero T
-			return zero, err
-		}
-
-		leader, done := c.join(key)
-		if !leader && attempt == 0 {
-			// Someone else is computing this key: wait for them, then
-			// retry the lookup once. If their store failed we compute
-			// ourselves on the next pass (join again, possibly as
-			// leader).
-			select {
-			case <-done:
-				continue
-			case <-ctx.Done():
-				var zero T
-				return zero, ctx.Err()
-			}
-		}
-		if !leader {
-			// Second collision; just compute without dedup rather
-			// than risk waiting forever behind repeated failures.
-			return compute()
-		}
-		v, err := compute()
-		if err != nil {
-			c.leave(key, done)
-			return v, err
-		}
-		payload, encErr := encodePayload(&v)
-		if encErr == nil {
-			c.store(ctx, key, payload)
-		} else {
-			c.errs.Add(1)
-			obs.RunFromContext(ctx).Logger().Warn("cache encode failed", "key", key.String(), "err", encErr)
-		}
-		c.leave(key, done)
-		return v, nil
+		// Undecodable payload under a matching key: the stored type does
+		// not match the requested one (a kind reused across types, or bit
+		// rot inside a gob). Drop and recompute.
+		c.corrupt.Add(1)
+		run := obs.RunFromContext(ctx)
+		run.Metrics().Counter("cache.corrupt").Inc()
+		run.Logger().Warn("cache payload undecodable, recomputing", "key", key.String(), "err", err)
+		c.remove(key)
+	} else {
+		sp.AddDuration(time.Since(t0))
+		sp.AddItems(1)
 	}
+	// A canceled context must not fall through to compute: the lookup
+	// above may have been cut short mid-disk-read, and the computation
+	// would only burn cycles before its own first cancellation check.
+	if err := ctx.Err(); err != nil {
+		var zero T
+		return zero, err
+	}
+	v, err := compute()
+	if err != nil {
+		return v, err
+	}
+	payload, encErr := encodePayload(&v)
+	if encErr == nil {
+		c.store(ctx, key, payload)
+	} else {
+		c.errs.Add(1)
+		obs.RunFromContext(ctx).Logger().Warn("cache encode failed", "key", key.String(), "err", encErr)
+	}
+	return v, nil
 }
 
 // remove drops a key from both tiers.

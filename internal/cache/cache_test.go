@@ -4,11 +4,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -256,94 +257,38 @@ func TestVersionSkewIsMissNotCorruption(t *testing.T) {
 	}
 }
 
-func TestSingleFlightDedup(t *testing.T) {
-	c := mustCache(t, Config{})
+// TestGetOrComputeNestedSameKey: a compute that looks its own key up
+// again computes it there too and returns; the cache holds no flight a
+// nested lookup could wait on. The outer store then wins.
+func TestGetOrComputeNestedSameKey(t *testing.T) {
+	c := mustCache(t, Config{Dir: t.TempDir()})
 	ctx := context.Background()
 	key := testKey(1)
-	const workers = 8
-
-	var computes atomic.Int64
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan error, 1)
+	done := make(chan error, 1)
 	go func() {
-		_, err := GetOrCompute(ctx, c, key, func() (int, error) {
-			computes.Add(1)
-			close(entered)
-			<-release
-			return 31337, nil
+		v, err := GetOrCompute(ctx, c, key, func() (int, error) {
+			inner, err := GetOrCompute(ctx, c, key, func() (int, error) { return 7, nil })
+			return inner + 1, err
 		})
-		leaderDone <- err
-	}()
-	<-entered
-
-	// Everyone else piles onto the in-flight key while the leader is
-	// still computing.
-	var wg sync.WaitGroup
-	results := make([]int, workers)
-	errs := make([]error, workers)
-	var started sync.WaitGroup
-	started.Add(workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			started.Done()
-			results[i], errs[i] = GetOrCompute(ctx, c, key, func() (int, error) {
-				computes.Add(1)
-				return 31337, nil
-			})
-		}(i)
-	}
-	started.Wait()
-	close(release)
-	wg.Wait()
-	if err := <-leaderDone; err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("worker %d: %v", i, errs[i])
+		if err == nil && v != 8 {
+			err = fmt.Errorf("outer value %d, want 8", v)
 		}
-		if results[i] != 31337 {
-			t.Fatalf("worker %d got %d", i, results[i])
-		}
-	}
-	// Dedup is best-effort: a worker that raced past the leader's store
-	// window may compute redundantly, but the common case shares one
-	// computation and correctness never depends on the count.
-	if n := computes.Load(); n > int64(workers) {
-		t.Fatalf("computes = %d", n)
-	}
-}
-
-func TestSingleFlightLeaderFailureReleasesWaiters(t *testing.T) {
-	c := mustCache(t, Config{})
-	ctx := context.Background()
-	key := testKey(1)
-	boom := errors.New("boom")
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		GetOrCompute(ctx, c, key, func() (int, error) {
-			close(entered)
-			<-release
-			return 0, boom
-		})
+		done <- err
 	}()
-	<-entered
-	waiter := make(chan int, 1)
-	go func() {
-		v, err := GetOrCompute(ctx, c, key, func() (int, error) { return 7, nil })
+	select {
+	case err := <-done:
 		if err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
-		waiter <- v
-	}()
-	close(release)
-	if v := <-waiter; v != 7 {
-		t.Fatalf("waiter got %d, want its own compute after leader failure", v)
+	case <-time.After(10 * time.Second):
+		t.Fatal("a nested GetOrCompute on its caller's key did not return")
+	}
+	v, err := GetOrCompute(ctx, c, key, func() (int, error) {
+		t.Error("the stored entry was not served")
+		return 0, nil
+	})
+	if err != nil || v != 8 {
+		t.Fatalf("hit = %d, %v; want the outer store's 8", v, err)
 	}
 }
 

@@ -69,14 +69,6 @@ type Options struct {
 	// drives.
 	Workers int
 
-	// Obs attaches an observability run: every pipeline stage then
-	// records a span (wall time, item counts, worker occupancy) and
-	// feeds the run's metrics registry. Nil — the default — is a
-	// complete no-op, and observability never changes results either
-	// way: timings live only in the obs structures, never in the
-	// Report, an invariant the determinism tests assert.
-	Obs *obs.Run
-
 	// Cache attaches a content-addressed result cache. The frame pass
 	// stores its whole product (the clustering evaluation and the
 	// parent's total on every validation config) as one entry, keyed
@@ -166,9 +158,6 @@ func (s *Subsetter) Run(w *trace.Workload) (*Report, error) {
 // pass's whole product is one entry, and the pass prices the same
 // columns as without one.
 func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report, error) {
-	if s.opt.Obs != nil && obs.RunFromContext(ctx) == nil {
-		ctx = s.opt.Obs.Context(ctx)
-	}
 	run := obs.RunFromContext(ctx)
 
 	rep := &Report{}
@@ -263,11 +252,10 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 }
 
 // bindCache binds the run's cache to w's fingerprint in ctx, for the
-// frame pass's entry and the sweep's per-config entries. A ctx that
-// already carries a binding (subsetd's queries) keeps it, and a run
-// without a cache is left unbound.
+// frame pass's entry and the sweep's per-config entries. A run without
+// a cache is left unbound.
 func (s *Subsetter) bindCache(ctx context.Context, w *trace.Workload) context.Context {
-	if _, _, bound := cache.ForWorkload(ctx); bound || s.opt.Cache == nil {
+	if s.opt.Cache == nil {
 		return ctx
 	}
 	_, sp := obs.StartSpan(ctx, "fingerprint")

@@ -290,7 +290,6 @@ func TestPassKeyCoversItsInputs(t *testing.T) {
 	}
 	same := map[string]func(*inputs){
 		"Workers":        func(in *inputs) { in.opt.Workers = 3 },
-		"Obs":            func(in *inputs) { in.opt.Obs = obs.NewRun("key-test") },
 		"Lenient":        func(in *inputs) { in.opt.Lenient = true },
 		"Subset.Workers": func(in *inputs) { in.opt.Subset.Workers = 3 },
 		"Subset.Phase":   func(in *inputs) { in.opt.Subset.Phase.IntervalFrames = 8 },

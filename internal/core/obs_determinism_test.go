@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"reflect"
 	"testing"
@@ -25,12 +26,11 @@ func TestReportDeterministicWithObservability(t *testing.T) {
 	render := func(run *obs.Run) (*Report, []byte) {
 		opt := DefaultOptions()
 		opt.Workers = 4
-		opt.Obs = run
 		s, err := New(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.Run(w)
+		rep, err := s.RunContext(run.Context(context.Background()), w)
 		if err != nil {
 			t.Fatal(err)
 		}

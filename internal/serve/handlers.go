@@ -337,7 +337,7 @@ func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 		Bool(req.Validate).
 		Sum()
 	s.runQuery(w, r, "subset:"+key.String(), func(ctx context.Context) (any, error) {
-		return cachedQuery(ctx, s, e, key, func(ctx context.Context) (SubsetResponse, error) {
+		return cache.GetOrCompute(ctx, s.opt.Cache, key, func() (SubsetResponse, error) {
 			return s.computeSubset(ctx, e, req)
 		})
 	})
@@ -350,7 +350,6 @@ func (s *Server) computeSubset(ctx context.Context, e *workloadEntry, req Subset
 		opt.ValidationClocks = nil
 	}
 	opt.Workers = s.opt.Workers
-	opt.Cache = s.opt.Cache
 	sub, err := core.New(opt)
 	if err != nil {
 		return SubsetResponse{}, err
@@ -435,36 +434,33 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	key := kb.Sum()
 	s.runQuery(w, r, "sweep:"+key.String(), func(ctx context.Context) (any, error) {
-		return cachedQuery(ctx, s, e, key, func(ctx context.Context) (SweepResponse, error) {
+		return cache.GetOrCompute(ctx, s.opt.Cache, key, func() (SweepResponse, error) {
 			return s.computeSweep(ctx, e, req)
 		})
 	})
 }
 
+// computeSweep prices the whole grid in one sweep.PriceGrid call, cut
+// into -workers chunks; the response is the one cache entry.
 func (s *Server) computeSweep(ctx context.Context, e *workloadEntry, req SweepRequest) (SweepResponse, error) {
 	cfgs := sweep.Grid(gpu.BaseConfig(), req.CoreClocks, req.MemClocks)
-	resp := SweepResponse{Workload: e.FP.String(), Points: make([]SweepPoint, len(cfgs))}
 	base, err := gpu.NewSimulator(cfgs[0], e.W)
 	if err != nil {
 		return SweepResponse{}, err
 	}
+	priced, err := sweep.PriceGrid(ctx, base, e.W, cfgs, s.opt.Workers)
+	if err != nil {
+		return SweepResponse{}, err
+	}
+	resp := SweepResponse{Workload: e.FP.String(), Points: make([]SweepPoint, len(cfgs))}
 	for i, cfg := range cfgs {
-		if err := ctx.Err(); err != nil {
-			return SweepResponse{}, fmt.Errorf("sweep canceled at config %d/%d: %w", i, len(cfgs), err)
-		}
-		_, priced, err := sweep.PriceConfig(ctx, base, e.W, cfg, i, len(cfgs))
-		if err != nil {
-			return SweepResponse{}, err
-		}
 		resp.Points[i] = SweepPoint{
 			CoreClockGHz: cfg.CoreClockGHz,
 			MemClockGHz:  cfg.MemClockGHz,
-			TotalNs:      priced.TotalNs,
+			TotalNs:      priced[i].TotalNs,
 		}
-	}
-	for i := range resp.Points {
-		if resp.Points[i].TotalNs > 0 {
-			resp.Points[i].Speedup = resp.Points[0].TotalNs / resp.Points[i].TotalNs
+		if priced[i].TotalNs > 0 {
+			resp.Points[i].Speedup = priced[0].TotalNs / priced[i].TotalNs
 		}
 	}
 	return resp, nil
@@ -509,7 +505,7 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 		Float(req.MemClockGHz).
 		Sum()
 	s.runQuery(w, r, "price:"+key.String(), func(ctx context.Context) (any, error) {
-		return cachedQuery(ctx, s, e, key, func(ctx context.Context) (PriceResponse, error) {
+		return cache.GetOrCompute(ctx, s.opt.Cache, key, func() (PriceResponse, error) {
 			cfg := gpu.BaseConfig().WithCoreClock(req.CoreClockGHz).WithMemClock(req.MemClockGHz)
 			sim, err := gpu.NewSimulator(cfg, e.W)
 			if err != nil {
@@ -557,8 +553,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // runQuery is the execution path every compute query rides:
-// single-flight coalescing over the response bytes, then (inside fn)
-// the result cache. Followers of a coalesced computation get the
+// single-flight coalescing over the response bytes, then (inside fn,
+// for every kind but the shard sweep) the response's one cache entry.
+// Followers of a coalesced computation get the
 // leader's bytes with X-Subsetd-Coalesced set. The computation runs
 // under its own panic shield: a panic must end as the leader's error,
 // which releases its followers and clears the flight key, instead of
@@ -585,19 +582,6 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, flightKey stri
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
-}
-
-// cachedQuery serves one query response through the content-addressed
-// cache, bound to the workload so pipeline stages underneath share the
-// binding. With no cache configured it computes directly.
-func cachedQuery[T any](ctx context.Context, s *Server, e *workloadEntry, key cache.Key, compute func(context.Context) (T, error)) (T, error) {
-	if s.opt.Cache == nil {
-		return compute(ctx)
-	}
-	ctx = cache.WithWorkload(ctx, s.opt.Cache, e.FP)
-	return cache.GetOrCompute(ctx, s.opt.Cache, key, func() (T, error) {
-		return compute(ctx)
-	})
 }
 
 // decodeReq parses a JSON query body strictly: unknown fields are

@@ -219,6 +219,53 @@ func TestSubsetColdWarmIdentical(t *testing.T) {
 	}
 }
 
+// TestOneCacheEntryPerQuery: the response is subsetd's one cache
+// layer. A cold price, subset (clustering evaluation and validation)
+// and 3-config sweep query each store exactly one entry on disk, and
+// repeating each is one cache hit with a byte-identical body.
+func TestOneCacheEntryPerQuery(t *testing.T) {
+	dir := t.TempDir()
+	c, err := cache.New(cache.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Cache: c})
+	h := s.Handler()
+	fp := upload(t, h, streamBody(t, tracetest.Tiny()))
+	entries := func() int {
+		paths, err := filepath.Glob(filepath.Join(dir, "*", "*.s3dc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(paths)
+	}
+	for _, q := range []struct{ path, body string }{
+		{"/v1/price", fmt.Sprintf(`{"workload":%q,"core_clock_ghz":1.3}`, fp)},
+		{"/v1/subset", fmt.Sprintf(`{"workload":%q,"clustering_eval":true,"validate":true}`, fp)},
+		{"/v1/sweep", fmt.Sprintf(`{"workload":%q,"core_clocks":[0.5,1.0,2.0]}`, fp)},
+	} {
+		before := entries()
+		cold := do(h, "POST", q.path, []byte(q.body))
+		if cold.Code != http.StatusOK {
+			t.Fatalf("cold %s: %d: %s", q.path, cold.Code, cold.Body)
+		}
+		if n := entries() - before; n != 1 {
+			t.Errorf("cold %s stored %d entries, want 1", q.path, n)
+		}
+		hits := c.Stats().Hits
+		warm := do(h, "POST", q.path, []byte(q.body))
+		if warm.Code != http.StatusOK {
+			t.Fatalf("warm %s: %d: %s", q.path, warm.Code, warm.Body)
+		}
+		if n := c.Stats().Hits - hits; n != 1 {
+			t.Errorf("warm %s: %d cache hits, want 1", q.path, n)
+		}
+		if !bytes.Equal(cold.Body.Bytes(), warm.Body.Bytes()) {
+			t.Errorf("warm %s differs from cold:\ncold: %s\nwarm: %s", q.path, cold.Body, warm.Body)
+		}
+	}
+}
+
 // TestSubsetRejectsModeField: clustering has one exact path, so a
 // "mode" in a subset query is an unknown field, answered 400
 // bad_request whatever its value, while the same query without it

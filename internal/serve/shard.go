@@ -42,10 +42,11 @@ type ShardSweepResponse struct {
 
 // handleShardSweep prices one shard of a sweep with shard.RunShard,
 // through the server's result cache when it has one. It rides the same
-// admission/coalescing path as every compute query, but NOT the
-// response cache: the response embeds a manifest whose per-task
-// pricing is already served by the result cache, and its stats report
-// which tasks this request priced and which it read from the cache.
+// admission/coalescing path as every compute query, and its key is a
+// flight key only: the response is never stored. The cache holds
+// RunShard's per-task entries instead, the unit a rerun resumes from,
+// and the response's stats report which tasks this request priced and
+// which it read from the cache.
 func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 	var req ShardSweepRequest
 	if err := s.decodeReq(r, &req); err != nil {
@@ -86,7 +87,7 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 	flightKey := "shardsweep:" + kb.Sum().String()
 	s.runQuery(w, r, flightKey, func(ctx context.Context) (any, error) {
 		cfgs := sweep.Grid(gpu.BaseConfig(), req.CoreClocks, req.MemClocks)
-		m, st, err := shard.RunShard(ctx, s.opt.Cache, e.W, cfgs, spec)
+		m, st, err := shard.RunShard(ctx, s.opt.Cache, e.W, e.FP, cfgs, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -52,7 +52,7 @@ func sweepShards(t testing.TB, w *trace.Workload, cfgs []gpu.Config, n int, cach
 				errs[i] = err
 				return
 			}
-			manifests[i], stats[i], errs[i] = RunShard(context.Background(), c, w, cfgs, Spec{Index: i, Count: n})
+			manifests[i], stats[i], errs[i] = RunShard(context.Background(), c, w, w.Fingerprint(), cfgs, Spec{Index: i, Count: n})
 		}(i)
 	}
 	wg.Wait()
@@ -145,7 +145,7 @@ func TestKilledShardResumesByRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, _, err := RunShard(context.Background(), nil, w, cfgs, Spec{Index: 1, Count: 2})
+	other, _, err := RunShard(context.Background(), nil, w, w.Fingerprint(), cfgs, Spec{Index: 1, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestKilledShardResumesByRerun(t *testing.T) {
 			t.Fatal(err)
 		}
 		killed.Flush()
-		m, st, err := RunShard(context.Background(), newDiskCache(t, cacheDir), w, cfgs, spec)
+		m, st, err := RunShard(context.Background(), newDiskCache(t, cacheDir), w, w.Fingerprint(), cfgs, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestOneCacheMissPerColdTask(t *testing.T) {
 			var st [2]WorkerStats
 			for run := range st {
 				if sharded {
-					_, st[run], err = RunShard(context.Background(), c, w, cfgs, Spec{Index: 0, Count: 1})
+					_, st[run], err = RunShard(context.Background(), c, w, w.Fingerprint(), cfgs, Spec{Index: 0, Count: 1})
 				} else {
 					_, err = RunSequential(context.Background(), c, w, cfgs)
 				}
@@ -252,7 +252,7 @@ func TestOverlappingShardsAgree(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			manifests[i], _, errs[i] = RunShard(context.Background(), c, w, cfgs, full)
+			manifests[i], _, errs[i] = RunShard(context.Background(), c, w, w.Fingerprint(), cfgs, full)
 		}(i)
 	}
 	wg.Wait()
@@ -311,7 +311,7 @@ func TestWorkerWithoutCache(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		var manifests []*Manifest
 		for i := 0; i < n; i++ {
-			m, st, err := RunShard(context.Background(), nil, w, cfgs, Spec{Index: i, Count: n})
+			m, st, err := RunShard(context.Background(), nil, w, w.Fingerprint(), cfgs, Spec{Index: i, Count: n})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +337,7 @@ func TestWorkerWithoutCacheCanceled(t *testing.T) {
 	w := testWorkload(t, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, _, err := RunShard(ctx, nil, w, testGrid(4, 2), Spec{Index: 0, Count: 2})
+	m, _, err := RunShard(ctx, nil, w, w.Fingerprint(), testGrid(4, 2), Spec{Index: 0, Count: 2})
 	if !errors.Is(err, context.Canceled) || m != nil {
 		t.Fatalf("canceled cacheless worker: manifest %v, err %v; want none and context.Canceled", m, err)
 	}
@@ -376,7 +376,7 @@ func TestCanceledWorkerReleasesClaims(t *testing.T) {
 	c := newDiskCache(t, cacheDir)
 	inner, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	m, _, err := RunShard(cancelAtMiss{inner, c, 2, cancel}, c, w, cfgs, full)
+	m, _, err := RunShard(cancelAtMiss{inner, c, 2, cancel}, c, w, w.Fingerprint(), cfgs, full)
 	if !errors.Is(err, context.Canceled) || m != nil {
 		t.Fatalf("canceled worker: manifest %v, err %v; want none and context.Canceled", m, err)
 	}
@@ -394,7 +394,7 @@ func TestCanceledWorkerReleasesClaims(t *testing.T) {
 	if len(left) != 1 || filepath.Ext(left[0]) != ".s3dc" {
 		t.Fatalf("cancellation after one priced task left %v in the cache directory, want one whole entry", left)
 	}
-	m, st, err := RunShard(context.Background(), newDiskCache(t, cacheDir), w, cfgs, full)
+	m, st, err := RunShard(context.Background(), newDiskCache(t, cacheDir), w, w.Fingerprint(), cfgs, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestPricingPassesPerPath(t *testing.T) {
 		want int64
 	}{{Spec{Index: 0, Count: 1}, 3}, {Spec{Index: 1, Count: 4}, 2}, {Spec{Index: 0, Count: 8}, 1}} {
 		if got := passes(func(ctx context.Context) error {
-			_, _, err := RunShard(ctx, nil, w, cfgs, tc.spec)
+			_, _, err := RunShard(ctx, nil, w, w.Fingerprint(), cfgs, tc.spec)
 			return err
 		}); got != tc.want {
 			t.Errorf("cache-free worker %s: %d passes, want %d", tc.spec, got, tc.want)
@@ -475,7 +475,7 @@ func TestSequentialWarmsShardsAndViceVersa(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Flush()
-	m, st, err := RunShard(context.Background(), c, w, cfgs, Spec{Index: 0, Count: 1})
+	m, st, err := RunShard(context.Background(), c, w, w.Fingerprint(), cfgs, Spec{Index: 0, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

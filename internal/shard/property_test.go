@@ -16,7 +16,7 @@ import (
 // from.
 func fullManifest(t *testing.T, w *trace.Workload, cfgs []gpu.Config) *Manifest {
 	t.Helper()
-	m, _, err := RunShard(context.Background(), nil, w, cfgs, Spec{Index: 0, Count: 1})
+	m, _, err := RunShard(context.Background(), nil, w, w.Fingerprint(), cfgs, Spec{Index: 0, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

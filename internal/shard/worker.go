@@ -18,21 +18,22 @@ type WorkerStats struct {
 }
 
 // RunShard executes one shard of a sweep: it prices every task the
-// spec owns, in grid order, and emits the per-shard manifest. With a
-// cache, each owned task is one cache entry, so a rerun after a crash
-// reads the tasks that already landed as cache hits and prices only
-// the rest. c is the only cache it uses; ctx must carry no cache
-// binding. The manifest depends only on (workload, grid, spec):
-// rerunning a shard over any cache state, or racing it against an
-// overlapping shard, yields byte-identical manifests.
-func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu.Config, spec Spec) (*Manifest, WorkerStats, error) {
+// spec owns, in grid order, and emits the per-shard manifest. fp must
+// be w's fingerprint (trace.Workload.Fingerprint): the caller already
+// holds it, so a shard does not hash the workload again. With a cache,
+// each owned task is one cache entry, so a rerun after a crash reads
+// the tasks that already landed as cache hits and prices only the
+// rest. c is the only cache it uses; ctx must carry no cache binding
+// (see priceTasks). The manifest depends only on (workload, grid,
+// spec): rerunning a shard over any cache state, or racing it against
+// an overlapping shard, yields byte-identical manifests.
+func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, fp trace.Fingerprint, cfgs []gpu.Config, spec Spec) (*Manifest, WorkerStats, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, WorkerStats{}, err
 	}
 	ctx, sp := obs.StartSpan(ctx, "shard-worker")
 	defer sp.End()
 
-	fp := fingerprint(ctx, w)
 	tasks, grid, err := Plan(fp, cfgs)
 	if err != nil {
 		return nil, WorkerStats{}, err

@@ -32,12 +32,6 @@ type Options struct {
 	// result's Diagnostics) instead of failing the run — pair it with a
 	// lenient trace.StreamReader to survive damaged captures.
 	Lenient bool
-
-	// Obs attaches an observability run to RunContext: the drain
-	// becomes a "stream-ingest" span and the frame/phase counts and
-	// degradation accounting feed its metrics. Nil is a complete
-	// no-op; the Result is identical either way.
-	Obs *obs.Run
 }
 
 // DefaultOptions returns the batch pipeline's defaults.
@@ -226,9 +220,6 @@ func Run(src FrameSource, opt Options) (*Result, error) {
 // ctx.Err() as soon as the context is done, so callers can bound
 // unattended ingestion with a deadline or Ctrl-C.
 func RunContext(ctx context.Context, src FrameSource, opt Options) (*Result, error) {
-	if opt.Obs != nil && obs.RunFromContext(ctx) == nil {
-		ctx = opt.Obs.Context(ctx)
-	}
 	run := obs.RunFromContext(ctx)
 	_, sp := obs.StartSpan(ctx, "stream-ingest")
 	defer sp.End()

@@ -63,11 +63,6 @@ type Options struct {
 	// fully sequential). The built subset is bit-identical at any
 	// worker count; Workers only changes wall-clock time.
 	Workers int
-
-	// Obs attaches an observability run for callers that drive Build
-	// directly (core threads its own). Nil is a complete no-op, and
-	// spans/metrics never alter the built subset.
-	Obs *obs.Run
 }
 
 // DefaultOptions returns the experiment configuration.
@@ -95,9 +90,6 @@ func BuildContext(ctx context.Context, w *trace.Workload, opt Options) (*Subset,
 // does): a pipeline pass shares one clusterer, and so one feature
 // extractor and one workload validation, across its stages.
 func BuildWith(ctx context.Context, fc *FrameClusterer, w *trace.Workload, opt Options) (*Subset, error) {
-	if opt.Obs != nil && obs.RunFromContext(ctx) == nil {
-		ctx = opt.Obs.Context(ctx)
-	}
 	ctx, sp := obs.StartSpan(ctx, "subset-build")
 	defer sp.End()
 	det, err := phase.DetectContext(ctx, w, opt.Phase, opt.Workers)

@@ -88,7 +88,8 @@ func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cf
 // bit-identical to pricing each config alone at any chunking.
 //
 // Only grids without a cache are batched: the cache-free sweeps here,
-// and shard.RunSequential and shard.RunShard without a cache. A cached
+// subsetd's /v1/sweep (whose response is its one cache entry), and
+// shard.RunSequential and shard.RunShard without a cache. A cached
 // grid prices one config per cache entry (PriceConfig) so that each
 // entry is stored as soon as its config is priced — the unit a shard
 // rerun resumes from and the cache deduplicates.
