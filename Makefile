@@ -94,10 +94,11 @@ cover-coord:
 	echo "internal/coord coverage: $$total%"; \
 	awk -v t="$$total" 'BEGIN { exit !(t + 0 >= 80) }' || { echo "FAIL: internal/coord coverage $$total% below the 80% gate"; exit 1; }
 
-# bench runs every benchmark (experiments + parallel engine) and
-# records the parallel speedup curves in BENCH_parallel.json.
+# bench runs every benchmark (the root benches and the experiment
+# registry's BenchmarkExperiments) and records the parallel speedup
+# curves in BENCH_parallel.json.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' . | tee bench.out
+	$(GO) test -bench=. -benchmem -run '^$$' . ./cmd/experiments/ | tee bench.out
 	$(GO) run ./cmd/benchjson -match '^Parallel' -o BENCH_parallel.json < bench.out
 
 # bench-parallel runs only the worker-pool benchmarks (1/2/4/8 workers

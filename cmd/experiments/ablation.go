@@ -19,8 +19,8 @@ func runE10(c *ctx) error {
 		return err
 	}
 
-	fmt.Println("-- normalization ablation (leader clustering, default threshold) --")
-	fmt.Printf("%-10s %12s %12s\n", "norm", "mean err", "efficiency")
+	fmt.Fprintln(c.out, "-- normalization ablation (leader clustering, default threshold) --")
+	fmt.Fprintf(c.out, "%-10s %12s %12s\n", "norm", "mean err", "efficiency")
 	for _, norm := range []string{"zscore", "minmax", "none"} {
 		m := subset.DefaultMethod()
 		m.Normalizer = norm
@@ -28,11 +28,11 @@ func runE10(c *ctx) error {
 		if evalErr != nil {
 			return evalErr
 		}
-		fmt.Printf("%-10s %11.2f%% %11.1f%%\n", norm, err*100, eff*100)
+		fmt.Fprintf(c.out, "%-10s %11.2f%% %11.1f%%\n", norm, err*100, eff*100)
 	}
 
-	fmt.Println("\n-- algorithm ablation (equal cluster counts) --")
-	fmt.Printf("%-14s %12s %12s\n", "algorithm", "mean err", "efficiency")
+	fmt.Fprintln(c.out, "\n-- algorithm ablation (equal cluster counts) --")
+	fmt.Fprintf(c.out, "%-14s %12s %12s\n", "algorithm", "mean err", "efficiency")
 	algoArms := []struct {
 		name string
 		m    subset.Method
@@ -57,18 +57,18 @@ func runE10(c *ctx) error {
 		if evalErr != nil {
 			return evalErr
 		}
-		fmt.Printf("%-14s %11.2f%% %11.1f%%\n", arm.name, err*100, eff*100)
+		fmt.Fprintf(c.out, "%-14s %11.2f%% %11.1f%%\n", arm.name, err*100, eff*100)
 	}
 
-	fmt.Println("\n-- feature-group drop-one ablation --")
-	fmt.Printf("%-16s %12s %12s\n", "dropped group", "mean err", "efficiency")
+	fmt.Fprintln(c.out, "\n-- feature-group drop-one ablation --")
+	fmt.Fprintf(c.out, "%-16s %12s %12s\n", "dropped group", "mean err", "efficiency")
 	all := features.GroupNames()
 	base := subset.DefaultMethod()
 	err, eff, evalErr := evalSampled(c, base, 16, -1)
 	if evalErr != nil {
 		return evalErr
 	}
-	fmt.Printf("%-16s %11.2f%% %11.1f%%\n", "(none)", err*100, eff*100)
+	fmt.Fprintf(c.out, "%-16s %11.2f%% %11.1f%%\n", "(none)", err*100, eff*100)
 	for _, drop := range all {
 		var keep []string
 		for _, g := range all {
@@ -82,7 +82,7 @@ func runE10(c *ctx) error {
 		if evalErr != nil {
 			return evalErr
 		}
-		fmt.Printf("%-16s %11.2f%% %11.1f%%\n", drop, err*100, eff*100)
+		fmt.Fprintf(c.out, "%-16s %11.2f%% %11.1f%%\n", drop, err*100, eff*100)
 	}
 	return nil
 }

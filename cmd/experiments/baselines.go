@@ -18,7 +18,7 @@ func runE9(c *ctx) error {
 	}
 	const frameStride = 8 // evaluate every 8th frame; errors are i.i.d. across frames
 	rng := dcmath.NewRNG(c.seed ^ 0xe9)
-	fmt.Printf("%-14s %12s %12s %12s %12s\n", "workload", "clustering", "random", "uniform", "first-N")
+	fmt.Fprintf(c.out, "%-14s %12s %12s %12s %12s\n", "workload", "clustering", "random", "uniform", "first-N")
 	var cAll, rAll, uAll, fAll []float64
 	for _, w := range c.suite {
 		sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
@@ -55,15 +55,15 @@ func runE9(c *ctx) error {
 			}
 			fErr = append(fErr, metrics.SampleError(sim, f, &fs))
 		}
-		fmt.Printf("%-14s %11.2f%% %11.2f%% %11.2f%% %11.2f%%\n", w.Name,
+		fmt.Fprintf(c.out, "%-14s %11.2f%% %11.2f%% %11.2f%% %11.2f%%\n", w.Name,
 			dcmath.Mean(cErr)*100, dcmath.Mean(rErr)*100, dcmath.Mean(uErr)*100, dcmath.Mean(fErr)*100)
 		cAll = append(cAll, cErr...)
 		rAll = append(rAll, rErr...)
 		uAll = append(uAll, uErr...)
 		fAll = append(fAll, fErr...)
 	}
-	fmt.Printf("%-14s %11.2f%% %11.2f%% %11.2f%% %11.2f%%\n", "AVERAGE",
+	fmt.Fprintf(c.out, "%-14s %11.2f%% %11.2f%% %11.2f%% %11.2f%%\n", "AVERAGE",
 		dcmath.Mean(cAll)*100, dcmath.Mean(rAll)*100, dcmath.Mean(uAll)*100, dcmath.Mean(fAll)*100)
-	fmt.Println("(all methods simulate the same number of draws per frame)")
+	fmt.Fprintln(c.out, "(all methods simulate the same number of draws per frame)")
 	return nil
 }

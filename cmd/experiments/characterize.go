@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/charz"
 	"repro/internal/gpu"
@@ -20,8 +19,8 @@ func runE17(c *ctx) error {
 		if err != nil {
 			return err
 		}
-		charz.Characterize(sim, w).Render(os.Stdout)
-		fmt.Println()
+		charz.Characterize(sim, w).Render(c.out)
+		fmt.Fprintln(c.out)
 	}
 	return nil
 }

@@ -27,7 +27,7 @@ func runE13(c *ctx) error {
 		frameStride = 16
 		maxSamples  = 20000
 	)
-	fmt.Printf("%-14s %14s %16s %14s %12s\n",
+	fmt.Fprintf(c.out, "%-14s %14s %16s %14s %12s\n",
 		"workload", "level gap", "err vs isolated", "per-draw r", "shared hit")
 	for _, w := range c.suite {
 		sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
@@ -63,16 +63,16 @@ func runE13(c *ctx) error {
 			pred := cf.PredictNs(sim, f) // reps priced in isolation
 			errIso = append(errIso, math.Abs(pred-det.ContextFreeNs)/det.ContextFreeNs)
 		}
-		fmt.Printf("%-14s %13.2f%% %15.2f%% %14.4f %11.1f%%\n", w.Name,
+		fmt.Fprintf(c.out, "%-14s %13.2f%% %15.2f%% %14.4f %11.1f%%\n", w.Name,
 			dcmath.Mean(gaps)*100, dcmath.Mean(errIso)*100,
 			dcmath.Mean(corrs), dcmath.Mean(hits)*100)
 	}
-	fmt.Println("level gap = |shared-cache frame cost - context-free cost| / context-free.")
-	fmt.Println("The context-free oracle is systematically pessimistic about texture traffic")
-	fmt.Println("(a draw never inherits a warm cache from its material siblings), but the")
-	fmt.Println("per-draw correlation shows relative costs survive — which is what clustering")
-	fmt.Println("weights and architecture-sweep comparisons actually consume. This is the")
-	fmt.Println("quantified cost of the paper's per-draw (context-free) methodology.")
+	fmt.Fprintln(c.out, "level gap = |shared-cache frame cost - context-free cost| / context-free.")
+	fmt.Fprintln(c.out, "The context-free oracle is systematically pessimistic about texture traffic")
+	fmt.Fprintln(c.out, "(a draw never inherits a warm cache from its material siblings), but the")
+	fmt.Fprintln(c.out, "per-draw correlation shows relative costs survive — which is what clustering")
+	fmt.Fprintln(c.out, "weights and architecture-sweep comparisons actually consume. This is the")
+	fmt.Fprintln(c.out, "quantified cost of the paper's per-draw (context-free) methodology.")
 	return nil
 }
 
@@ -82,20 +82,17 @@ func runE13(c *ctx) error {
 func runE14(c *ctx) error {
 	seeds := []uint64{1, 2, 3, 4, 5}
 	const frameStride = 8
-	fmt.Printf("%-8s %12s %12s %12s\n", "seed", "mean err", "efficiency", "outliers")
+	fmt.Fprintf(c.out, "%-8s %12s %12s %12s\n", "seed", "mean err", "efficiency", "outliers")
 	var errs, effs, outs []float64
 	for _, seed := range seeds {
 		var errSum, effSum float64
 		clusters, outliers := 0, 0
 		frames := 0
-		for i, p := range synth.SuiteProfiles() {
-			if c.short {
-				p.Frames = 48
-			}
-			w, err := synth.Generate(p, seed+uint64(i)*0x9e3779b97f4a7c15)
-			if err != nil {
-				return err
-			}
+		suite, err := synth.BioshockSuite(seed, c.frames())
+		if err != nil {
+			return err
+		}
+		for _, w := range suite {
 			sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
 			if err != nil {
 				return err
@@ -123,9 +120,9 @@ func runE14(c *ctx) error {
 		errs = append(errs, e)
 		effs = append(effs, f)
 		outs = append(outs, o)
-		fmt.Printf("%-8d %11.2f%% %11.1f%% %11.2f%%\n", seed, e*100, f*100, o*100)
+		fmt.Fprintf(c.out, "%-8d %11.2f%% %11.1f%% %11.2f%%\n", seed, e*100, f*100, o*100)
 	}
-	fmt.Printf("%-8s %11.2f%% %11.1f%% %11.2f%%  (std dev: %.2f / %.1f / %.2f pp)\n", "MEAN",
+	fmt.Fprintf(c.out, "%-8s %11.2f%% %11.1f%% %11.2f%%  (std dev: %.2f / %.1f / %.2f pp)\n", "MEAN",
 		dcmath.Mean(errs)*100, dcmath.Mean(effs)*100, dcmath.Mean(outs)*100,
 		dcmath.StdDev(errs)*100, dcmath.StdDev(effs)*100, dcmath.StdDev(outs)*100)
 	return nil
@@ -138,8 +135,8 @@ func runE15(c *ctx) error {
 	if err := c.ensureSuite(); err != nil {
 		return err
 	}
-	fmt.Println("-- PCA feature reduction (leader clustering, default threshold) --")
-	fmt.Printf("%-12s %12s %12s\n", "components", "mean err", "efficiency")
+	fmt.Fprintln(c.out, "-- PCA feature reduction (leader clustering, default threshold) --")
+	fmt.Fprintf(c.out, "%-12s %12s %12s\n", "components", "mean err", "efficiency")
 	for _, k := range []int{0, 4, 8, 12} {
 		m := subset.DefaultMethod()
 		m.PCAComponents = k
@@ -151,11 +148,11 @@ func runE15(c *ctx) error {
 		if k == 0 {
 			label = fmt.Sprintf("off (%d)", features.NumFeatures)
 		}
-		fmt.Printf("%-12s %11.2f%% %11.1f%%\n", label, err*100, eff*100)
+		fmt.Fprintf(c.out, "%-12s %11.2f%% %11.1f%%\n", label, err*100, eff*100)
 	}
 
-	fmt.Println("\n-- BIC-selected k-means vs threshold-driven counts (sample frames) --")
-	fmt.Printf("%-14s %10s %10s %12s %12s\n", "workload", "K/leader", "K/BIC", "err/leader", "err/BIC")
+	fmt.Fprintln(c.out, "\n-- BIC-selected k-means vs threshold-driven counts (sample frames) --")
+	fmt.Fprintf(c.out, "%-14s %10s %10s %12s %12s\n", "workload", "K/leader", "K/BIC", "err/leader", "err/BIC")
 	for _, w := range c.suite {
 		sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
 		if err != nil {
@@ -209,7 +206,7 @@ func runE15(c *ctx) error {
 			kBIC = append(kBIC, float64(sel.K))
 			errBIC = append(errBIC, bfr.RelError)
 		}
-		fmt.Printf("%-14s %10.0f %10.0f %11.2f%% %11.2f%%\n", w.Name,
+		fmt.Fprintf(c.out, "%-14s %10.0f %10.0f %11.2f%% %11.2f%%\n", w.Name,
 			dcmath.Mean(kLead), dcmath.Mean(kBIC),
 			dcmath.Mean(errLead)*100, dcmath.Mean(errBIC)*100)
 	}

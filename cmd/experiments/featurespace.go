@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/dcmath"
 	"repro/internal/features"
@@ -69,6 +68,6 @@ func runE22(c *ctx) error {
 	}
 	tab.AddNote("dims@p = principal components covering p of per-frame feature variance")
 	tab.AddNote("(of %d features total); explains the E15 PCA trade-off.", features.NumFeatures)
-	tab.Render(os.Stdout)
+	tab.Render(c.out)
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/apicmd"
 	"repro/internal/explore"
 	"repro/internal/gpu"
-	"repro/internal/subset"
 	"repro/internal/sweep"
 )
 
@@ -19,15 +18,15 @@ func runE18(c *ctx) error {
 	if err := c.ensureSuite(); err != nil {
 		return err
 	}
-	fmt.Printf("%-14s %10s %12s %14s %12s\n",
+	fmt.Fprintf(c.out, "%-14s %10s %12s %14s %12s\n",
 		"workload", "draws", "binds", "binds/draw", "expansion")
 	for _, w := range c.suite {
 		st := apicmd.Record(w).Stats()
-		fmt.Printf("%-14s %10d %12d %14.2f %11.1fx\n",
+		fmt.Fprintf(c.out, "%-14s %10d %12d %14.2f %11.1fx\n",
 			w.Name, st.Draws, st.Binds, st.BindsPerDraw, st.ExpansionRatio)
 	}
-	fmt.Println("binds/draw well below the full-state 6 confirms material batching —")
-	fmt.Println("the same contiguity leader clustering exploits.")
+	fmt.Fprintln(c.out, "binds/draw well below the full-state 6 confirms material batching —")
+	fmt.Fprintln(c.out, "the same contiguity leader clustering exploits.")
 	return nil
 }
 
@@ -36,20 +35,17 @@ func runE18(c *ctx) error {
 // reproduce the parent's (delay, energy) frontier and its choice under
 // a power cap?
 func runE19(c *ctx) error {
-	if err := c.ensureSuite(); err != nil {
+	if err := c.ensureReports(); err != nil {
 		return err
 	}
 	pm := gpu.DefaultPowerModel()
 	grid := sweep.Grid(gpu.BaseConfig(), []float64{0.5, 0.8, 1.2, 1.8}, []float64{0.5, 1.0, 1.5})
-	fmt.Printf("grid: %d configs (4 core x 3 mem clocks); power cap for the constrained pick: 12 W\n", len(grid))
-	fmt.Printf("%-14s %10s %10s %12s %16s %16s\n",
+	fmt.Fprintf(c.out, "grid: %d configs (4 core x 3 mem clocks); power cap for the constrained pick: 12 W\n", len(grid))
+	fmt.Fprintf(c.out, "%-14s %10s %10s %12s %16s %16s\n",
 		"workload", "frontier", "agreement", "capped agree", "capped/parent", "capped/subset")
-	for _, w := range c.suite {
-		s, err := subset.BuildContext(context.Background(), w, c.subsetOptions())
-		if err != nil {
-			return err
-		}
-		res, err := sweep.RunEnergyParallel(context.Background(), w, s, pm, grid, c.workers)
+	for _, r := range c.reports.Reports {
+		s := r.Subset
+		res, err := sweep.RunEnergyParallel(context.Background(), s.Parent, s, pm, grid, c.workers)
 		if err != nil {
 			return err
 		}
@@ -74,8 +70,8 @@ func runE19(c *ctx) error {
 		if errS == nil {
 			sName = grid[sb.Index].Name
 		}
-		fmt.Printf("%-14s %7d/%-2d %10.2f %12v %16s %16s\n",
-			w.Name, len(pf), len(sf), agree, capAgree, pName, sName)
+		fmt.Fprintf(c.out, "%-14s %7d/%-2d %10.2f %12v %16s %16s\n",
+			s.Parent.Name, len(pf), len(sf), agree, capAgree, pName, sName)
 	}
 	return nil
 }

@@ -10,6 +10,10 @@
 // corpus (48 frames per game) for quick iteration; published numbers
 // use the full 717-frame corpus.
 //
+// The experiments that report the pipeline's results (E2-E4, E6-E8,
+// E11, E12, E16, E19, E20) read one core.RunSuite pass over the corpus,
+// run once per invocation and shared.
+//
 // Failures are reported through the structured logger (default
 // -log-level error) with the experiment id, duration and error class;
 // -manifest out.json exports a run manifest with one stage per
@@ -27,12 +31,16 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/subset"
 	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/traceerr"
 )
+
+// paperSeed is the corpus seed the published tables and the paper
+// claims gate use.
+const paperSeed = 42
 
 // experiment is one regenerable table/figure.
 type experiment struct {
@@ -66,41 +74,53 @@ var experiments = []experiment{
 	{"E22", "Feature-space spectrum: effective dimensionality per frame (extension)", runE22},
 }
 
-// ctx carries the lazily-built corpus and evaluation caches shared by
-// experiments (E2-E4 reuse one clustering evaluation, for example).
+// ctx carries a run's settings, its output and the lazily built
+// corpus and pipeline pass the experiments share.
 type ctx struct {
 	seed    uint64
 	short   bool
-	workers int // goroutine bound for every parallel stage
+	workers int       // goroutine bound for every parallel stage
+	out     io.Writer // every table and banner goes here
 
-	suite []*trace.Workload
-	evals []gameEval // filled by ensureEvals (E2-E4)
+	suite   []*trace.Workload
+	reports *core.SuiteReport // filled by ensureReports
 }
 
-// subsetOptions is the default subset configuration with the run's
-// worker bound applied.
-func (c *ctx) subsetOptions() subset.Options {
-	opt := subset.DefaultOptions()
-	opt.Workers = c.workers
-	return opt
+// frames is each game's length: 48 under -short, else 0, which keeps
+// each profile's own length.
+func (c *ctx) frames() int {
+	if c.short {
+		return 48
+	}
+	return 0
 }
 
 func (c *ctx) ensureSuite() error {
 	if c.suite != nil {
 		return nil
 	}
-	profiles := synth.SuiteProfiles()
-	for i, p := range profiles {
-		if c.short {
-			p.Frames = 48
-		}
-		w, err := synth.Generate(p, c.seed+uint64(i)*0x9e3779b97f4a7c15)
-		if err != nil {
-			return err
-		}
-		c.suite = append(c.suite, w)
+	var err error
+	c.suite, err = synth.BioshockSuite(c.seed, c.frames())
+	return err
+}
+
+// ensureReports runs the pipeline once per game, with default options
+// and the run's worker bound: one report per game, in corpus order.
+func (c *ctx) ensureReports() error {
+	if c.reports != nil {
+		return nil
 	}
-	return nil
+	if err := c.ensureSuite(); err != nil {
+		return err
+	}
+	opt := core.DefaultOptions()
+	opt.Workers = c.workers
+	s, err := core.New(opt)
+	if err != nil {
+		return err
+	}
+	c.reports, err = s.RunSuite(c.suite)
+	return err
 }
 
 // errClass buckets experiment failures for the structured log:
@@ -126,7 +146,7 @@ func errClass(err error) string {
 func main() {
 	var (
 		runList  = flag.String("run", "", "comma-separated experiment ids (default: all)")
-		seed     = flag.Uint64("seed", 42, "corpus seed")
+		seed     = flag.Uint64("seed", paperSeed, "corpus seed")
 		short    = flag.Bool("short", false, "shrink corpus to 48 frames/game for quick runs")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "max goroutines for evaluations and sweeps (results are identical at any count)")
 		logLevel = flag.String("log-level", "error", "structured logging to stderr: debug, info, warn, error or off")
@@ -173,8 +193,8 @@ func main() {
 		}
 	}
 
-	c := &ctx{seed: *seed, short: *short, workers: *workers}
-	if failed := runAll(experiments, selected, c, run, os.Stdout); failed > 0 {
+	c := &ctx{seed: *seed, short: *short, workers: *workers, out: os.Stdout}
+	if failed := runAll(experiments, selected, c, run); failed > 0 {
 		finish(1)
 	}
 	finish(0)
@@ -185,13 +205,13 @@ func main() {
 // remaining experiments still run, since each regenerates an
 // independent table — and the number of failures is returned so main
 // can exit nonzero after the batch completes.
-func runAll(exps []experiment, selected map[string]bool, c *ctx, run *obs.Run, out io.Writer) int {
+func runAll(exps []experiment, selected map[string]bool, c *ctx, run *obs.Run) int {
 	failed := 0
 	for _, e := range exps {
 		if len(selected) > 0 && !selected[e.id] {
 			continue
 		}
-		fmt.Fprintf(out, "==== %s: %s ====\n", e.id, e.title)
+		fmt.Fprintf(c.out, "==== %s: %s ====\n", e.id, e.title)
 		run.Logger().Info("experiment start", "id", e.id, "title", e.title)
 		sp := run.Root().Child(e.id)
 		start := time.Now()
@@ -204,10 +224,10 @@ func runAll(exps []experiment, selected map[string]bool, c *ctx, run *obs.Run, o
 				"dur", time.Since(start).Round(time.Millisecond),
 				"class", errClass(err),
 				"err", err)
-			fmt.Fprintf(out, "---- %s FAILED after %s: %v ----\n\n", e.id, time.Since(start).Round(time.Millisecond), err)
+			fmt.Fprintf(c.out, "---- %s FAILED after %s: %v ----\n\n", e.id, time.Since(start).Round(time.Millisecond), err)
 			continue
 		}
-		fmt.Fprintf(out, "---- %s done in %s ----\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(c.out, "---- %s done in %s ----\n\n", e.id, time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {
 		run.Logger().Error("experiment batch finished with failures", "failed", failed, "class", "partial-failure")

@@ -32,7 +32,7 @@ func TestRunAllContinuesPastFailures(t *testing.T) {
 
 	var out bytes.Buffer
 	run := obs.NewRun("experiments-test")
-	failed := runAll(exps, nil, &ctx{workers: 1}, run, &out)
+	failed := runAll(exps, nil, &ctx{workers: 1, out: &out}, run)
 
 	if failed != 2 {
 		t.Errorf("failed = %d, want 2", failed)
@@ -67,7 +67,7 @@ func TestRunAllSelection(t *testing.T) {
 	}
 	exps := []experiment{mk("T1", nil), mk("T2", errors.New("x")), mk("T3", nil)}
 	var out bytes.Buffer
-	failed := runAll(exps, map[string]bool{"T1": true, "T3": true}, &ctx{workers: 1}, obs.NewRun("t"), &out)
+	failed := runAll(exps, map[string]bool{"T1": true, "T3": true}, &ctx{workers: 1, out: &out}, obs.NewRun("t"))
 	if failed != 0 {
 		t.Errorf("failed = %d, want 0 (failing experiment was not selected)", failed)
 	}
@@ -80,7 +80,7 @@ func TestRunAllSelection(t *testing.T) {
 func TestRunAllAllGreen(t *testing.T) {
 	ok := experiment{id: "T1", title: "ok", run: func(*ctx) error { return nil }}
 	var out bytes.Buffer
-	if failed := runAll([]experiment{ok, ok, ok}, nil, &ctx{workers: 1}, obs.NewRun("t"), &out); failed != 0 {
+	if failed := runAll([]experiment{ok, ok, ok}, nil, &ctx{workers: 1, out: &out}, obs.NewRun("t")); failed != 0 {
 		t.Errorf("failed = %d, want 0", failed)
 	}
 	if strings.Contains(out.String(), "FAILED") {

@@ -3,11 +3,9 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"repro/internal/gpu"
 	"repro/internal/report"
-	"repro/internal/subset"
 	"repro/internal/sweep"
 )
 
@@ -18,7 +16,7 @@ import (
 // features, so nothing ties them to a particular EU count or cache
 // geometry.
 func runE20(c *ctx) error {
-	if err := c.ensureSuite(); err != nil {
+	if err := c.ensureReports(); err != nil {
 		return err
 	}
 	euSweep := make([]gpu.Config, 0, 5)
@@ -37,11 +35,8 @@ func runE20(c *ctx) error {
 	}
 	tab := report.New("subset fidelity on micro-architectural sweeps",
 		"workload", "dimension", "pearson r", "spearman", "parent range", "subset range")
-	for _, w := range c.suite {
-		s, err := subset.BuildContext(context.Background(), w, c.subsetOptions())
-		if err != nil {
-			return err
-		}
+	for _, r := range c.reports.Reports {
+		s := r.Subset
 		for _, arm := range []struct {
 			name string
 			cfgs []gpu.Config
@@ -50,12 +45,12 @@ func runE20(c *ctx) error {
 			{"tex cache 32K-4M", cacheSweep},
 			{"device tiers", gpu.Tiers()},
 		} {
-			res, err := sweep.RunParallel(context.Background(), w, s, arm.cfgs, c.workers)
+			res, err := sweep.RunParallel(context.Background(), s.Parent, s, arm.cfgs, c.workers)
 			if err != nil {
 				return err
 			}
 			last := len(res.Points) - 1
-			tab.AddRow(w.Name, arm.name,
+			tab.AddRow(s.Parent.Name, arm.name,
 				fmt.Sprintf("%.5f", res.Correlation),
 				fmt.Sprintf("%.5f", res.RankCorrelation),
 				fmt.Sprintf("%.2fx", res.ParentSpeedups[last]),
@@ -63,6 +58,6 @@ func runE20(c *ctx) error {
 		}
 	}
 	tab.AddNote("range = speedup of the last sweep point relative to the first")
-	tab.Render(os.Stdout)
+	tab.Render(c.out)
 	return nil
 }

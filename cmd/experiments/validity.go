@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/dcmath"
@@ -58,6 +57,6 @@ func runE21(c *ctx) error {
 	}
 	tab.AddNote("MaterialID is metadata the clustering never reads; high ARI/purity means")
 	tab.AddNote("MAI features alone recover the engine's batching structure.")
-	tab.Render(os.Stdout)
+	tab.Render(c.out)
 	return nil
 }

@@ -166,7 +166,6 @@ func runStream(ctx context.Context, run *obs.Run, cfg config) error {
 	opt := stream.DefaultOptions()
 	opt.Method.Threshold = cfg.threshold
 	opt.Phase.IntervalFrames = cfg.interval
-	opt.Lenient = cfg.lenient
 	res, err := stream.RunContext(ctx, r, opt)
 	if err != nil {
 		return err
@@ -198,7 +197,7 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 	}
 	defer f.Close()
 	// Under -lenient the reader resyncs past corrupt records and drops
-	// invalid frames and draws as they arrive; its accounting joins the
+	// invalid frames and draws as they arrive; its accounting is the
 	// report's.
 	var (
 		w    *trace.Workload
@@ -223,7 +222,6 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 	opt.Subset.Method.Threshold = cfg.threshold
 	opt.Subset.Phase.IntervalFrames = cfg.interval
 	opt.SkipClusteringEval = cfg.fast
-	opt.Lenient = cfg.lenient
 	opt.Workers = cfg.workers
 	opt.Cache, err = cache.FromFlags(cfg.cacheDir, cfg.cacheMem)
 	if err != nil {
@@ -237,7 +235,7 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 	if err != nil {
 		return err
 	}
-	rep.Diagnostics.Add(diag)
+	rep.Diagnostics = diag
 	_, rsp := obs.StartSpan(ctx, "render-report")
 	rep.Render(cfg.out)
 	rsp.End()

@@ -6,8 +6,8 @@
 // substrate, internal/synth the synthetic game-trace generator, and
 // internal/{features,cluster,phase,subset,metrics,sweep} the
 // methodology stages. See DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate each experiment at reduced scale; the
-// cmd/experiments binary regenerates them on the full 717-frame
-// corpus.
+// EXPERIMENTS.md for paper-vs-measured results. The cmd/experiments
+// binary regenerates every experiment on the full 717-frame corpus;
+// its BenchmarkExperiments runs each at reduced scale, and its
+// TestPaperClaims gates the paper's headline numbers.
 package repro

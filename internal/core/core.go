@@ -54,12 +54,6 @@ type Options struct {
 	// when only the subset is wanted.
 	SkipClusteringEval bool
 
-	// Lenient makes Run sanitize a damaged workload — dropping invalid
-	// draws and unusable frames, accounted in the report's Diagnostics
-	// — instead of rejecting it outright. The run still fails if
-	// nothing usable survives.
-	Lenient bool
-
 	// Workers bounds the goroutine fan-out of every pipeline stage:
 	// clustering evaluation, phase detection, subset clustering and the
 	// validation sweep (<= 0 selects GOMAXPROCS, 1 runs fully
@@ -135,8 +129,10 @@ type Report struct {
 	Validation sweep.Result
 	Validated  bool
 
-	// Diagnostics accounts for draws and frames dropped by lenient
-	// sanitization. Zero on clean inputs and in strict mode.
+	// Diagnostics accounts for draws and frames a lenient reader
+	// dropped before the run (trace.DecodeLenient); the caller that
+	// read the workload fills it in. A run never sanitizes: a damaged
+	// workload fails its validation.
 	Diagnostics traceerr.Diagnostics
 }
 
@@ -147,8 +143,7 @@ func (s *Subsetter) Run(w *trace.Workload) (*Report, error) {
 
 // RunContext executes the pipeline on one workload, honoring
 // cancellation between pipeline stages and inside the frame pass and
-// the validation sweep. In lenient mode a damaged workload is
-// sanitized first.
+// the validation sweep.
 //
 // A run builds one simulator on the oracle and one frame clusterer,
 // and every stage shares them; their constructors are the run's
@@ -161,21 +156,6 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 	run := obs.RunFromContext(ctx)
 
 	rep := &Report{}
-	if s.opt.Lenient {
-		_, sp := obs.StartSpan(ctx, "sanitize")
-		diag, err := w.Sanitize()
-		sp.AddItems(int64(len(w.Frames)))
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		rep.Diagnostics = diag
-		run.RecordDiagnostics(diag.Map())
-		if diag.Any() {
-			run.Logger().Warn("lenient sanitization degraded the workload",
-				"workload", w.Name, "draws_dropped", diag.DrawsDropped, "frames_skipped", diag.FramesSkipped)
-		}
-	}
 	validate := len(s.opt.ValidationClocks) >= 2
 	var sim *gpu.Simulator
 	if !s.opt.SkipClusteringEval || validate {
@@ -199,8 +179,6 @@ func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report,
 	run.Logger().Info("workload ready", "workload", w.Name,
 		"frames", rep.Summary.Frames, "draws", rep.Summary.Draws)
 
-	// Bind the cache after sanitization settled the workload's content:
-	// the fingerprint must describe the frames the stages actually see.
 	ctx = s.bindCache(ctx, w)
 
 	var cfgs []gpu.Config

@@ -5,71 +5,7 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/traceerr"
 )
-
-func TestLenientRunSanitizesDamage(t *testing.T) {
-	w := coreGame(t)
-	cleanDraws := w.NumDraws()
-	// One rotten draw in frame 2, one frame (5) damaged beyond use.
-	w.Frames[2].Draws[0].Overdraw = 0.2
-	for di := range w.Frames[5].Draws {
-		w.Frames[5].Draws[di].VertexCount = -1
-	}
-	droppedWhole := len(w.Frames[5].Draws)
-
-	strict, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := strict.Run(w); err == nil {
-		t.Fatal("strict mode accepted damaged workload")
-	}
-
-	opt := DefaultOptions()
-	opt.Lenient = true
-	opt.SkipClusteringEval = true
-	lenient, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := lenient.Run(w)
-	if err != nil {
-		t.Fatalf("lenient run failed: %v", err)
-	}
-	d := rep.Diagnostics
-	if d.FramesSkipped != 1 {
-		t.Errorf("FramesSkipped = %d, want 1", d.FramesSkipped)
-	}
-	if d.DrawsDropped != droppedWhole+1 {
-		t.Errorf("DrawsDropped = %d, want %d", d.DrawsDropped, droppedWhole+1)
-	}
-	if rep.Summary.Draws != cleanDraws-droppedWhole-1 {
-		t.Errorf("summary draws = %d, want %d", rep.Summary.Draws, cleanDraws-droppedWhole-1)
-	}
-	if rep.Subset == nil || len(rep.Subset.Frames) == 0 {
-		t.Fatal("no subset built from sanitized workload")
-	}
-}
-
-func TestLenientRunRejectsUnusableWorkload(t *testing.T) {
-	w := coreGame(t)
-	for fi := range w.Frames {
-		for di := range w.Frames[fi].Draws {
-			w.Frames[fi].Draws[di].VertexCount = -1
-		}
-	}
-	opt := DefaultOptions()
-	opt.Lenient = true
-	s, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(w); !errors.Is(err, traceerr.ErrInvalidFrame) {
-		t.Fatalf("err = %v, want ErrInvalidFrame", err)
-	}
-}
 
 func TestRunContextHonorsCancellation(t *testing.T) {
 	w := coreGame(t)

@@ -42,8 +42,8 @@ var currentVersions = passVersions{passVersion, features.SchemaVersion, subset.C
 // workload fingerprint, every clustering method field, the cost-model
 // fingerprint of the oracle and of each validation config in grid
 // order, the outlier threshold and the version constants. Nothing else
-// in opt can change the product (Workers and Lenient cannot, and
-// Config.Name prices nothing), so nothing else is in the key.
+// in opt can change the product (Workers cannot, and Config.Name
+// prices nothing), so nothing else is in the key.
 func passKey(fp trace.Fingerprint, opt Options, cfgs []gpu.Config, v passVersions) cache.Key {
 	b := cache.NewKey("core.framepass", v[0])
 	for _, x := range v[1:] {

@@ -10,7 +10,7 @@ import (
 
 // FuzzShardManifestDecode drives arbitrary bytes through the manifest
 // decoder — the same container framing as .s3dc cache entries, then a
-// gob payload, then the structural invariants. The contract: never
+// JSON payload, then the structural invariants. The contract: never
 // panic, classify every rejection under the traceerr taxonomy, and
 // accept only manifests whose invariants hold and which re-encode
 // byte-identically (a decoded manifest must be indistinguishable from
@@ -39,7 +39,7 @@ func FuzzShardManifestDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("S3DC"))
 	f.Add(frameRaw(nil))
-	f.Add(frameRaw([]byte("not a gob stream")))
+	f.Add(frameRaw([]byte("not a manifest")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeManifest(data)
@@ -76,9 +76,10 @@ func FuzzShardManifestDecode(f *testing.F) {
 				t.Fatalf("round trip mutated entry %d", i)
 			}
 		}
-		// Gob is not a canonical encoding, so the re-encoding need not
-		// equal the arbitrary input — but encoding the same value twice
-		// must be stable (the overlapping-shards byte-equality contract).
+		// JSON decoding accepts non-canonical input (spacing, key case,
+		// number spellings), so the re-encoding need not equal the
+		// arbitrary input — but encoding the same value twice must be
+		// stable (the overlapping-shards byte-equality contract).
 		reenc2, err := m2.Encode()
 		if err != nil {
 			t.Fatal(err)

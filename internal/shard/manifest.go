@@ -1,10 +1,9 @@
 package shard
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -20,7 +19,9 @@ import (
 // ManifestVersion versions the manifest payload schema. A version skew
 // classifies as traceerr.ErrVersionMismatch on decode, so a merge
 // never silently folds manifests written by an incompatible build.
-const ManifestVersion = 1
+// Version 2 payloads are JSON; a version 1 (gob) payload does not
+// parse and classifies as traceerr.ErrCorruptRecord.
+const ManifestVersion = 2
 
 // Entry records one completed task: the measured pricing of one grid
 // configuration, plus enough identity (config fingerprint, cache key,
@@ -68,15 +69,17 @@ type Manifest struct {
 	Entries  []Entry
 }
 
-// Encode serializes the manifest: gob payload inside the framed
-// container. Gob over this fixed, map-free schema is deterministic, so
-// two workers completing the same shard emit byte-identical files.
+// Encode serializes the manifest: a JSON payload inside the framed
+// container. The schema has no maps, and every field is an int, a
+// float or a byte array, so its JSON depends only on the manifest's
+// value, never on what the process encoded before: two workers
+// completing the same shard emit byte-identical files.
 func (m *Manifest) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	payload, err := json.Marshal(m)
+	if err != nil {
 		return nil, fmt.Errorf("shard: encode manifest: %w", err)
 	}
-	return cache.EncodeFramed(buf.Bytes()), nil
+	return cache.EncodeFramed(payload), nil
 }
 
 // DecodeManifest validates the container framing, decodes the payload
@@ -90,7 +93,7 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("shard: manifest container: %w", err)
 	}
 	var m Manifest
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
+	if err := json.Unmarshal(payload, &m); err != nil {
 		return nil, fmt.Errorf("shard: manifest payload: %v: %w", err, traceerr.ErrCorruptRecord)
 	}
 	if m.Version != ManifestVersion {

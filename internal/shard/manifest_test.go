@@ -3,7 +3,10 @@ package shard
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -61,8 +64,8 @@ func TestManifestRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d mutated: %+v vs %+v", i, got.Entries[i], m.Entries[i])
 		}
 	}
-	// Gob over this fixed schema must be deterministic: the manifest is
-	// the unit the overlapping-shards test compares byte-for-byte.
+	// Encoding must be deterministic: the manifest is the unit the
+	// overlapping-shards test compares byte-for-byte.
 	data2, err := m.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +94,47 @@ func TestDecodeManifestClassifiesCorruption(t *testing.T) {
 	check("container version skew", func(b []byte) []byte { b[5] = 99; return b }, traceerr.ErrVersionMismatch)
 	check("payload bitflip", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }, traceerr.ErrCorruptRecord)
 	check("trailing garbage", func(b []byte) []byte { return append(b, 0) }, traceerr.ErrCorruptRecord)
-	// A well-framed container whose payload is not a gob manifest.
-	garbage := []byte("not a gob stream")
+	// A well-framed container whose payload is not a JSON manifest.
+	garbage := []byte("not a manifest")
 	if _, err := DecodeManifest(frameRaw(garbage)); !errors.Is(err, traceerr.ErrCorruptRecord) {
-		t.Fatalf("non-gob payload: %v", err)
+		t.Fatalf("non-JSON payload: %v", err)
+	}
+}
+
+// TestDecodeManifestRejectsV1Gob: testdata/manifest-v1.s3dm is
+// testManifest as the version 1 build wrote it (a gob payload). A
+// sweep's shards and its merge must run one build, so the file is
+// rejected, under the taxonomy, instead of being misread.
+func TestDecodeManifestRejectsV1Gob(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "manifest-v1.s3dm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeManifest(data); !errors.Is(err, traceerr.ErrCorruptRecord) {
+		t.Fatalf("v1 gob manifest: got %v, want ErrCorruptRecord", err)
+	}
+}
+
+// TestManifestBytesIgnoreProcessHistory: a manifest's bytes depend
+// only on its value. Gob numbers types per process in the order it
+// first meets them, so the test first gob-encodes an unrelated type,
+// which would have shifted a gob manifest's bytes, and then holds
+// testManifest's encoding to a frozen digest.
+func TestManifestBytesIgnoreProcessHistory(t *testing.T) {
+	type unrelated struct {
+		A int
+		B []string
+	}
+	if err := gob.NewEncoder(io.Discard).Encode(unrelated{A: 1, B: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := testManifest().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "99abb1edf986bf868be9e913256333374feb0d739323b84b9e71e374682cf41c"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("manifest digest %s, want %s: the encoding changed", got, want)
 	}
 }
 

@@ -23,15 +23,12 @@ import (
 	"repro/internal/traceerr"
 )
 
-// Options mirrors subset.Options.
+// Options mirrors subset.Options. Leniency belongs to the frame
+// source: a lenient trace.StreamReader resyncs past damaged records
+// and drops invalid draws and empty frames before Push sees them.
 type Options struct {
 	Method subset.Method
 	Phase  phase.Options
-
-	// Lenient makes Push skip unusable frames (accounted in the
-	// result's Diagnostics) instead of failing the run — pair it with a
-	// lenient trace.StreamReader to survive damaged captures.
-	Lenient bool
 }
 
 // DefaultOptions returns the batch pipeline's defaults.
@@ -48,9 +45,9 @@ type Result struct {
 	ParentDraws  int
 	Timeline     string
 
-	// Diagnostics accounts for everything skipped on the way here —
-	// the reader's resyncs plus frames the subsetter itself dropped.
-	// Zero on a clean strict run.
+	// Diagnostics is the frame source's accounting of what it skipped
+	// on the way here (a lenient reader's resyncs and drops). Zero on a
+	// clean strict run.
 	Diagnostics traceerr.Diagnostics
 }
 
@@ -90,7 +87,6 @@ type Subsetter struct {
 	timeline []byte // one rune per interval
 	frames   []subset.Frame
 	finished bool
-	diag     traceerr.Diagnostics
 }
 
 // New builds a streaming subsetter bound to the stream's shell
@@ -111,17 +107,12 @@ func New(shell *trace.Workload, opt Options) (*Subsetter, error) {
 	}, nil
 }
 
-// Push consumes one frame. In lenient mode an unusable frame is
-// skipped and accounted instead of failing the run.
+// Push consumes one frame. A frame without draws fails the run.
 func (s *Subsetter) Push(f trace.Frame) error {
 	if s.finished {
 		return fmt.Errorf("stream: Push after Finish")
 	}
 	if len(f.Draws) == 0 {
-		if s.opt.Lenient {
-			s.diag.FramesSkipped++
-			return nil
-		}
 		return fmt.Errorf("stream: frame %d has no draws: %w", s.frameIdx, traceerr.ErrInvalidFrame)
 	}
 	s.buf = append(s.buf, f)
@@ -193,7 +184,6 @@ func (s *Subsetter) Finish() (*Result, error) {
 		ParentFrames: s.frameIdx,
 		ParentDraws:  s.draws,
 		Timeline:     string(s.timeline),
-		Diagnostics:  s.diag,
 	}, nil
 }
 

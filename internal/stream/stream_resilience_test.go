@@ -47,9 +47,7 @@ func TestLenientCorruptionMatchesCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.Lenient = true
-	got, err := RunContext(context.Background(), r, opt)
+	got, err := RunContext(context.Background(), r, DefaultOptions())
 	if err != nil {
 		t.Fatalf("lenient run failed: %v", err)
 	}
@@ -153,33 +151,5 @@ func TestRunContextCancellation(t *testing.T) {
 		if _, err := RunContext(ctx2, dec2, DefaultOptions()); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 		}
-	}
-}
-
-func TestLenientPushSkipsEmptyFrames(t *testing.T) {
-	w := streamGame(t)
-	opt := DefaultOptions()
-	opt.Lenient = true
-	s, err := New(shellOf(t, w), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Push(trace.Frame{}); err != nil {
-		t.Fatalf("lenient Push rejected empty frame: %v", err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := s.Push(w.Frames[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ParentFrames != 8 {
-		t.Errorf("ParentFrames = %d, want 8 (empty frame skipped)", res.ParentFrames)
-	}
-	if res.Diagnostics.FramesSkipped != 1 {
-		t.Errorf("FramesSkipped = %d, want 1", res.Diagnostics.FramesSkipped)
 	}
 }

@@ -233,12 +233,17 @@ func genFrame(rng *dcmath.RNG, p Profile, lib, shared []material, scene string) 
 	return trace.Frame{Scene: scene, Draws: draws}
 }
 
-// BioshockSuite generates the full three-game corpus (717 frames,
-// ~828K draw calls) deterministically from seed.
-func BioshockSuite(seed uint64) ([]*trace.Workload, error) {
+// BioshockSuite generates the three-game corpus deterministically from
+// seed: each game's seed is seed + i*0x9e3779b97f4a7c15. frames > 0
+// shortens every game to that many frames; 0 keeps each profile's own
+// length (717 frames, ~828K draw calls in all).
+func BioshockSuite(seed uint64, frames int) ([]*trace.Workload, error) {
 	profiles := SuiteProfiles()
 	out := make([]*trace.Workload, len(profiles))
 	for i, p := range profiles {
+		if frames > 0 {
+			p.Frames = frames
+		}
 		w, err := Generate(p, seed+uint64(i)*0x9e3779b97f4a7c15)
 		if err != nil {
 			return nil, err

@@ -203,7 +203,7 @@ func TestSuiteCorpusShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus generation in -short mode")
 	}
-	suite, err := BioshockSuite(42)
+	suite, err := BioshockSuite(42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

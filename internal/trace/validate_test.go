@@ -1,13 +1,17 @@
 package trace_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/shader"
+	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/traceerr"
 	"repro/internal/tracetest"
 )
 
@@ -227,5 +231,83 @@ func TestSanitizeFrameDropsOnlyInvalidDraws(t *testing.T) {
 	dropped, err = w.SanitizeFrame(&w.Frames[1])
 	if dropped != 0 || err != nil {
 		t.Fatalf("clean frame: dropped=%d err=%v, want 0, nil", dropped, err)
+	}
+}
+
+// sanitizeGame is a small private game for the whole-workload repair
+// tests, which damage it in place.
+func sanitizeGame(t *testing.T) *trace.Workload {
+	t.Helper()
+	p := synth.Bioshock1Profile()
+	p.Frames = 64
+	p.MaterialsPerScene = 40
+	p.SharedMaterials = 8
+	p.Textures = 80
+	p.VSPool = 6
+	p.PSPool = 16
+	w, err := synth.Generate(p, 51)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestSanitizeRepairsDamageForAStrictRun: Sanitize drops exactly the
+// invalid draws and the frame left without any, and the strict
+// pipeline, which rejects the damaged workload, builds a subset from
+// the repaired one.
+func TestSanitizeRepairsDamageForAStrictRun(t *testing.T) {
+	w := sanitizeGame(t)
+	cleanDraws := w.NumDraws()
+	// One rotten draw in frame 2, one frame (5) damaged beyond use.
+	w.Frames[2].Draws[0].Overdraw = 0.2
+	for di := range w.Frames[5].Draws {
+		w.Frames[5].Draws[di].VertexCount = -1
+	}
+	droppedWhole := len(w.Frames[5].Draws)
+
+	opt := core.DefaultOptions()
+	opt.SkipClusteringEval = true
+	strict, err := core.New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := strict.Run(w); err == nil {
+		t.Fatal("strict run accepted damaged workload")
+	}
+
+	d, err := w.Sanitize()
+	if err != nil {
+		t.Fatalf("Sanitize failed: %v", err)
+	}
+	if d.FramesSkipped != 1 {
+		t.Errorf("FramesSkipped = %d, want 1", d.FramesSkipped)
+	}
+	if d.DrawsDropped != droppedWhole+1 {
+		t.Errorf("DrawsDropped = %d, want %d", d.DrawsDropped, droppedWhole+1)
+	}
+	if got := trace.Summarize(w).Draws; got != cleanDraws-droppedWhole-1 {
+		t.Errorf("summary draws = %d, want %d", got, cleanDraws-droppedWhole-1)
+	}
+	rep, err := strict.Run(w)
+	if err != nil {
+		t.Fatalf("strict run over the sanitized workload failed: %v", err)
+	}
+	if rep.Subset == nil || len(rep.Subset.Frames) == 0 {
+		t.Fatal("no subset built from sanitized workload")
+	}
+}
+
+// TestSanitizeRejectsUnusableWorkload: when no frame survives, Sanitize
+// fails as an invalid frame instead of returning an empty workload.
+func TestSanitizeRejectsUnusableWorkload(t *testing.T) {
+	w := sanitizeGame(t)
+	for fi := range w.Frames {
+		for di := range w.Frames[fi].Draws {
+			w.Frames[fi].Draws[di].VertexCount = -1
+		}
+	}
+	if _, err := w.Sanitize(); !errors.Is(err, traceerr.ErrInvalidFrame) {
+		t.Fatalf("err = %v, want ErrInvalidFrame", err)
 	}
 }
