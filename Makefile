@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet lint build test stress cover cover-cluster cover-export cover-shard cover-coord fuzz-seeds bench bench-parallel bench-cache bench-hotpath bench-hotpath-check bench-shard bench-shard-check bench-coord bench-coord-check serve-smoke bench-serve coord-smoke clean
+.PHONY: tier1 vet lint build test test-nofma fma-check stress cover cover-cluster cover-export cover-shard cover-coord fuzz-seeds bench bench-parallel bench-cache bench-hotpath bench-hotpath-check bench-shard bench-shard-check bench-coord bench-coord-check serve-smoke bench-serve coord-smoke clean
 
 # BENCHTIME tunes the hot-path benchmark arms; 1s x 3 counts balances
 # noise robustness (benchjson keeps the fastest repetition) against CI
@@ -35,6 +35,33 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# test-nofma runs the suite as an amd64 CPU without FMA would:
+# GODEBUG=cpu.fma=off turns off the standard library's FMA paths (such
+# as math.Exp's on amd64), so a result that depends on the host's FMA
+# unit fails here. No race detector: it is the same suite a second time
+# for bits, not for interleavings.
+test-nofma:
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./...
+
+# fma-check cross-compiles internal/dcmath with -S for the four
+# architectures whose Go compilers fuse x*y + z into one rounding
+# (arm64, ppc64le, s390x, riscv64) and fails on any fused multiply-add
+# in the listing: a fused product skips a rounding, so the package
+# would return other bits there than on amd64. An explicit float64()
+# on a product that feeds a sum stops the fusion. It needs no emulator.
+FMA_ARCHS = arm64 ppc64le s390x riscv64
+
+fma-check:
+	@fail=0; \
+	for arch in $(FMA_ARCHS); do \
+		asm=$$(GOARCH=$$arch $(GO) build -o /dev/null -gcflags='repro/internal/dcmath=-S' ./internal/dcmath 2>&1) || { echo "$$asm"; exit 1; }; \
+		fused=$$(printf '%s\n' "$$asm" | grep -E '\bF(N)?M(ADD|SUB)[A-Z]*\b' | awk '{ print "  " $$3, $$4 }'); \
+		n=$$(printf '%s' "$$fused" | grep -c . || true); \
+		echo "$$arch: $$n fused multiply-adds in internal/dcmath"; \
+		if [ "$$n" -ne 0 ]; then printf '%s\n' "$$fused"; fail=1; fi; \
+	done; \
+	exit $$fail
 
 # stress repeats the suites of the concurrent packages under the race
 # detector, so an interleaving-dependent flake (a torn lock-free

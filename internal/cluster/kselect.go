@@ -120,7 +120,7 @@ func geometricCandidates(lo, hi, maxN int) []int {
 		return []int{lo}
 	}
 	out := []int{}
-	ratio := math.Pow(float64(hi)/float64(lo), 1/float64(maxN-1))
+	ratio := dcmath.Pow(float64(hi)/float64(lo), 1/float64(maxN-1))
 	v := float64(lo)
 	prev := -1
 	for i := 0; i < maxN; i++ {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/dcmath"
@@ -15,19 +14,12 @@ type SuiteReport struct {
 	Reports []*Report
 
 	TotalFrames int
-	TotalDraws  int
 
 	// Corpus means of the headline metrics. NaN when clustering
 	// evaluation was skipped.
 	MeanError      float64
 	MeanEfficiency float64
 	OutlierRate    float64
-
-	// MeanSizeRatio averages subset size ratios; MinCorrelation is the
-	// worst validation correlation across games (the conservative
-	// claim; NaN when validation was disabled).
-	MeanSizeRatio  float64
-	MinCorrelation float64
 }
 
 // RunSuite executes the pipeline on every workload and aggregates.
@@ -35,9 +27,8 @@ func (s *Subsetter) RunSuite(ws []*trace.Workload) (*SuiteReport, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("core: RunSuite with no workloads")
 	}
-	sr := &SuiteReport{MinCorrelation: math.NaN(), MeanError: math.NaN(),
-		MeanEfficiency: math.NaN(), OutlierRate: math.NaN()}
-	var errs, effs, outs, ratios, corrs []float64
+	sr := &SuiteReport{MeanError: math.NaN(), MeanEfficiency: math.NaN(), OutlierRate: math.NaN()}
+	var errs, effs, outs []float64
 	for _, w := range ws {
 		rep, err := s.Run(w)
 		if err != nil {
@@ -45,43 +36,16 @@ func (s *Subsetter) RunSuite(ws []*trace.Workload) (*SuiteReport, error) {
 		}
 		sr.Reports = append(sr.Reports, rep)
 		sr.TotalFrames += rep.Summary.Frames
-		sr.TotalDraws += rep.Summary.Draws
-		ratios = append(ratios, rep.SizeRatio)
 		if rep.Clustering != nil {
 			errs = append(errs, rep.Clustering.MeanError)
 			effs = append(effs, rep.Clustering.MeanEfficiency)
 			outs = append(outs, rep.Clustering.OutlierRate)
 		}
-		if rep.Validated {
-			corrs = append(corrs, rep.Validation.Correlation)
-		}
 	}
-	sr.MeanSizeRatio = dcmath.Mean(ratios)
 	if len(errs) > 0 {
 		sr.MeanError = dcmath.Mean(errs)
 		sr.MeanEfficiency = dcmath.Mean(effs)
 		sr.OutlierRate = dcmath.Mean(outs)
 	}
-	if len(corrs) > 0 {
-		sr.MinCorrelation = dcmath.Min(corrs)
-	}
 	return sr, nil
-}
-
-// Render writes per-game reports followed by the corpus summary line.
-func (sr *SuiteReport) Render(out io.Writer) {
-	for _, rep := range sr.Reports {
-		rep.Render(out)
-		fmt.Fprintln(out)
-	}
-	fmt.Fprintf(out, "corpus: %d frames, %d draws", sr.TotalFrames, sr.TotalDraws)
-	if !math.IsNaN(sr.MeanError) {
-		fmt.Fprintf(out, "; error %.2f%%, efficiency %.1f%%, outliers %.2f%%",
-			sr.MeanError*100, sr.MeanEfficiency*100, sr.OutlierRate*100)
-	}
-	fmt.Fprintf(out, "; subsets avg %.2f%% of parents", sr.MeanSizeRatio*100)
-	if !math.IsNaN(sr.MinCorrelation) {
-		fmt.Fprintf(out, "; worst validation r %.4f", sr.MinCorrelation)
-	}
-	fmt.Fprintln(out)
 }

@@ -21,9 +21,9 @@ func Pearson(xs, ys []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := 0; i < n; i++ {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return math.NaN()
@@ -59,7 +59,7 @@ func Ranks(xs []float64) []float64 {
 		}
 		// Values at sorted positions i..j are tied; they all get the
 		// average of ranks i+1..j+1.
-		avg := float64(i+j)/2 + 1
+		avg := float64(float64(i+j)/2) + 1
 		for k := i; k <= j; k++ {
 			ranks[idx[k]] = avg
 		}
@@ -78,7 +78,7 @@ func Covariance(xs, ys []float64) float64 {
 	mx, my := Mean(xs), Mean(ys)
 	var s float64
 	for i := 0; i < n; i++ {
-		s += (xs[i] - mx) * (ys[i] - my)
+		s += float64((xs[i] - mx) * (ys[i] - my))
 	}
 	return s / float64(n)
 }
@@ -95,12 +95,12 @@ func LinearFit(xs, ys []float64) (slope, intercept float64) {
 	var sxy, sxx float64
 	for i := 0; i < n; i++ {
 		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
+		sxy += float64(dx * (ys[i] - my))
+		sxx += float64(dx * dx)
 	}
 	if sxx == 0 {
 		return math.NaN(), math.NaN()
 	}
 	slope = sxy / sxx
-	return slope, my - slope*mx
+	return slope, my - float64(slope*mx)
 }

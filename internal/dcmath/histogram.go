@@ -56,7 +56,7 @@ func (h *Histogram) Total() int { return h.total }
 // BinCenter returns the midpoint value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
+	return h.Lo + float64((float64(i)+0.5)*w)
 }
 
 // Fraction returns the fraction of all observations landing in bin i.

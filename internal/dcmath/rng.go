@@ -6,7 +6,10 @@
 // always produces the same stream, on every platform. The library never
 // consults the wall clock or global random state, which is what makes
 // whole-pipeline runs (trace synthesis -> simulation -> clustering)
-// reproducible bit-for-bit.
+// reproducible bit-for-bit. Every product that feeds a sum is rounded
+// explicitly, so no compiler fuses a multiply-add here, and Exp and
+// Pow stand in for math.Exp and math.Pow, whose amd64 results depend
+// on the CPU.
 package dcmath
 
 import (
@@ -72,7 +75,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -120,9 +123,9 @@ func (r *RNG) NormFloat64() float64 {
 		return r.spare
 	}
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}
@@ -136,13 +139,13 @@ func (r *RNG) NormFloat64() float64 {
 // Normal returns a normal variate with the given mean and standard
 // deviation.
 func (r *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.NormFloat64()
+	return mean + float64(stddev*r.NormFloat64())
 }
 
 // LogNormal returns exp(N(mu, sigma)). Useful for size-like quantities
 // (vertex counts, texture working sets) that are positive and skewed.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
+	return Exp(r.Normal(mu, sigma))
 }
 
 // Exp returns an exponential variate with the given rate (lambda).

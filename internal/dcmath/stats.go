@@ -34,7 +34,7 @@ func Variance(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(len(xs))
 }
@@ -87,14 +87,14 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // WeightedMean returns sum(w_i * x_i) / sum(w_i). It returns NaN if the
@@ -105,7 +105,7 @@ func WeightedMean(xs, ws []float64) float64 {
 	}
 	var num, den float64
 	for i, x := range xs {
-		num += ws[i] * x
+		num += float64(ws[i] * x)
 		den += ws[i]
 	}
 	if den == 0 {
@@ -127,7 +127,7 @@ func GeoMean(xs []float64) float64 {
 		}
 		logSum += math.Log(x)
 	}
-	return math.Exp(logSum / float64(len(xs)))
+	return Exp(logSum / float64(len(xs)))
 }
 
 // Moments accumulates count, mean and variance online using Welford's
@@ -155,7 +155,7 @@ func (m *Moments) Add(x float64) {
 	m.n++
 	delta := x - m.mean
 	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
+	m.m2 += float64(delta * (x - m.mean))
 }
 
 // Count returns the number of values added.

@@ -11,7 +11,7 @@ import (
 // DrawCost, the texture-cache model or the noise term invalidates
 // cached prices instead of silently serving stale ones. Bump it with
 // any change that can move a priced nanosecond.
-const ModelVersion = 1
+const ModelVersion = 2
 
 // Fingerprint digests every field of the configuration that the cost
 // model reads, in fixed order. Two configs price every draw

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/dcmath"
 	"repro/internal/shader"
 	"repro/internal/trace"
 )
@@ -179,7 +180,7 @@ func (cfg *Config) clock(cycles, traffic, z float64) (computeNs, memoryNs, total
 		if sigma > 0.5 {
 			sigma = 0.5
 		}
-		totalNs *= math.Exp(sigma * z)
+		totalNs *= dcmath.Exp(sigma * z)
 	}
 	return computeNs, memoryNs, totalNs, memoryBound
 }

@@ -1,6 +1,6 @@
 package gpu
 
-import "math"
+import "repro/internal/dcmath"
 
 // texTraffic is the analytic texture-memory model: given the number of
 // samples a draw issues, its texture working set, and the cache
@@ -39,7 +39,7 @@ func modelTexTraffic(samples, workingSetBytes float64, cacheBytes, lineB int) te
 	compulsory := workingSetBytes / float64(lineB)
 	refetch := 1.0
 	if ratio := workingSetBytes / float64(cacheBytes); ratio > 1 {
-		refetch = math.Pow(ratio, capacityExponent)
+		refetch = dcmath.Pow(ratio, capacityExponent)
 	}
 	misses := compulsory * refetch
 	if misses > samples {

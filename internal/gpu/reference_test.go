@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dcmath"
 	"repro/internal/shader"
 	"repro/internal/trace"
 )
@@ -113,7 +114,7 @@ func (s *ReferenceSim) DrawCost(d *trace.DrawCall) DrawCost {
 		if sigma > 0.5 {
 			sigma = 0.5
 		}
-		dc.TotalNs *= math.Exp(sigma * drawNoiseZ(d))
+		dc.TotalNs *= dcmath.Exp(sigma * drawNoiseZ(d))
 	}
 	return dc
 }

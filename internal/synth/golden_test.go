@@ -44,7 +44,7 @@ func TestGoldenFingerprint(t *testing.T) {
 	p.PSPool = 12
 
 	got := fingerprint(t, p, 42)
-	const golden = 0x4509bc956b623c3d
+	const golden = 0x795426e056515864
 	if got != golden {
 		t.Errorf("generator output changed: fingerprint %#x, golden %#x", got, golden)
 	}

@@ -180,7 +180,7 @@ func TestFingerprintPinned(t *testing.T) {
 			"751f09861d0bedf78d468f375ca43f6a0586d7c52fc5734c4e3595359f439c3d"},
 		{"bioshock1-seed1", func() (*trace.Workload, error) {
 			return tracetest.CachedWorkload(synth.Bioshock1Profile(), 1)
-		}, "062b782bbf5bed7484adf0e0a73892629fa20be12ff968c77d09beb358ee4f5d"},
+		}, "7b0445e06e208f6574b6dc278ff2c9f470cdf65fa943ed2b34d53a1b6764d602"},
 	} {
 		w, err := tc.w()
 		if err != nil {
