@@ -30,10 +30,9 @@
 // run manifest, byte-identical to what the first form would have
 // produced.
 //
-// -workers bounds the goroutines that price: frames in single-config
-// mode and grid chunks in a cache-free sweep. A value below GOMAXPROCS
-// also lowers GOMAXPROCS to it, since the cache-free sweep prices in
-// GOMAXPROCS chunks.
+// -workers bounds the goroutines that price frames. A value below
+// GOMAXPROCS also lowers GOMAXPROCS to it, since a cache-free grid
+// sweep prices its frames on GOMAXPROCS goroutines.
 //
 // Observability: -log-level {debug,info,warn,error,off} enables
 // structured stderr logging, -manifest out.json exports the run
@@ -216,23 +215,20 @@ func price(ctx context.Context, run *obs.Run, cfg config) error {
 	}
 	pctx, psp := obs.StartSpan(ctx, "price-frames")
 	psp.AddItems(int64(w.NumFrames()))
-	var res gpu.RunResult
 	if rcache != nil {
 		// The fingerprint describes the sanitized workload, so a lenient
 		// and a strict run over the same damaged trace key differently.
 		_, fsp := obs.StartSpan(pctx, "fingerprint")
 		fp := w.Fingerprint()
 		fsp.End()
-		priced, perr := sweep.PriceParent(cache.WithWorkload(pctx, rcache, fp), sim, w, cfgGPU)
-		err = perr
-		res = priced.RunResult(cfgGPU.Name)
-	} else {
-		res, err = sim.RunParallel(pctx, cfg.workers)
+		pctx = cache.WithWorkload(pctx, rcache, fp)
 	}
+	priced, err := sweep.PriceParent(pctx, sim, w, cfgGPU, cfg.workers)
 	psp.End()
 	if err != nil {
 		return err
 	}
+	res := priced.RunResult(cfgGPU.Name)
 	fmt.Fprintf(cfg.out, "workload  %s (%d frames, %d draws)\n", w.Name, w.NumFrames(), w.NumDraws())
 	fmt.Fprintf(cfg.out, "config    %s (core %.2f GHz, mem %.2f GHz, %.1f GB/s)\n",
 		cfgGPU.Name, cfgGPU.CoreClockGHz, cfgGPU.MemClockGHz, cfgGPU.BandwidthGBs())

@@ -235,8 +235,9 @@ func TestTraceLenientResyncsDamage(t *testing.T) {
 }
 
 // TestGridManifestAttributesSetUp: a grid sweep's manifest records its
-// set-up, the fingerprint and the base simulator, as spans beside the
-// decode and the pricing chunks, so none of it falls outside the tree.
+// set-up, the input's digest, the fingerprint and the base simulator,
+// as spans beside the decode and the pricing pass, so none of it falls
+// outside the tree.
 func TestGridManifestAttributesSetUp(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
@@ -264,7 +265,7 @@ func TestGridManifestAttributesSetUp(t *testing.T) {
 		}
 	}
 	walk(m.Stages)
-	for _, want := range []string{"decode-trace", "fingerprint", "new-simulator", "price-grid"} {
+	for _, want := range []string{"input-digest", "decode-trace", "fingerprint", "new-simulator", "price-grid"} {
 		if !names[want] {
 			t.Errorf("manifest stages %v lack %q", names, want)
 		}

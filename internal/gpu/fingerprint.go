@@ -10,8 +10,10 @@ import (
 // mixes it into every key derived from priced results, so a change to
 // DrawCost, the texture-cache model or the noise term invalidates
 // cached prices instead of silently serving stale ones. Bump it with
-// any change that can move a priced nanosecond.
-const ModelVersion = 2
+// any change that can move a priced nanosecond or a bit of a priced
+// Totals field: version 3 folds every Totals field per frame, as
+// TotalNs is folded, so no cached product mixes the two fold rules.
+const ModelVersion = 3
 
 // Fingerprint digests every field of the configuration that the cost
 // model reads, in fixed order. Two configs price every draw

@@ -2,11 +2,13 @@ package gpu
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 
 	"repro/internal/dcmath"
+	"repro/internal/parallel"
 	"repro/internal/shader"
 	"repro/internal/trace"
 )
@@ -206,27 +208,25 @@ func (s *Simulator) price(d *trace.DrawCall, t *drawTerms, dc *DrawCost) {
 
 // clockFrame runs cfg's clock half over one frame's draws, given each
 // draw's core cycles and traffic on cfg's architecture class and its
-// noise z. It folds every draw into tot in draw order and returns the
-// frame's time, summed in the same order.
-func (cfg *Config) clockFrame(cycles, traffic, z []float64, tot *Totals) (frameNs float64) {
+// noise z. It returns the frame's Totals, every field summed in draw
+// order; the frame's time is their TotalNs.
+func (cfg *Config) clockFrame(cycles, traffic, z []float64) (tot Totals) {
 	traffic, z = traffic[:len(cycles)], z[:len(cycles)]
-	acc := *tot
 	for di, cyc := range cycles {
 		computeNs, memoryNs, totalNs, _ := cfg.clock(cyc, traffic[di], z[di])
-		frameNs += totalNs
-		acc.TotalNs += totalNs
-		acc.ComputeNs += computeNs
-		acc.MemoryNs += memoryNs
-		acc.TrafficBytes += traffic[di]
+		tot.TotalNs += totalNs
+		tot.ComputeNs += computeNs
+		tot.MemoryNs += memoryNs
+		tot.TrafficBytes += traffic[di]
 	}
-	*tot = acc
-	return frameNs
+	return tot
 }
 
 // clockDraws is clockFrame for a column whose per-draw times are
-// wanted instead of its Totals: it writes each draw's time into
-// drawNs. It is a loop of its own so that the Totals loop, the inner
-// loop of every grid, carries no per-draw branch or store.
+// wanted instead of its Totals: it writes each draw's time into drawNs
+// and returns the frame's time. It is a loop of its own so that the
+// Totals loop, the inner loop of every grid, carries no per-draw
+// branch or store.
 func (cfg *Config) clockDraws(cycles, traffic, z, drawNs []float64) (frameNs float64) {
 	traffic, z, drawNs = traffic[:len(cycles)], z[:len(cycles)], drawNs[:len(cycles)]
 	for di, cyc := range cycles {
@@ -328,13 +328,12 @@ func (s *Simulator) NewFramePricer(cfgs []Config) (*FramePricer, error) {
 // Price prices the draws of f, a frame of the simulator's workload, on
 // every config of the pricer. frameNs[c] receives config c's frame
 // time: its draws' TotalNs summed in draw order. A non-nil tot has
-// every draw folded into tot[c] in draw order onto what tot[c] holds,
-// so pricing a workload's frames in frame order accumulates Totals
-// exactly as a one-config pass does. A non-nil drawNs[c] receives
-// config c's per-draw TotalNs instead, each bit-identical to DrawNs on
-// a simulator for config c: both run terms, arch and clock on the same
-// operands in the same order. No caller needs both for one config, so
-// such a config's Totals are not folded.
+// tot[c] overwritten with the frame's own Totals on config c, every
+// field summed in draw order, so tot[c].TotalNs is frameNs[c]. A
+// non-nil drawNs[c] receives config c's per-draw TotalNs instead, each
+// bit-identical to DrawNs on a simulator for config c: both run terms,
+// arch and clock on the same operands in the same order. No caller
+// needs both for one config, so such a config's tot[c] is not written.
 //
 // Price panics on dangling VS/PS/RT/texture references, as DrawCost
 // does.
@@ -357,7 +356,6 @@ func (p *FramePricer) Price(f *trace.Frame, sc *FrameScratch, frameNs []float64,
 		}
 		noiseZ[di] = t.noiseZ
 	}
-	var discard Totals
 	for c := range p.cfgs {
 		off := p.classOf[c] * n
 		cy, tr := cycles[off:off+n], traffic[off:off+n]
@@ -365,11 +363,11 @@ func (p *FramePricer) Price(f *trace.Frame, sc *FrameScratch, frameNs []float64,
 			frameNs[c] = p.cfgs[c].clockDraws(cy, tr, noiseZ, drawNs[c])
 			continue
 		}
-		ct := &discard
+		ft := p.cfgs[c].clockFrame(cy, tr, noiseZ)
+		frameNs[c] = ft.TotalNs
 		if tot != nil {
-			ct = &tot[c]
+			tot[c] = ft
 		}
-		frameNs[c] = p.cfgs[c].clockFrame(cy, tr, noiseZ, ct)
 	}
 }
 
@@ -381,48 +379,79 @@ type PricedRun struct {
 }
 
 // PriceGrid prices every frame of the simulator's workload on each of
-// cfgs in one pass over the draws: the FramePricer kernel, run over
-// the frames in frame order on one goroutine.
+// cfgs: the multi-frame driver of the FramePricer kernel. Frames are
+// claimed on up to workers goroutines (<= 0 selects GOMAXPROCS), each
+// task borrowing one of a fixed set of FrameScratches sized once for
+// the largest frame. Each frame's Totals per config land in a
+// config-major array allocated up front, and are folded strictly in
+// frame order once every frame is priced; a frame's time is its
+// Totals' TotalNs.
 //
-// Fold-order contract: for each config, a frame's time sums its draws'
-// TotalNs in draw order, TotalNs sums frames in frame order, and each
-// Totals field sums the draws in workload order — exactly the
-// accumulation of pricing that config alone, so every result is
-// bit-identical to a one-config pass, and to DrawCost summed by hand.
+// Fold-order contract: for each config, a frame's time and each of
+// its Totals fields sum its draws in draw order, and TotalNs and every
+// Totals field sum the frames in frame order. So Totals.TotalNs equals
+// TotalNs bit for bit, every result is the same at any worker count,
+// and each config's result is that of pricing it alone.
 //
 // Cancellation is checked once per frame; a canceled pass returns the
-// wrapped ctx.Err() and no partial result.
-func (s *Simulator) PriceGrid(ctx context.Context, cfgs []Config) ([]PricedRun, error) {
+// wrapped ctx.Err() and no partial result. A dangling VS/PS/RT/texture
+// reference panics on the caller's goroutine, as DrawCost does.
+func (s *Simulator) PriceGrid(ctx context.Context, cfgs []Config, workers int) ([]PricedRun, error) {
 	p, err := s.NewFramePricer(cfgs)
 	if err != nil {
 		return nil, err
 	}
 	frames := s.w.Frames
-	runs := make([]PricedRun, len(cfgs))
-	for c := range runs {
-		runs[c].ConfigName = cfgs[c].Name
-		runs[c].FrameNs = make([]float64, len(frames))
-	}
-	frameNs := make([]float64, len(cfgs))
-	tot := make([]Totals, len(cfgs))
+	nf, nc := len(frames), len(cfgs)
 	maxDraws := 0
 	for i := range frames {
 		maxDraws = max(maxDraws, len(frames[i].Draws))
 	}
-	var sc FrameScratch
-	sc.grow(p, maxDraws)
-	for i := range frames {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("gpu: pricing canceled at frame %d/%d: %w", i, len(frames), err)
-		}
-		p.Price(&frames[i], &sc, frameNs, tot, nil)
-		for c := range runs {
-			runs[c].FrameNs[i] = frameNs[c]
-			runs[c].TotalNs += frameNs[c]
-		}
+	type slot struct {
+		sc      FrameScratch
+		frameNs []float64 // per config: the frame being priced
+		tot     []Totals
 	}
+	// free holds the slots no task is using. At most w tasks run at
+	// once, so a task's receive never waits.
+	w := min(parallel.Workers(workers), nf)
+	free := make(chan *slot, w)
+	for range w {
+		sl := &slot{frameNs: make([]float64, nc), tot: make([]Totals, nc)}
+		sl.sc.grow(p, maxDraws)
+		free <- sl
+	}
+	frameTot := make([]Totals, nc*nf) // config c's frames at [c*nf, (c+1)*nf)
+	err = parallel.ForEach(ctx, w, nf, func(_ context.Context, i int) error {
+		sl := <-free
+		p.Price(&frames[i], &sl.sc, sl.frameNs, sl.tot, nil)
+		for c, ft := range sl.tot {
+			frameTot[c*nf+i] = ft
+		}
+		free <- sl
+		return nil
+	})
+	if err != nil {
+		var pe *parallel.PanicError
+		if errors.As(err, &pe) {
+			panic(pe.Value)
+		}
+		return nil, fmt.Errorf("gpu: pricing canceled: %w", err)
+	}
+	frameNs := make([]float64, nc*nf)
+	runs := make([]PricedRun, nc)
 	for c := range runs {
-		runs[c].Totals = tot[c]
+		r := &runs[c]
+		r.ConfigName = cfgs[c].Name
+		r.FrameNs = frameNs[c*nf : (c+1)*nf : (c+1)*nf]
+		for i, ft := range frameTot[c*nf : (c+1)*nf] {
+			r.FrameNs[i] = ft.TotalNs
+			r.Totals.TotalNs += ft.TotalNs
+			r.Totals.ComputeNs += ft.ComputeNs
+			r.Totals.MemoryNs += ft.MemoryNs
+			r.Totals.TrafficBytes += ft.TrafficBytes
+		}
+		r.TotalNs = r.Totals.TotalNs
 	}
 	return runs, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -90,7 +91,7 @@ func checkAgainstReference(t *testing.T, w *trace.Workload, cfgs []gpu.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := base.PriceGrid(context.Background(), cfgs)
+	runs, err := base.PriceGrid(context.Background(), cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +138,9 @@ func TestPriceGridMatchesReference(t *testing.T) {
 // simulator for that column's config, bit for bit, for every draw of
 // all three profiles (at test scale). The columns are the default
 // validation sweep plus the oracle appended as a column of its own,
-// and the mixed grid; the frame times must equal FrameNs, and
-// RunParallel must equal RunContext at several worker counts.
+// and the mixed grid; the frame times must equal FrameNs, and a
+// one-config PriceGrid must equal RunContext at several frame-worker
+// counts.
 func TestFramePricerDrawColumnsEqualDrawNs(t *testing.T) {
 	grids := [][]gpu.Config{
 		append(sweep.CoreClockSweep(gpu.BaseConfig(), sweep.DefaultCoreClocks()), gpu.BaseConfig()),
@@ -193,13 +195,14 @@ func TestFramePricerDrawColumnsEqualDrawNs(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
-				got, err := base.RunParallel(context.Background(), workers)
+				runs, err := base.PriceGrid(context.Background(), []gpu.Config{base.Config()}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := runs[0].RunResult
 				if got.ConfigName != want.ConfigName || !sameBits(got.FrameNs, want.FrameNs) ||
 					!sameBits([]float64{got.TotalNs}, []float64{want.TotalNs}) {
-					t.Fatalf("%s seed %d: RunParallel(%d) differs from RunContext", p.Name, seed, workers)
+					t.Fatalf("%s seed %d: PriceGrid at %d workers differs from RunContext", p.Name, seed, workers)
 				}
 			}
 		}
@@ -207,9 +210,8 @@ func TestFramePricerDrawColumnsEqualDrawNs(t *testing.T) {
 }
 
 // TestPriceGridChunkingsMatchReference prices a 9-config sweep through
-// sweep.PriceGrid at every chunking the workers knob produces — one
-// pass of 9, 2 passes (4+5), 4 passes (2+2+2+3) and 9 one-config
-// passes — and checks every config against the reference.
+// sweep.PriceGrid with its frames claimed on 1, 2, 4 and 9 goroutines
+// and checks every config against the reference.
 func TestPriceGridChunkingsMatchReference(t *testing.T) {
 	w, err := tracetest.CachedWorkload(diffProfiles()[0], 1)
 	if err != nil {
@@ -243,6 +245,50 @@ func TestPriceGridChunkingsMatchReference(t *testing.T) {
 			if !sameBits(got[i].FrameNs, refs[i].frameNs) || !sameBits([]float64{got[i].TotalNs}, []float64{refs[i].totalNs}) ||
 				!sameTotals(got[i].Totals, refs[i].totals) {
 				t.Fatalf("workers %d config %d: total %v, reference %v", workers, i, got[i].TotalNs, refs[i].totalNs)
+			}
+		}
+	}
+}
+
+// TestPriceGridDeterministicAcrossWorkers is the driver's fold
+// contract: on every game and seed of the differential corpus and the
+// mixed grid, PriceGrid returns the same bits with its frames claimed
+// on 1, 2, 3 or 8 goroutines, and every config's Totals.TotalNs is its
+// TotalNs, because both fold the same frame sums in frame order.
+func TestPriceGridDeterministicAcrossWorkers(t *testing.T) {
+	for _, p := range diffProfiles() {
+		for _, seed := range []uint64{1, 2} {
+			w, err := tracetest.CachedWorkload(p, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []gpu.PricedRun
+			for _, workers := range []int{1, 2, 3, 8} {
+				runs, err := sim.PriceGrid(context.Background(), mixedGrid(), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, r := range runs {
+					if !sameBits([]float64{r.Totals.TotalNs}, []float64{r.TotalNs}) {
+						t.Fatalf("%s seed %d workers %d config %d: Totals.TotalNs %v, TotalNs %v",
+							p.Name, seed, workers, c, r.Totals.TotalNs, r.TotalNs)
+					}
+				}
+				if want == nil {
+					want = runs
+					continue
+				}
+				for c := range runs {
+					g, r := runs[c], want[c]
+					if g.ConfigName != r.ConfigName || !sameBits(g.FrameNs, r.FrameNs) ||
+						!sameBits([]float64{g.TotalNs}, []float64{r.TotalNs}) || !sameTotals(g.Totals, r.Totals) {
+						t.Fatalf("%s seed %d config %d: %d workers differ from 1", p.Name, seed, c, workers)
+					}
+				}
 			}
 		}
 	}
@@ -329,6 +375,54 @@ func TestDrawNsDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestPriceGridAllocsFlatInFrames guards subsetd's /v1/price miss
+// path, a one-config PriceGrid on one goroutine: everything it
+// allocates is sized once per call (the pricer, one scratch for the
+// largest frame, the config-major result arrays), so a parent twice as
+// long makes as many allocations, and a 48-frame bioshock1 parent
+// costs at most 32 KB.
+func TestPriceGridAllocsFlatInFrames(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	measure := func(frames int) (allocs float64, bytes uint64) {
+		p := synth.Bioshock1Profile()
+		p.Frames = frames
+		w, err := tracetest.CachedWorkload(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs := []gpu.Config{gpu.BaseConfig()}
+		price := func() {
+			if _, err := sim.PriceGrid(context.Background(), cfgs, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(5, price)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			price()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	a48, b48 := measure(48)
+	a96, b96 := measure(96)
+	t.Logf("48 frames: %v allocs, %d B; 96 frames: %v allocs, %d B", a48, b48, a96, b96)
+	if a48 != a96 {
+		t.Errorf("allocations grow with the parent: %v at 48 frames, %v at 96", a48, a96)
+	}
+	if b48 > 32<<10 {
+		t.Errorf("48-frame pass allocates %d B, want at most %d", b48, 32<<10)
+	}
+}
+
 func TestPriceGridCancellation(t *testing.T) {
 	w := tracetest.Tiny()
 	sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
@@ -337,23 +431,25 @@ func TestPriceGridCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	runs, err := sim.PriceGrid(ctx, mixedGrid())
-	if err == nil || runs != nil {
-		t.Fatalf("canceled pass returned %d runs, err %v; want no result and an error", len(runs), err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
+	for _, workers := range []int{1, 2} {
+		runs, err := sim.PriceGrid(ctx, mixedGrid(), workers)
+		if err == nil || runs != nil {
+			t.Fatalf("workers %d: canceled pass returned %d runs, err %v; want no result and an error", workers, len(runs), err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: error %v does not wrap context.Canceled", workers, err)
+		}
 	}
 	bad := gpu.BaseConfig()
 	bad.TexCacheLineB = 0
-	if _, err := sim.PriceGrid(context.Background(), []gpu.Config{gpu.BaseConfig(), bad}); err == nil {
+	if _, err := sim.PriceGrid(context.Background(), []gpu.Config{gpu.BaseConfig(), bad}, 1); err == nil {
 		t.Fatal("invalid config priced")
 	}
 }
 
 // TestPriceGridPanicsOnDanglingRefs: the kernel panics like DrawCost on
 // a dangling reference, including an unregistered shader id inside the
-// dense id range.
+// dense id range, on the caller's goroutine at any worker count.
 func TestPriceGridPanicsOnDanglingRefs(t *testing.T) {
 	for name, mutate := range map[string]func(d *trace.DrawCall, w *trace.Workload){
 		"VS in dense range": func(d *trace.DrawCall, w *trace.Workload) { d.VS = shader.ID(w.Shaders.Len() + 2) },
@@ -368,12 +464,16 @@ func TestPriceGridPanicsOnDanglingRefs(t *testing.T) {
 				t.Fatal(err)
 			}
 			mutate(&w.Frames[1].Draws[0], w)
-			defer func() {
-				if recover() == nil {
-					t.Error("dangling reference priced without a panic")
-				}
-			}()
-			_, _ = sim.PriceGrid(context.Background(), mixedGrid())
+			for _, workers := range []int{1, 2} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("workers %d: dangling reference priced without a panic", workers)
+						}
+					}()
+					_, _ = sim.PriceGrid(context.Background(), mixedGrid(), workers)
+				}()
+			}
 		})
 	}
 }

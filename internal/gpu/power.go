@@ -128,8 +128,8 @@ func (s *Simulator) DrawTotals(d *trace.DrawCall) (totalNs, computeNs, memoryNs,
 
 // RunTotals prices the whole workload and returns both the per-frame
 // result and the aggregate totals the power model consumes. It is a
-// one-config PriceGrid pass.
+// one-config PriceGrid pass on the calling goroutine.
 func (s *Simulator) RunTotals() (RunResult, Totals) {
-	runs, _ := s.PriceGrid(context.Background(), []Config{s.cfg}) // never canceled; cfg validated at construction
+	runs, _ := s.PriceGrid(context.Background(), []Config{s.cfg}, 1) // never canceled; cfg validated at construction
 	return runs[0].RunResult, runs[0].Totals
 }

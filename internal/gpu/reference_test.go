@@ -13,7 +13,7 @@ import (
 // frozen as the differential oracle: a per-simulator map of program
 // costs, per-draw resource lookups through the workload, every term
 // recomputed for every config, and sweep pricing as one full walk per
-// config folding DrawTotals the way the sweep layer used to. The
+// config folding each frame's draws, then the frames, in order. The
 // kernel must agree with it bit for bit. It is exported to the
 // external test package only.
 type ReferenceSim struct {
@@ -120,24 +120,29 @@ func (s *ReferenceSim) DrawCost(d *trace.DrawCall) DrawCost {
 }
 
 // PriceParent is the frozen one-config sweep pricing pass: per-frame
-// times sum draws in order, the total sums frames in order, and the
-// totals fold per draw.
+// times and per-frame totals sum draws in order, and the total and the
+// totals sum frames in order.
 func (s *ReferenceSim) PriceParent() (frameNs []float64, totalNs float64, totals Totals) {
 	frameNs = make([]float64, len(s.w.Frames))
 	for i := range s.w.Frames {
 		f := &s.w.Frames[i]
 		var fns float64
+		var ft Totals
 		for di := range f.Draws {
 			dc := s.DrawCost(&f.Draws[di])
 			tn, cn, mn, tb := dc.TotalNs, dc.ComputeNs, dc.MemoryNs, dc.TrafficBytes()
 			fns += tn
-			totals.TotalNs += tn
-			totals.ComputeNs += cn
-			totals.MemoryNs += mn
-			totals.TrafficBytes += tb
+			ft.TotalNs += tn
+			ft.ComputeNs += cn
+			ft.MemoryNs += mn
+			ft.TrafficBytes += tb
 		}
 		frameNs[i] = fns
 		totalNs += fns
+		totals.TotalNs += ft.TotalNs
+		totals.ComputeNs += ft.ComputeNs
+		totals.MemoryNs += ft.MemoryNs
+		totals.TrafficBytes += ft.TrafficBytes
 	}
 	return frameNs, totalNs, totals
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
-	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
@@ -181,43 +179,13 @@ func (s *Simulator) Run() RunResult {
 // RunContext prices every frame, checking for cancellation between
 // frames — pricing is the inner loop of every sweep, so this is where
 // a deadline has to land to stop a run promptly. It is a one-config
-// PriceGrid pass.
+// PriceGrid pass on the calling goroutine.
 func (s *Simulator) RunContext(ctx context.Context) (RunResult, error) {
-	runs, err := s.PriceGrid(ctx, []Config{s.cfg})
+	runs, err := s.PriceGrid(ctx, []Config{s.cfg}, 1)
 	if err != nil {
 		return RunResult{}, err
 	}
 	return runs[0].RunResult, nil
-}
-
-// RunParallel prices every frame across at most workers goroutines
-// (<= 0 selects GOMAXPROCS) through the FramePricer kernel, each
-// goroutine with its own scratch. Frames are priced independently and
-// TotalNs is folded over the per-frame times in frame order, so the
-// result is bit-identical to RunContext at any worker count. Sweeps
-// that already parallelize across configurations should keep using
-// RunContext inside each task rather than nesting pools.
-func (s *Simulator) RunParallel(ctx context.Context, workers int) (RunResult, error) {
-	p, err := s.NewFramePricer([]Config{s.cfg})
-	if err != nil {
-		return RunResult{}, err
-	}
-	scratch := sync.Pool{New: func() any { return new(FrameScratch) }}
-	frameNs, err := parallel.Map(ctx, workers, len(s.w.Frames), func(_ context.Context, i int) (float64, error) {
-		sc := scratch.Get().(*FrameScratch)
-		var ns [1]float64
-		p.Price(&s.w.Frames[i], sc, ns[:], nil, nil)
-		scratch.Put(sc)
-		return ns[0], nil
-	})
-	if err != nil {
-		return RunResult{}, fmt.Errorf("gpu: parallel run: %w", err)
-	}
-	res := RunResult{ConfigName: s.cfg.Name, FrameNs: frameNs}
-	for _, t := range frameNs {
-		res.TotalNs += t
-	}
-	return res, nil
 }
 
 func max5(a, b, c, d, e float64) float64 {

@@ -124,14 +124,17 @@ func (r *Run) RecordDiagnostics(m map[string]int64) {
 }
 
 // RecordFile attaches an input/output file digest to the manifest.
-// Digest failures are recorded as a file entry with an empty checksum
-// rather than failing the run — observability must not break the
-// pipeline.
+// Hashing the whole file is a pass of its own, so it is timed as a
+// "<role>-digest" child of the run's root span. Digest failures are
+// recorded as a file entry with an empty checksum rather than failing
+// the run — observability must not break the pipeline.
 func (r *Run) RecordFile(role, path string) {
 	if r == nil {
 		return
 	}
+	sp := r.root.Child(role + "-digest")
 	d, err := DigestFile(role, path)
+	sp.End()
 	if err != nil {
 		d = FileDigest{Role: role, Path: path}
 		r.Log.Warn("file digest failed", "path", path, "err", err)

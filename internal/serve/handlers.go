@@ -440,8 +440,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// computeSweep prices the whole grid in one sweep.PriceGrid call, cut
-// into -workers chunks; the response is the one cache entry.
+// computeSweep prices the whole grid in one sweep.PriceGrid pass, its
+// frames claimed on -workers goroutines; the response is the one cache
+// entry.
 func (s *Server) computeSweep(ctx context.Context, e *workloadEntry, req SweepRequest) (SweepResponse, error) {
 	cfgs := sweep.Grid(gpu.BaseConfig(), req.CoreClocks, req.MemClocks)
 	base, err := gpu.NewSimulator(cfgs[0], e.W)
@@ -511,7 +512,9 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return PriceResponse{}, err
 			}
-			priced, err := sweep.PriceParent(ctx, sim, e.W, cfg)
+			// One goroutine: up to -max-concurrent queries already run
+			// at once, so one request does not fan out.
+			priced, err := sweep.PriceParent(ctx, sim, e.W, cfg, 1)
 			if err != nil {
 				return PriceResponse{}, err
 			}

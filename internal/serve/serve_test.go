@@ -375,7 +375,7 @@ func TestSparseShaderIDsUploadAndPrice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sweep.PriceParent(context.Background(), sim, w, gpu.BaseConfig())
+	want, err := sweep.PriceParent(context.Background(), sim, w, gpu.BaseConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

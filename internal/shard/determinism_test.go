@@ -415,9 +415,9 @@ func TestCanceledWorkerReleasesClaims(t *testing.T) {
 }
 
 // TestPricingPassesPerPath counts sweep.pricing_passes: a cache-free
-// RunSequential prices its grid in GOMAXPROCS chunks, a cache-free
-// worker its owned tasks likewise, and a cached RunSequential one
-// config per pass, so that every pass is one cache entry.
+// RunSequential prices its grid in one pass, a cache-free worker its
+// owned tasks likewise, and a cached RunSequential one config per
+// pass, so that every pass is one cache entry.
 func TestPricingPassesPerPath(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	w := testWorkload(t, 7)
@@ -433,13 +433,13 @@ func TestPricingPassesPerPath(t *testing.T) {
 	if got := passes(func(ctx context.Context) error {
 		_, err := RunSequential(ctx, nil, w, cfgs)
 		return err
-	}); got != 3 {
-		t.Errorf("cache-free RunSequential of %d configs: %d passes, want 3", len(cfgs), got)
+	}); got != 1 {
+		t.Errorf("cache-free RunSequential of %d configs: %d passes, want 1", len(cfgs), got)
 	}
 	for _, tc := range []struct {
 		spec Spec
 		want int64
-	}{{Spec{Index: 0, Count: 1}, 3}, {Spec{Index: 1, Count: 4}, 2}, {Spec{Index: 0, Count: 8}, 1}} {
+	}{{Spec{Index: 0, Count: 1}, 1}, {Spec{Index: 1, Count: 4}, 1}, {Spec{Index: 0, Count: 8}, 1}} {
 		if got := passes(func(ctx context.Context) error {
 			_, _, err := RunShard(ctx, nil, w, w.Fingerprint(), cfgs, tc.spec)
 			return err

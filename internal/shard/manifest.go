@@ -48,8 +48,9 @@ type Entry struct {
 	Frames      int
 	FrameDigest [sha256.Size]byte
 
-	// TotalNs folds frames in order; Totals folds draws in order —
-	// both bit-identical to the sequential Simulator paths.
+	// TotalNs and every Totals field fold frames in order, each frame
+	// its draws in order — bit-identical to the sequential Simulator
+	// paths, so Totals.TotalNs == TotalNs.
 	TotalNs float64
 	Totals  gpu.Totals
 }

@@ -235,8 +235,9 @@ func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs 
 // priceTasks prices tasks and returns their entries in task order and
 // the number of tasks it priced rather than read from c.
 //
-// Without a cache it prices every task in one sweep.PriceGrid call cut
-// into GOMAXPROCS chunks. With one, each task is one cache entry,
+// Without a cache it prices every task in one sweep.PriceGrid pass,
+// its frames claimed on GOMAXPROCS goroutines. With one, each task is
+// one cache entry,
 // resolved by one cache.GetOrCompute on this goroutine: an entry is
 // stored as soon as its config is priced, which is what a rerun after
 // a crash resumes from. The compute prices through sweep.PriceConfig

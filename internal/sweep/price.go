@@ -37,18 +37,19 @@ func PriceKey(fp trace.Fingerprint, cfg gpu.Config) cache.Key {
 		Sum()
 }
 
-// PriceParent prices every frame of w on the simulator, served
-// through the result cache when ctx carries a binding
-// (cache.WithWorkload) for w. The key is PriceKey (workload
-// fingerprint, config cost-model fingerprint, gpu.ModelVersion); a hit
-// skips the full per-draw pricing pass — the dominant cost of a grid
-// sweep. Without a binding it prices directly. sim must have been
-// built on w with cfg. A miss is a one-config pricing pass, and every
-// pass folds in the same order (gpu.Simulator.PriceGrid), so cached,
-// direct and batched pricing are bit-identical.
-func PriceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfg gpu.Config) (PricedParent, error) {
+// PriceParent prices every frame of w on the simulator, with at most
+// workers goroutines (<= 0 selects GOMAXPROCS), served through the
+// result cache when ctx carries a binding (cache.WithWorkload) for w.
+// The key is PriceKey (workload fingerprint, config cost-model
+// fingerprint, gpu.ModelVersion); a hit skips the full per-draw
+// pricing pass — the dominant cost of a grid sweep. Without a binding
+// it prices directly. sim must have been built on w with cfg. A miss
+// is a one-config PriceGrid pass, and every pass folds in the same
+// order (gpu.Simulator.PriceGrid), so cached, direct and batched
+// pricing are bit-identical at any worker count.
+func PriceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfg gpu.Config, workers int) (PricedParent, error) {
 	price := func() (PricedParent, error) {
-		p, err := pricePass(ctx, sim, w, []gpu.Config{cfg})
+		p, err := PriceGrid(ctx, sim, w, []gpu.Config{cfg}, workers)
 		if err != nil {
 			return PricedParent{}, err
 		}
@@ -63,29 +64,33 @@ func PriceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfg
 
 // PriceConfig is the one per-config setup path every cache-bound grid
 // consumer shares: derive the per-config simulator from base (skipping
-// re-validation) and price the parent on it through the result cache
-// when ctx carries one. Cached sweeps and the shard layer go through
-// it, so a distributed shard can never drift from the sequential
-// path's setup or fold order. i and n only shape the error context
-// ("config i+1/n").
+// re-validation) and price the parent on it, on the calling goroutine,
+// through the result cache when ctx carries one. Cached sweeps and the
+// shard layer go through it, so a distributed shard can never drift
+// from the sequential path's setup or fold order. i and n only shape
+// the error context ("config i+1/n").
 func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfg gpu.Config, i, n int) (*gpu.Simulator, PricedParent, error) {
 	sim, err := base.WithConfig(cfg)
 	if err != nil {
 		return nil, PricedParent{}, err
 	}
-	priced, err := PriceParent(ctx, sim, w, cfg)
+	priced, err := PriceParent(ctx, sim, w, cfg, 1)
 	if err != nil {
 		return nil, PricedParent{}, fmt.Errorf("sweep: config %d/%d: %w", i+1, n, err)
 	}
 	return sim, priced, nil
 }
 
-// PriceGrid prices the parent w on every config of cfgs, bypassing
-// the result cache: the grid is cut into min(workers, len(cfgs))
-// contiguous chunks (workers <= 0 selects GOMAXPROCS), each priced in
-// one pass over the draws, with the chunks running in parallel. base
-// must have been built on w. Results land in grid order and are
-// bit-identical to pricing each config alone at any chunking.
+// PriceGrid prices the parent w on every config of cfgs in one
+// gpu.Simulator.PriceGrid pass, bypassing the result cache: frames are
+// claimed on at most workers goroutines (<= 0 selects GOMAXPROCS), and
+// each frame is priced on every config at once, so a draw's
+// config-independent terms are computed once per pass. base must have
+// been built on w. Results land in grid order and are bit-identical at
+// any worker count. The pass is a price-grid span with draws x configs
+// as its item count, and bumps the sweep.pricing_passes and
+// sweep.draw_configs_priced counters, from which any run manifest
+// yields ns per draw x config.
 //
 // Only grids without a cache are batched: the cache-free sweeps here,
 // subsetd's /v1/sweep (whose response is its one cache entry), and
@@ -94,41 +99,12 @@ func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cf
 // entry is stored as soon as its config is priced — the unit a shard
 // rerun resumes from and the cache deduplicates.
 func PriceGrid(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config, workers int) ([]PricedParent, error) {
-	n := min(parallel.Workers(workers), len(cfgs))
-	chunks, err := parallel.Map(ctx, n, n, func(ctx context.Context, k int) ([]PricedParent, error) {
-		return pricePass(ctx, base, w, cfgs[k*len(cfgs)/n:(k+1)*len(cfgs)/n])
-	})
-	if err != nil {
-		return nil, err
+	if len(cfgs) == 0 {
+		return nil, nil
 	}
-	out := make([]PricedParent, 0, len(cfgs))
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out, nil
-}
-
-// priceParents prices the parent on every config for a sweep: batched
-// through PriceGrid when ctx carries no cache binding, otherwise one
-// PriceConfig per config (and per cache entry) across the pool.
-func priceParents(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config, workers int) ([]PricedParent, error) {
-	if _, _, cached := cache.ForWorkload(ctx); !cached {
-		return PriceGrid(ctx, base, w, cfgs, workers)
-	}
-	return parallel.MapSlice(ctx, workers, cfgs, func(ctx context.Context, i int, cfg gpu.Config) (PricedParent, error) {
-		_, p, err := PriceConfig(ctx, base, w, cfg, i, len(cfgs))
-		return p, err
-	})
-}
-
-// pricePass is one gpu pricing pass over w's draws for cfgs, recorded
-// as a price-grid span with draws x configs as its item count and in
-// the sweep.pricing_passes / sweep.draw_configs_priced counters, from
-// which any run manifest yields ns per draw x config.
-func pricePass(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config) ([]PricedParent, error) {
 	ctx, sp := obs.StartSpan(ctx, "price-grid")
 	defer sp.End()
-	runs, err := sim.PriceGrid(ctx, cfgs)
+	runs, err := base.PriceGrid(ctx, cfgs, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -142,6 +118,19 @@ func pricePass(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfgs 
 		out[i] = PricedParent{FrameNs: r.FrameNs, TotalNs: r.TotalNs, Totals: r.Totals}
 	}
 	return out, nil
+}
+
+// priceParents prices the parent on every config for a sweep: in one
+// PriceGrid pass when ctx carries no cache binding, otherwise one
+// PriceConfig per config (and per cache entry) across the pool.
+func priceParents(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config, workers int) ([]PricedParent, error) {
+	if _, _, cached := cache.ForWorkload(ctx); !cached {
+		return PriceGrid(ctx, base, w, cfgs, workers)
+	}
+	return parallel.MapSlice(ctx, workers, cfgs, func(ctx context.Context, i int, cfg gpu.Config) (PricedParent, error) {
+		_, p, err := PriceConfig(ctx, base, w, cfg, i, len(cfgs))
+		return p, err
+	})
 }
 
 // RunResult converts the priced parent back to the simulator-level

@@ -1,9 +1,12 @@
 package sweep
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/gpu"
 	"repro/internal/subset"
 	"repro/internal/synth"
@@ -170,5 +173,69 @@ func TestMemSweepShapesDiffer(t *testing.T) {
 	memGain := mem.ParentSpeedups[2]
 	if math.Abs(coreGain-memGain) < 0.02 {
 		t.Errorf("core gain %v ~= mem gain %v; domains degenerate", coreGain, memGain)
+	}
+}
+
+// TestPricingDeterministicAcrossPathsAndWorkers: the parent priced on a
+// grid in one PriceGrid pass with its frames on 1, 2 or 3 goroutines,
+// and one cached PriceConfig per config, cold and then read back from
+// disk by a fresh cache, is the same bits on every path, and each
+// config's Totals.TotalNs is its TotalNs. So a cached and a cache-free
+// sweep hand the power model and the shard manifests the same totals.
+func TestPricingDeterministicAcrossPathsAndWorkers(t *testing.T) {
+	w, _ := sweepGame(t)
+	cfgs := Grid(gpu.BaseConfig(), []float64{0.6, 1.4}, []float64{0.8, 1.2})
+	base, err := gpu.NewSimulator(cfgs[0], w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := PriceGrid(context.Background(), base, w, cfgs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	check := func(path string, got []PricedParent) {
+		t.Helper()
+		for i := range cfgs {
+			g, r := got[i], want[i]
+			if !same(g.Totals.TotalNs, g.TotalNs) {
+				t.Errorf("%s config %d: Totals.TotalNs %v, TotalNs %v", path, i, g.Totals.TotalNs, g.TotalNs)
+			}
+			if len(g.FrameNs) != len(r.FrameNs) || !same(g.TotalNs, r.TotalNs) || g.Totals != r.Totals {
+				t.Errorf("%s config %d: total %v totals %+v, want %v %+v", path, i, g.TotalNs, g.Totals, r.TotalNs, r.Totals)
+			}
+			for f := range g.FrameNs {
+				if !same(g.FrameNs[f], r.FrameNs[f]) {
+					t.Errorf("%s config %d frame %d: %v, want %v", path, i, f, g.FrameNs[f], r.FrameNs[f])
+					break
+				}
+			}
+		}
+	}
+	check("PriceGrid workers 1", want)
+	for _, workers := range []int{2, 3} {
+		got, err := PriceGrid(context.Background(), base, w, cfgs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("PriceGrid workers %d", workers), got)
+	}
+	dir := t.TempDir()
+	for _, path := range []string{"cold PriceConfig", "warm PriceConfig"} {
+		c, err := cache.New(cache.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := cache.WithWorkload(context.Background(), c, w.Fingerprint())
+		got := make([]PricedParent, len(cfgs))
+		for i, cfg := range cfgs {
+			if _, got[i], err = PriceConfig(ctx, base, w, cfg, i, len(cfgs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := c.Stats(); path == "warm PriceConfig" && st.DiskHits != int64(len(cfgs)) {
+			t.Fatalf("warm pass: %+v, want %d disk hits", st, len(cfgs))
+		}
+		check(path, got)
 	}
 }
