@@ -9,10 +9,11 @@
 //	subset3d -trace game.trace -manifest run.json -log-level info
 //
 // -fast skips the per-frame clustering evaluation (the expensive part)
-// and only builds and validates the subset. -stream consumes a trace
+// and only builds and validates the subset. -stream subsets a trace
 // (any .trace tracegen writes is a frame stream) in one bounded-memory
-// pass (no evaluation or validation sweep — the parent never exists in
-// memory).
+// pass straight off the file, without the clustering evaluation or the
+// validation sweep: the parent never exists in memory. Both print the
+// same report format.
 //
 // -lenient ingests damaged captures gracefully: corrupt records are
 // resynced past, invalid frames and draws dropped, and the run ends
@@ -24,13 +25,13 @@
 // (default GOMAXPROCS). The output is bit-identical at any worker
 // count; the flag trades wall-clock time only.
 //
-// -cache-dir and -cache-mem enable the content-addressed result cache:
-// the pass's clustering evaluation and the parent's time on every
-// validation clock, one entry (with -fast, one parent price per
-// clock), are then reused across runs over the same trace (-cache-dir
-// persists them on disk; -cache-mem sets the in-memory budget in MiB).
-// Caching never changes the report — warm and cold runs are
-// byte-identical.
+// -cache-dir and -cache-mem enable the content-addressed result cache
+// for -trace: the pass's product (the summary, the clustering
+// evaluation, the phases, the subset and the parent's time on every
+// validation clock) is one entry, with or without -fast, reused across
+// runs over the same trace (-cache-dir persists it on disk; -cache-mem
+// sets the in-memory budget in MiB). Caching never changes the report
+// — warm and cold runs are byte-identical.
 //
 // Observability: -log-level {debug,info,warn,error,off} enables
 // structured key=value logging to stderr (default off), -manifest
@@ -55,7 +56,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/stream"
 	"repro/internal/trace"
 	"repro/internal/traceerr"
 )
@@ -129,10 +129,19 @@ func execute(ctx context.Context, cfg config) error {
 	run.SetWorkers(cfg.workers)
 	ctx = run.Context(ctx)
 
-	if cfg.streamIn != "" {
-		err = runStream(ctx, run, cfg)
-	} else {
-		err = runTrace(ctx, run, cfg)
+	var rep *core.Report
+	var diag traceerr.Diagnostics // what a lenient reader dropped
+	s, err := subsetter(cfg)
+	if err == nil && cfg.streamIn != "" {
+		rep, diag, err = runStream(ctx, run, cfg, s)
+	} else if err == nil {
+		rep, diag, err = runTrace(ctx, run, cfg, s)
+	}
+	if err == nil {
+		rep.Diagnostics = diag
+		_, sp := obs.StartSpan(ctx, "render-report")
+		rep.Render(cfg.out)
+		sp.End()
 	}
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -143,48 +152,52 @@ func execute(ctx context.Context, cfg config) error {
 	return err
 }
 
-func runStream(ctx context.Context, run *obs.Run, cfg config) error {
+// subsetter builds the pipeline the flags select. -stream runs without
+// the clustering evaluation or the validation sweep, so the parent
+// never exists in memory; -trace runs with the cache the flags ask for.
+func subsetter(cfg config) (*core.Subsetter, error) {
+	opt := core.DefaultOptions()
+	opt.Subset.Method.Threshold = cfg.threshold
+	opt.Subset.Phase.IntervalFrames = cfg.interval
+	opt.Workers = cfg.workers
+	opt.SkipClusteringEval = cfg.fast || cfg.streamIn != ""
+	if cfg.streamIn != "" {
+		opt.ValidationClocks = nil
+	} else {
+		var err error
+		if opt.Cache, err = cache.FromFlags(cfg.cacheDir, cfg.cacheMem); err != nil {
+			return nil, err
+		}
+	}
+	return core.New(opt)
+}
+
+// runStream subsets a frame stream in one pass straight off the file.
+func runStream(ctx context.Context, run *obs.Run, cfg config, s *core.Subsetter) (*core.Report, traceerr.Diagnostics, error) {
 	run.RecordFile("input", cfg.streamIn)
 	f, err := os.Open(cfg.streamIn)
 	if err != nil {
-		return err
+		return nil, traceerr.Diagnostics{}, err
 	}
 	defer f.Close()
 	r, err := trace.NewStreamReader(f, trace.ReaderOptions{Lenient: cfg.lenient})
 	if err != nil {
-		return err
+		return nil, traceerr.Diagnostics{}, err
 	}
-	opt := stream.DefaultOptions()
-	opt.Method.Threshold = cfg.threshold
-	opt.Phase.IntervalFrames = cfg.interval
-	res, err := stream.RunContext(ctx, r, opt)
-	if err != nil {
-		return err
+	rep, err := s.RunSource(ctx, r)
+	if cfg.lenient {
+		run.RecordDiagnostics(r.Diagnostics().Map())
 	}
-	fmt.Fprintf(cfg.out, "workload %s (streamed, format v%d): %d frames, %d draws\n",
-		r.Shell().Name, r.Version(), res.ParentFrames, res.ParentDraws)
-	if res.Diagnostics.Any() {
-		fmt.Fprintf(cfg.out, "ingestion degraded: %v\n", res.Diagnostics)
-	} else if cfg.lenient {
-		fmt.Fprintf(cfg.out, "ingestion: %v\n", res.Diagnostics)
-	}
-	fmt.Fprintf(cfg.out, "phases: %d  timeline %s\n", res.NumPhases, res.Timeline)
-	n := 0
-	for i := range res.Frames {
-		n += len(res.Frames[i].Draws)
-	}
-	fmt.Fprintf(cfg.out, "subset: %d frames, %d draws = %.2f%% of parent\n",
-		len(res.Frames), n, res.SizeRatio()*100)
-	return nil
+	return rep, r.Diagnostics(), err
 }
 
-func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
+func runTrace(ctx context.Context, run *obs.Run, cfg config, s *core.Subsetter) (*core.Report, traceerr.Diagnostics, error) {
 	run.RecordFile("input", cfg.tracePath)
 	_, sp := obs.StartSpan(ctx, "decode-trace")
 	f, err := os.Open(cfg.tracePath)
 	if err != nil {
 		sp.End()
-		return err
+		return nil, traceerr.Diagnostics{}, err
 	}
 	defer f.Close()
 	// Under -lenient the reader resyncs past corrupt records and drops
@@ -201,34 +214,13 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 	}
 	if err != nil {
 		sp.End()
-		return err
+		return nil, diag, err
 	}
 	sp.AddItems(int64(w.NumFrames()))
 	sp.End()
 	if cfg.lenient {
 		run.RecordDiagnostics(diag.Map())
 	}
-
-	opt := core.DefaultOptions()
-	opt.Subset.Method.Threshold = cfg.threshold
-	opt.Subset.Phase.IntervalFrames = cfg.interval
-	opt.SkipClusteringEval = cfg.fast
-	opt.Workers = cfg.workers
-	opt.Cache, err = cache.FromFlags(cfg.cacheDir, cfg.cacheMem)
-	if err != nil {
-		return err
-	}
-	s, err := core.New(opt)
-	if err != nil {
-		return err
-	}
 	rep, err := s.RunContext(ctx, w)
-	if err != nil {
-		return err
-	}
-	rep.Diagnostics = diag
-	_, rsp := obs.StartSpan(ctx, "render-report")
-	rep.Render(cfg.out)
-	rsp.End()
-	return nil
+	return rep, diag, err
 }

@@ -1,24 +1,26 @@
-// Streaming: subset a capture that never fits in memory.
+// Streaming: run the whole pipeline over a capture that never fits in
+// memory.
 //
-// A frame-stream trace is consumed one frame at a time; the subsetter
-// keeps only the current 4-frame characterization interval plus the
-// subset itself, so memory stays bounded no matter how long the
-// capture runs. The example writes a stream to a temp file, subsets it
-// in one pass, and verifies the result against the in-memory batch
-// pipeline.
+// The pipeline's one driver, core.Subsetter.RunSource, drains a
+// frame-stream trace one characterization interval at a time: it
+// clusters, prices and evaluates each frame, finds the phases and keeps
+// the representatives as it goes, so memory stays bounded no matter how
+// long the capture runs. The example writes a stream to a temp file,
+// runs a full evaluated and validated pass straight off the file, and
+// checks the result against the same pass over the workload in memory.
 //
 //	go run ./examples/streaming
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 
-	"repro/internal/gpu"
-	"repro/internal/stream"
-	"repro/internal/subset"
+	"repro/internal/core"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
@@ -50,36 +52,36 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One-pass subsetting straight off the file.
+	// One pass straight off the file: clustering evaluation, phases,
+	// subset and validation sweep.
 	in, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer in.Close()
-	dec, err := trace.NewStreamDecoder(in)
+	src, err := trace.NewStreamReader(in, trace.ReaderOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := stream.Run(dec, stream.DefaultOptions())
+	s, err := core.New(core.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("streamed %d frames / %d draws -> %d phases, subset %.2f%% of parent\n",
-		res.ParentFrames, res.ParentDraws, res.NumPhases, res.SizeRatio()*100)
-	fmt.Printf("timeline %s\n", res.Timeline)
+	streamed, err := s.RunSource(context.Background(), src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var out bytes.Buffer
+	streamed.Render(&out)
+	fmt.Print(out.String())
 
-	// Verify against the batch pipeline (possible here because the
-	// demo workload does fit in memory).
-	batch, err := subset.Build(workload, subset.DefaultOptions())
+	// Verify against the same pass over the workload in memory
+	// (possible here because the demo workload does fit).
+	inMemory, err := s.Run(workload)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := gpu.NewSimulator(gpu.BaseConfig(), workload)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("parent estimate: streamed %.2f ms, batch %.2f ms (parent actual %.2f ms)\n",
-		res.EstimateParentNs(sim)/1e6,
-		batch.EstimateParentNs(sim)/1e6,
-		sim.Run().TotalNs/1e6)
+	var want bytes.Buffer
+	inMemory.Render(&want)
+	fmt.Println("same report as the in-memory pass:", bytes.Equal(out.Bytes(), want.Bytes()))
 }

@@ -406,9 +406,8 @@ type binding struct {
 type bindingKey struct{}
 
 // WithWorkload returns ctx carrying (cache, workload fingerprint) for
-// the pipeline stages below: the core frame pass and sweep pricing key
-// their entries on the bound fingerprint. A nil cache returns ctx
-// unchanged.
+// the stages below: sweep pricing keys its entries on the bound
+// fingerprint. A nil cache returns ctx unchanged.
 func WithWorkload(ctx context.Context, c *Cache, fp trace.Fingerprint) context.Context {
 	if c == nil {
 		return ctx

@@ -19,6 +19,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -54,26 +55,24 @@ type Options struct {
 	// when only the subset is wanted.
 	SkipClusteringEval bool
 
-	// Workers bounds the goroutine fan-out of every pipeline stage:
-	// clustering evaluation, phase detection, subset clustering and the
-	// validation sweep (<= 0 selects GOMAXPROCS, 1 runs fully
-	// sequential). It governs wall-clock time only — the Report is
-	// bit-identical at any worker count, an invariant the determinism
-	// tests assert. Workers overrides Subset.Workers for the stages Run
-	// drives.
+	// Workers bounds the goroutine fan-out of a run: the pass's
+	// interval tasks and the validation sweep (<= 0 selects GOMAXPROCS,
+	// 1 runs fully sequential). It governs wall-clock time only — the
+	// Report is bit-identical at any worker count, an invariant the
+	// determinism tests assert. Subset.Workers is BuildContext's, not a
+	// run's.
 	Workers int
 
-	// Cache attaches a content-addressed result cache. The frame pass
-	// stores its whole product (the clustering evaluation and the
-	// parent's total on every validation config) as one entry, keyed
-	// by workload fingerprint, method, configs, threshold and
-	// algorithm versions; a run that skips clustering evaluation
-	// stores the parent's price per validation config instead
-	// (sweep.price). The phase detection and the subset build are
-	// always computed. Nil — the default — disables caching. Caching
-	// never changes results: a warm run's Report is byte-identical to
-	// a cold run's, an invariant the golden and determinism tests
-	// assert.
+	// Cache attaches a content-addressed result cache to RunContext. A
+	// run's pass stores its whole product (the summary, the clustering
+	// evaluation, the phases, the subset's frames and the parent's
+	// total on every validation config) as one entry, keyed by workload
+	// fingerprint, method, phase options, whether the evaluation runs,
+	// configs, threshold and algorithm versions. Nil — the default —
+	// disables caching. Caching never changes results: a warm run's
+	// Report is byte-identical to a cold run's, an invariant the golden
+	// and determinism tests assert. RunSource rejects a cache: the key
+	// needs the whole workload's fingerprint.
 	Cache *cache.Cache
 }
 
@@ -89,7 +88,8 @@ func DefaultOptions() Options {
 
 // Subsetter runs the pipeline. Construct with New.
 type Subsetter struct {
-	opt Options
+	opt  Options
+	cfgs []gpu.Config // the validation sweep; nil disables validation
 }
 
 // New validates the options.
@@ -103,7 +103,11 @@ func New(opt Options) (*Subsetter, error) {
 	if len(opt.ValidationClocks) == 1 {
 		return nil, fmt.Errorf("core: validation sweep needs >= 2 clocks")
 	}
-	return &Subsetter{opt: opt}, nil
+	s := &Subsetter{opt: opt}
+	if len(opt.ValidationClocks) >= 2 {
+		s.cfgs = sweep.CoreClockSweep(opt.Oracle, opt.ValidationClocks)
+	}
+	return s, nil
 }
 
 // Report is the outcome of one pipeline run.
@@ -130,10 +134,21 @@ type Report struct {
 	Validated  bool
 
 	// Diagnostics accounts for draws and frames a lenient reader
-	// dropped before the run (trace.DecodeLenient); the caller that
-	// read the workload fills it in. A run never sanitizes: a damaged
-	// workload fails its validation.
+	// dropped before the run (trace.DecodeLenient, or a lenient
+	// trace.StreamReader); the caller that read the workload fills it
+	// in. A run never sanitizes: a damaged workload fails its
+	// validation.
 	Diagnostics traceerr.Diagnostics
+}
+
+// FrameSource is a capture read one frame at a time: the shell carries
+// the resource tables its frames reference, and NextFrame returns the
+// frames in capture order, then io.EOF. Each frame must be valid
+// against the shell, as trace.StreamReader checks it, and must not
+// change after NextFrame returns it.
+type FrameSource interface {
+	Shell() *trace.Workload
+	NextFrame() (trace.Frame, error)
 }
 
 // Run executes the pipeline on one workload.
@@ -141,104 +156,103 @@ func (s *Subsetter) Run(w *trace.Workload) (*Report, error) {
 	return s.RunContext(context.Background(), w)
 }
 
-// RunContext executes the pipeline on one workload, honoring
-// cancellation between pipeline stages and inside the frame pass and
-// the validation sweep.
-//
-// A run builds one simulator on the oracle and one frame clusterer,
-// and every stage shares them; their constructors are the run's
-// workload validation. Clustering evaluation is one pass over the
-// parent's frames (framePass) that also prices every validation
-// config, so the sweep then prices only the subset. With a cache the
-// pass's whole product is one entry, and the pass prices the same
-// columns as without one.
+// RunContext validates w once and runs the pass over its frames, as
+// RunSource does, with the subset's parent w. With a cache the run
+// first fingerprints w, and the pass's product is one entry.
 func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report, error) {
-	run := obs.RunFromContext(ctx)
+	_, sp := obs.StartSpan(ctx, "validate")
+	err := w.Validate()
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	src := &workloadSource{w: w}
+	if s.opt.Cache == nil {
+		return s.RunSource(ctx, src)
+	}
+	_, sp = obs.StartSpan(ctx, "fingerprint")
+	key := passKey(w.Fingerprint(), s.opt, s.cfgs, currentVersions)
+	sp.End()
+	return s.run(ctx, src, key)
+}
 
-	rep := &Report{}
-	validate := len(s.opt.ValidationClocks) >= 2
-	var sim *gpu.Simulator
-	if !s.opt.SkipClusteringEval || validate {
-		_, sp := obs.StartSpan(ctx, "new-simulator")
+// RunSource drains src once and returns its Report: the one driver of
+// the pipeline. It reads one characterization interval of frames at a
+// time and runs each as a task on an order-preserving window of the
+// worker pool. A task computes the interval's shader vector and, as
+// the options ask, clusters each frame, prices it on every validation
+// config and the oracle in one gpu.FramePricer call, and evaluates the
+// clustering with the oracle's draw times. A fold in capture order
+// then adds each frame to the summary, the evaluation and the
+// per-config totals, assigns the interval's phase, and keeps the
+// middle frame of each new phase's founding interval with the
+// clustering its task computed (a subset-only run clusters just those
+// frames). The validation sweep then prices only the subset, whose
+// parent is src's shell. At most a few intervals per worker are held
+// between the source and the fold, so a capture of any length drains
+// in memory bounded by the window plus the Report. A cached run is
+// RunContext's alone: RunSource rejects a cache.
+func (s *Subsetter) RunSource(ctx context.Context, src FrameSource) (*Report, error) {
+	if s.opt.Cache != nil {
+		return nil, errors.New("core: a frame source cannot run cached: the cache key is the whole workload's fingerprint, known only after its last frame")
+	}
+	return s.run(ctx, src, cache.Key{})
+}
+
+// run is RunSource, through the cache when there is one (under key).
+func (s *Subsetter) run(ctx context.Context, src FrameSource, key cache.Key) (*Report, error) {
+	parent := src.Shell()
+	// The pass's span ends before the sweep; the deferred End covers
+	// the error paths.
+	pctx, sp := obs.StartSpan(ctx, "frame-pass")
+	defer sp.End()
+	var sim *gpu.Simulator // the oracle's, for the pass and the sweep
+	if s.cfgs != nil || !s.opt.SkipClusteringEval {
 		var err error
-		sim, err = gpu.NewSimulator(s.opt.Oracle, w)
-		sp.End()
-		if err != nil {
+		if sim, err = gpu.NewShellSimulator(s.opt.Oracle, parent); err != nil {
 			return nil, err
 		}
 	}
-	_, sp := obs.StartSpan(ctx, "new-extractor")
-	fc, err := subset.NewFrameClusterer(w, s.opt.Subset.Method)
-	sp.End()
+	p, err := cache.GetOrCompute(pctx, s.opt.Cache, key, func() (passProduct, error) { return s.pass(pctx, sim, src) })
 	if err != nil {
 		return nil, err
 	}
-	_, sp = obs.StartSpan(ctx, "summarize")
-	rep.Summary = trace.Summarize(w)
-	sp.End()
-	run.Logger().Info("workload ready", "workload", w.Name,
-		"frames", rep.Summary.Frames, "draws", rep.Summary.Draws)
-
-	ctx = s.bindCache(ctx, w)
-
-	var cfgs []gpu.Config
-	if validate {
-		cfgs = sweep.CoreClockSweep(s.opt.Oracle, s.opt.ValidationClocks)
-	}
-	var parentNs []float64 // per config, when the frame pass priced the parent
-	if !s.opt.SkipClusteringEval {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: canceled before clustering evaluation: %w", err)
-		}
-		pass, err := framePass(ctx, sim, fc, w, s.opt, cfgs)
-		if err != nil {
-			return nil, err
-		}
-		rep.Clustering = &pass.Report
-		parentNs = pass.ParentNs
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: canceled before subset build: %w", err)
-	}
-	sopt := s.opt.Subset
-	if s.opt.Workers != 0 {
-		sopt.Workers = s.opt.Workers
-	}
-	sub, err := subset.BuildWith(ctx, fc, w, sopt)
-	if err != nil {
-		return nil, err
-	}
+	sub := subset.Assemble(parent, p.Detection, p.Summary.Draws, p.Subset)
 	if err := sub.Validate(); err != nil {
 		return nil, fmt.Errorf("core: built subset invalid: %w", err)
 	}
-	rep.Subset = sub
-	rep.Detection = sub.Detection
-	rep.SizeRatio = sub.SizeRatio()
+	rep := &Report{Summary: p.Summary, Clustering: p.Clustering, Detection: p.Detection, Subset: sub, SizeRatio: sub.SizeRatio()}
+	run := obs.RunFromContext(ctx)
+	run.Logger().Info("pass done", "workload", parent.Name,
+		"frames", rep.Summary.Frames, "draws", rep.Summary.Draws, "phases", rep.Detection.NumPhases)
 	run.Metrics().Counter("subset.frames").Add(int64(len(sub.Frames)))
 	run.Metrics().Counter("subset.draws").Add(int64(sub.NumDraws()))
+	sp.End()
 
-	if validate {
-		res, err := sweep.RunWith(ctx, sim, w, sub, cfgs, parentNs, s.opt.Workers)
-		if err != nil {
+	if s.cfgs != nil {
+		if rep.Validation, err = sweep.RunWith(ctx, sim, parent, sub, s.cfgs, p.ParentNs, s.opt.Workers); err != nil {
 			return nil, err
 		}
-		rep.Validation = res
 		rep.Validated = true
 	}
 	return rep, nil
 }
 
-// bindCache binds the run's cache to w's fingerprint in ctx, for the
-// frame pass's entry and the sweep's per-config entries. A run without
-// a cache is left unbound.
-func (s *Subsetter) bindCache(ctx context.Context, w *trace.Workload) context.Context {
-	if s.opt.Cache == nil {
-		return ctx
+// workloadSource is a workload's own frames as a FrameSource, its
+// shell the workload itself.
+type workloadSource struct {
+	w    *trace.Workload
+	next int
+}
+
+func (s *workloadSource) Shell() *trace.Workload { return s.w }
+
+func (s *workloadSource) NextFrame() (trace.Frame, error) {
+	if s.next == len(s.w.Frames) {
+		return trace.Frame{}, io.EOF
 	}
-	_, sp := obs.StartSpan(ctx, "fingerprint")
-	defer sp.End()
-	return cache.WithWorkload(ctx, s.opt.Cache, w.Fingerprint())
+	s.next++
+	return s.w.Frames[s.next-1], nil
 }
 
 // PhaseTimeline re-exposes the detection timeline for callers that

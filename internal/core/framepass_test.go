@@ -13,6 +13,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/phase"
 	"repro/internal/subset"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -182,13 +183,11 @@ func TestFramePassDeterministicAgainstStagedReference(t *testing.T) {
 }
 
 // TestStrictRunKeepsValidationErrorClass runs a strict RunContext on a
-// workload the parent's RunContext-level Validate used to reject. The
-// simulator's constructor is now the first validation, so the error
-// gains its "gpu: " prefix; with clustering evaluation and validation
-// both off no simulator is built, and the extractor's "features: "
-// prefix leads. Either way it wraps Validate's error and keeps its
-// class under every taxonomy: obs.ErrorClass and each traceerr
-// sentinel.
+// workload that fails validation. RunContext's one Validate is the
+// run's only validation, with or without the clustering evaluation and
+// the validation sweep, so the error is Validate's behind a "core: "
+// prefix. It wraps Validate's error and keeps its class under every
+// taxonomy: obs.ErrorClass and each traceerr sentinel.
 func TestStrictRunKeepsValidationErrorClass(t *testing.T) {
 	w := coreGame(t)
 	draw := &w.Frames[0].Draws[0]
@@ -206,8 +205,8 @@ func TestStrictRunKeepsValidationErrorClass(t *testing.T) {
 		opt  Options
 		want string
 	}{
-		{DefaultOptions(), `gpu: trace: "coretest" frame 0 draw 0: overdraw 0 outside [1, +Inf)`},
-		{lean, `features: trace: "coretest" frame 0 draw 0: overdraw 0 outside [1, +Inf)`},
+		{DefaultOptions(), `core: trace: "coretest" frame 0 draw 0: overdraw 0 outside [1, +Inf)`},
+		{lean, `core: trace: "coretest" frame 0 draw 0: overdraw 0 outside [1, +Inf)`},
 	} {
 		s, err := New(tc.opt)
 		if err != nil {
@@ -242,6 +241,8 @@ func perturb(t *testing.T, name string, f reflect.Value) {
 		f.SetInt(f.Int() + 1)
 	case reflect.Uint8, reflect.Uint64:
 		f.SetUint(f.Uint() + 1)
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
 	case reflect.String:
 		f.SetString(f.String() + "x")
 	case reflect.Slice:
@@ -251,14 +252,15 @@ func perturb(t *testing.T, name string, f reflect.Value) {
 	}
 }
 
-// TestPassKeyCoversItsInputs: the frame pass's cache key changes with
-// every input that can change its product: the workload fingerprint,
-// each clustering method field, each cost field of the oracle and of
-// one validation config, the configs' count and order, the outlier
-// threshold and each version constant. It does not change with what
-// cannot: the worker count, observability, lenient mode and config
-// names. Method and Config fields are walked by reflection, so a field
-// added to either must feed the key or fail here.
+// TestPassKeyCoversItsInputs: the pass's cache key changes with every
+// input that can change its product: the workload fingerprint, each
+// clustering method field, each phase option, whether the clustering
+// evaluation runs, each cost field of the oracle and of one validation
+// config, the configs' count and order, the outlier threshold and each
+// version constant. It does not change with what cannot: the worker
+// count, observability, lenient mode and config names. Method, phase
+// option and Config fields are walked by reflection, so a field added
+// to any of them must feed the key or fail here.
 func TestPassKeyCoversItsInputs(t *testing.T) {
 	type inputs struct {
 		fp   trace.Fingerprint
@@ -274,11 +276,12 @@ func TestPassKeyCoversItsInputs(t *testing.T) {
 	base := key(fresh())
 
 	changes := map[string]func(*inputs){
-		"fingerprint":  func(in *inputs) { in.fp[0] ^= 1 },
-		"threshold":    func(in *inputs) { in.opt.OutlierThreshold = 0.3 },
-		"config count": func(in *inputs) { in.cfgs = in.cfgs[:len(in.cfgs)-1] },
-		"config order": func(in *inputs) { in.cfgs[0], in.cfgs[1] = in.cfgs[1], in.cfgs[0] },
-		"no configs":   func(in *inputs) { in.cfgs = nil },
+		"fingerprint":        func(in *inputs) { in.fp[0] ^= 1 },
+		"threshold":          func(in *inputs) { in.opt.OutlierThreshold = 0.3 },
+		"config count":       func(in *inputs) { in.cfgs = in.cfgs[:len(in.cfgs)-1] },
+		"config order":       func(in *inputs) { in.cfgs[0], in.cfgs[1] = in.cfgs[1], in.cfgs[0] },
+		"no configs":         func(in *inputs) { in.cfgs = nil },
+		"SkipClusteringEval": func(in *inputs) { in.opt.SkipClusteringEval = true },
 	}
 	for i := range currentVersions {
 		changes[fmt.Sprintf("version %d", i)] = func(in *inputs) { in.v[i]++ }
@@ -288,10 +291,14 @@ func TestPassKeyCoversItsInputs(t *testing.T) {
 		name := "Method." + mt.Field(i).Name
 		changes[name] = func(in *inputs) { perturb(t, name, reflect.ValueOf(&in.opt.Subset.Method).Elem().Field(i)) }
 	}
+	pt := reflect.TypeOf(phase.Options{})
+	for i := 0; i < pt.NumField(); i++ {
+		name := "Phase." + pt.Field(i).Name
+		changes[name] = func(in *inputs) { perturb(t, name, reflect.ValueOf(&in.opt.Subset.Phase).Elem().Field(i)) }
+	}
 	same := map[string]func(*inputs){
 		"Workers":        func(in *inputs) { in.opt.Workers = 3 },
 		"Subset.Workers": func(in *inputs) { in.opt.Subset.Workers = 3 },
-		"Subset.Phase":   func(in *inputs) { in.opt.Subset.Phase.IntervalFrames = 8 },
 	}
 	ct := reflect.TypeOf(gpu.Config{})
 	for i := 0; i < ct.NumField(); i++ {

@@ -55,9 +55,9 @@ func TestReportDeterministicWithObservability(t *testing.T) {
 
 	// The observed run must actually have observed something — a
 	// passing comparison against a no-op instrument proves nothing.
-	// The library pipeline owns three stages (clustering-eval,
-	// subset-build, validation-sweep); decode/render spans belong to
-	// the CLI and are asserted in the subset3d manifest test.
+	// The library pipeline owns three stages (validate, frame-pass,
+	// validation-sweep); decode/render spans belong to the CLI and are
+	// asserted in the subset3d manifest test.
 	if len(m.Stages) < 3 {
 		t.Fatalf("observed run recorded %d top-level stages, want >= 3", len(m.Stages))
 	}

@@ -90,6 +90,19 @@ func NewSimulator(cfg Config, w *trace.Workload) (*Simulator, error) {
 	return &Simulator{cfg: cfg, w: w, t: newTables(w)}, nil
 }
 
+// NewShellSimulator is NewSimulator without the workload validation,
+// for a stream's frameless shell (trace.Header.Shell) or a workload its
+// caller validated: it reads only the resource tables.
+func NewShellSimulator(cfg Config, w *trace.Workload) (*Simulator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if w.Shaders == nil {
+		return nil, fmt.Errorf("gpu: workload %q has nil shader registry", w.Name)
+	}
+	return &Simulator{cfg: cfg, w: w, t: newTables(w)}, nil
+}
+
 // Config returns the simulated configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 

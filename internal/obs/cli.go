@@ -31,10 +31,27 @@ func SetupCLI(tool, logLevel, pprofDir string) (*Run, func() error, error) {
 	return run, stop, nil
 }
 
-// WriteManifest finishes the run and writes its manifest to path; an
-// empty path still finishes the run but writes nothing. Call once, at
-// the end of the command.
+// WriteManifest finishes the run and writes its manifest to path,
+// with a SHA-256 of every recorded file, each hash timed as a
+// "<role>-digest" child of the run's root span. A failed digest leaves
+// the file's checksum empty rather than failing the run. An empty path
+// still finishes the run but writes (and hashes) nothing. Call once,
+// at the end of the command.
 func (r *Run) WriteManifest(path string) error {
+	if path != "" && r != nil {
+		r.mu.Lock()
+		for i, f := range r.files {
+			sp := r.root.Child(f.Role + "-digest")
+			d, err := DigestFile(f.Role, f.Path)
+			sp.End()
+			if err != nil {
+				r.Log.Warn("file digest failed", "path", f.Path, "err", err)
+				continue
+			}
+			r.files[i] = d
+		}
+		r.mu.Unlock()
+	}
 	m := r.Finish()
 	if path == "" || m == nil {
 		return nil

@@ -135,6 +135,77 @@ func TestRecordFileMissing(t *testing.T) {
 	}
 }
 
+// TestRecordFileDigestsOnlyWithManifest: a run that writes no manifest
+// never reads its recorded files, so a missing one logs nothing and no
+// digest span appears. With a manifest path the same files are hashed
+// in "<role>-digest" spans: the present one listed with its SHA-256,
+// the missing one with an empty checksum and a logged warning.
+func TestRecordFileDigestsOnlyWithManifest(t *testing.T) {
+	dir := t.TempDir()
+	present := filepath.Join(dir, "blob")
+	content := []byte("digest me")
+	if err := os.WriteFile(present, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing")
+	record := func(log *bytes.Buffer) *Run {
+		run := NewRun("t")
+		run.Log = NewLogger(log, LevelDebug)
+		run.RecordFile("input", missing)
+		run.RecordFile("output", present)
+		return run
+	}
+	digestSpans := func(run *Run) (n int) {
+		for _, s := range run.Root().childManifests() {
+			if s.Name == "input-digest" || s.Name == "output-digest" {
+				n++
+			}
+		}
+		return n
+	}
+
+	var log bytes.Buffer
+	run := record(&log)
+	if err := run.WriteManifest(""); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(log.Bytes(), []byte("digest")) {
+		t.Errorf("a run without a manifest logged a digest:\n%s", log.String())
+	}
+	if n := digestSpans(run); n != 0 {
+		t.Errorf("a run without a manifest has %d digest spans", n)
+	}
+
+	log.Reset()
+	run = record(&log)
+	path := filepath.Join(dir, "run.json")
+	if err := run.WriteManifest(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(content)
+	want := []FileDigest{
+		{Role: "input", Path: missing},
+		{Role: "output", Path: present, SHA256: hex.EncodeToString(sum[:]), Bytes: int64(len(content))},
+	}
+	if len(m.Files) != 2 || m.Files[0] != want[0] || m.Files[1] != want[1] {
+		t.Errorf("files = %+v, want %+v", m.Files, want)
+	}
+	if n := digestSpans(run); n != 2 {
+		t.Errorf("a run with a manifest has %d digest spans, want 2", n)
+	}
+	if !bytes.Contains(log.Bytes(), []byte("file digest failed")) {
+		t.Errorf("the missing file's digest failure was not logged:\n%s", log.String())
+	}
+}
+
 func TestErrorClass(t *testing.T) {
 	if got := ErrorClass(nil); got != "ok" {
 		t.Errorf("ErrorClass(nil) = %q", got)

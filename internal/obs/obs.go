@@ -123,24 +123,15 @@ func (r *Run) RecordDiagnostics(m map[string]int64) {
 	}
 }
 
-// RecordFile attaches an input/output file digest to the manifest.
-// Hashing the whole file is a pass of its own, so it is timed as a
-// "<role>-digest" child of the run's root span. Digest failures are
-// recorded as a file entry with an empty checksum rather than failing
-// the run — observability must not break the pipeline.
+// RecordFile names an input or output file for the manifest. Only the
+// role and path are recorded here: WriteManifest hashes the file when
+// it writes a manifest, so a run without one never reads it again.
 func (r *Run) RecordFile(role, path string) {
 	if r == nil {
 		return
 	}
-	sp := r.root.Child(role + "-digest")
-	d, err := DigestFile(role, path)
-	sp.End()
-	if err != nil {
-		d = FileDigest{Role: role, Path: path}
-		r.Log.Warn("file digest failed", "path", path, "err", err)
-	}
 	r.mu.Lock()
-	r.files = append(r.files, d)
+	r.files = append(r.files, FileDigest{Role: role, Path: path})
 	r.mu.Unlock()
 }
 

@@ -1,6 +1,6 @@
 // Package parallel is the deterministic fan-out primitive used by
-// every hot loop in the system: per-frame clustering, the per-draw
-// clustering evaluation, config-grid pricing sweeps and per-frame
+// every hot loop in the system: the core pass's interval tasks
+// (Ordered), config-grid pricing sweeps and per-frame
 // characterization.
 //
 // The contract that makes it safe to drop into a reproduction pipeline
@@ -25,6 +25,7 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -219,4 +220,122 @@ func MapSlice[T, R any](ctx context.Context, workers int, items []T, f func(ctx 
 	return Map(ctx, workers, len(items), func(ctx context.Context, i int) (R, error) {
 		return f(ctx, i, items[i])
 	})
+}
+
+// Ordered drains a source of unknown length through an order-preserving
+// window. next yields items one at a time (ok false after the last), f
+// runs on each item on at most workers goroutines (workers <= 0 selects
+// GOMAXPROCS), and fold receives each result in the order next yielded
+// the items. next and fold run on the calling goroutine only. At most
+// 2*workers items are between next and fold at once, so a source of any
+// length drains in memory bounded by the window; finished results are
+// folded before the next item is read.
+//
+// Error semantics are ForEach's. A failed task cancels the tasks behind
+// it that have not started, and the drain ends when the fold reaches
+// the first failed index, so the error returned is the lowest-indexed
+// one (a failed next holds the index its item would have had); every
+// started task is waited for, so no goroutine outlives the call; and a
+// panicking task becomes a *PanicError. A canceled ctx stops the drain
+// with ctx.Err(). With workers == 1 each item runs inline as it is
+// read, with no pool.
+func Ordered[T, R any](ctx context.Context, workers int, next func() (T, bool, error), f func(i int, item T) (R, error), fold func(i int, r R) error) error {
+	w := Workers(workers)
+	type task struct {
+		i    int
+		item T
+		r    R
+		err  error
+		done chan struct{}
+	}
+	// skipFrom is the lowest failed index. The fold stops there, so the
+	// tasks behind it are skipped (never run, never folded); on return
+	// every queued one is.
+	var skipFrom, busyNs atomic.Int64
+	skipFrom.Store(math.MaxInt64)
+	tasks, start := obs.RunFromContext(ctx).Metrics().Counter("parallel.tasks"), time.Now()
+	run := func(t *task) {
+		if i := int64(t.i); i < skipFrom.Load() {
+			t0 := time.Now()
+			t.err = Call(t.i, func() (err error) { t.r, err = f(t.i, t.item); return err })
+			busyNs.Add(int64(time.Since(t0)))
+			tasks.Inc()
+			for cur := skipFrom.Load(); t.err != nil && i < cur && !skipFrom.CompareAndSwap(cur, i); cur = skipFrom.Load() {
+			}
+		}
+		close(t.done)
+	}
+	// jobs feeds the pool and never fills: it holds at most the window.
+	jobs := make(chan *task, 2*w)
+	var wg sync.WaitGroup
+	if w > 1 {
+		wg.Add(w)
+		for range w {
+			go func() {
+				defer wg.Done()
+				for t := range jobs {
+					run(t)
+				}
+			}()
+		}
+	}
+	defer func() {
+		skipFrom.Store(-1)
+		close(jobs)
+		wg.Wait()
+		obs.SpanFromContext(ctx).AddPool(w, time.Duration(busyNs.Load()), time.Since(start))
+	}()
+
+	var (
+		window  []*task // read, not yet folded, in index order
+		readErr error
+		eof     bool
+	)
+	for i := 0; ; {
+		canRead := !eof && readErr == nil && len(window) < 2*w
+		if len(window) > 0 {
+			t := window[0]
+			if !canRead {
+				select {
+				case <-t.done:
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			select {
+			case <-t.done:
+				window[0], window = nil, window[1:] // release the folded item
+				if t.err != nil {
+					return t.err
+				}
+				if err := fold(t.i, t.r); err != nil {
+					return err
+				}
+				continue
+			default:
+			}
+		}
+		if !canRead {
+			return readErr
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		item, ok, err := next()
+		switch {
+		case err != nil:
+			readErr = err
+		case !ok:
+			eof = true
+		default:
+			t := &task{i: i, item: item, done: make(chan struct{})}
+			i++
+			window = append(window, t)
+			if w == 1 {
+				run(t)
+			} else {
+				jobs <- t
+			}
+		}
+	}
 }

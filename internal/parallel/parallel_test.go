@@ -347,3 +347,181 @@ func TestCallPassthrough(t *testing.T) {
 		t.Errorf("Call = %v, want passthrough error", err)
 	}
 }
+
+// counter is an Ordered source of n items, the item being its index,
+// that records how far it ran ahead of the fold.
+type counter struct {
+	n, read, folded, maxAhead int
+	err                       error // returned in place of item errAt
+	errAt                     int
+}
+
+func (c *counter) next() (int, bool, error) {
+	if c.err != nil && c.read == c.errAt {
+		return 0, false, c.err
+	}
+	if c.read == c.n {
+		return 0, false, nil
+	}
+	c.read++
+	c.maxAhead = max(c.maxAhead, c.read-c.folded)
+	return c.read - 1, true, nil
+}
+
+func (c *counter) fold(t *testing.T) func(i, r int) error {
+	return func(i, r int) error {
+		if i != c.folded || r != i*i {
+			t.Errorf("fold got item %d = %d, want item %d = %d", i, r, c.folded, c.folded*c.folded)
+			return errors.New("fold out of order")
+		}
+		c.folded++
+		return nil
+	}
+}
+
+func square(i, item int) (int, error) {
+	if i%7 == 0 {
+		runtime.Gosched() // shuffle completion order
+	}
+	return item * item, nil
+}
+
+// TestOrderedFoldsInOrderWithinTheWindow: every item is folded once,
+// in the order the source yielded it, and the source never runs more
+// than the window (twice the workers) ahead of the fold.
+func TestOrderedFoldsInOrderWithinTheWindow(t *testing.T) {
+	checkNoLeaks(t)
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, 5, 500} {
+			c := &counter{n: n}
+			if err := Ordered(context.Background(), workers, c.next, square, c.fold(t)); err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
+			if c.folded != n {
+				t.Errorf("workers=%d n=%d: folded %d items", workers, n, c.folded)
+			}
+			if c.maxAhead > 2*workers {
+				t.Errorf("workers=%d n=%d: the source ran %d items ahead of the fold, window %d", workers, n, c.maxAhead, 2*workers)
+			}
+		}
+	}
+}
+
+// TestOrderedLowestIndexedErrorWins: a task failing late at a low
+// index beats one failing early at a higher index; a failing source
+// and a failing fold take their item's index. Every item below the
+// failed index is folded, none above it, and the work started past a
+// failure is bounded by the window.
+func TestOrderedLowestIndexedErrorWins(t *testing.T) {
+	checkNoLeaks(t)
+	low, high := errors.New("task 30"), errors.New("task 70")
+	for _, workers := range []int{1, 4} {
+		var started atomic.Int64
+		c := &counter{n: 10_000}
+		err := Ordered(context.Background(), workers, c.next, func(i, item int) (int, error) {
+			started.Add(1)
+			switch i {
+			case 30:
+				time.Sleep(20 * time.Millisecond)
+				return 0, low
+			case 70:
+				return 0, high
+			}
+			return item * item, nil
+		}, c.fold(t))
+		if !errors.Is(err, low) || c.folded != 30 {
+			t.Errorf("workers=%d: err = %v after %d folds, want task 30's after 30", workers, err, c.folded)
+		}
+		if s := started.Load(); s > 30+2*int64(workers) {
+			t.Errorf("workers=%d: %d tasks started, the window allows %d", workers, s, 30+2*workers)
+		}
+
+		readErr := errors.New("source fails at 12")
+		c = &counter{n: 100, err: readErr, errAt: 12}
+		if err := Ordered(context.Background(), workers, c.next, square, c.fold(t)); !errors.Is(err, readErr) || c.folded != 12 {
+			t.Errorf("workers=%d: err = %v after %d folds, want the source's after 12", workers, err, c.folded)
+		}
+		c = &counter{n: 100, err: readErr, errAt: 12}
+		err = Ordered(context.Background(), workers, c.next, func(i, item int) (int, error) {
+			if i == 11 {
+				return 0, low
+			}
+			return item * item, nil
+		}, c.fold(t))
+		if !errors.Is(err, low) {
+			t.Errorf("workers=%d: err = %v, want task 11's ahead of the source's at 12", workers, err)
+		}
+
+		foldErr := errors.New("fold fails at 5")
+		c = &counter{n: 100}
+		fold := c.fold(t)
+		err = Ordered(context.Background(), workers, c.next, square, func(i, r int) error {
+			if i == 5 {
+				return foldErr
+			}
+			return fold(i, r)
+		})
+		if !errors.Is(err, foldErr) || c.folded != 5 {
+			t.Errorf("workers=%d: err = %v after %d folds, want the fold's after 5", workers, err, c.folded)
+		}
+	}
+}
+
+// TestOrderedPanicBecomesError: a panicking task is a *PanicError at
+// its index, and the drain ends cleanly.
+func TestOrderedPanicBecomesError(t *testing.T) {
+	checkNoLeaks(t)
+	for _, workers := range []int{1, 4} {
+		c := &counter{n: 1000}
+		err := Ordered(context.Background(), workers, c.next, func(i, item int) (int, error) {
+			if i == 3 {
+				panic("poisoned item 3")
+			}
+			return item * item, nil
+		}, c.fold(t))
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Index != 3 || pe.Value != "poisoned item 3" {
+			t.Errorf("workers=%d: err = %v, want a *PanicError at 3", workers, err)
+		}
+	}
+}
+
+// TestOrderedCancellation: a pre-canceled drain reads nothing, and a
+// drain canceled midway returns ctx.Err() promptly, with no goroutine
+// left behind.
+func TestOrderedCancellation(t *testing.T) {
+	checkNoLeaks(t)
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		c := &counter{n: 100}
+		if err := Ordered(ctx, workers, c.next, square, c.fold(t)); !errors.Is(err, context.Canceled) || c.read != 0 {
+			t.Errorf("workers=%d: pre-canceled drain returned %v after reading %d", workers, err, c.read)
+		}
+
+		ctx, cancel = context.WithCancel(context.Background())
+		c = &counter{n: 1_000_000}
+		fold := c.fold(t)
+		done := make(chan error, 1)
+		go func() {
+			done <- Ordered(ctx, workers, c.next, func(_, item int) (int, error) {
+				time.Sleep(100 * time.Microsecond)
+				return item * item, nil
+			}, func(i, r int) error {
+				if i == 20 {
+					cancel()
+				}
+				return fold(i, r)
+			})
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("workers=%d: drain did not return after cancel", workers)
+		}
+		cancel()
+	}
+}

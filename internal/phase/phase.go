@@ -134,9 +134,9 @@ func IntervalVector(w *trace.Workload, start, end int) (Vector, error) {
 }
 
 // VectorOfFrames computes the shader vector of an explicit frame
-// slice resolved against ctx's resource tables. This is the streaming
-// entry point: ctx may be a frameless shell (trace.Header.Shell) while
-// the frames flow past.
+// slice resolved against ctx's resource tables. This is the core
+// pass's entry point: ctx may be a frameless shell (trace.Header.Shell)
+// while the frames flow past.
 func VectorOfFrames(ctx *trace.Workload, frames []trace.Frame) (Vector, error) {
 	if len(frames) == 0 {
 		return Vector{}, fmt.Errorf("phase: empty frame interval")
@@ -238,87 +238,81 @@ func DetectContext(ctx context.Context, w *trace.Workload, o Options, workers in
 	}
 	sp.AddItems(int64(n))
 	sp.SetWorkers(parallel.Workers(workers))
-	starts := make([]int, 0, (n+o.IntervalFrames-1)/o.IntervalFrames)
-	for start := 0; start < n; start += o.IntervalFrames {
-		starts = append(starts, start)
-	}
 	type charzed struct {
-		start, end int
-		v          Vector
-		sig        Signature
+		v   Vector
+		sig Signature
 	}
-	chars, err := parallel.MapSlice(ctx, workers, starts, func(ctx context.Context, _ int, start int) (charzed, error) {
-		end := start + o.IntervalFrames
-		if end > n {
-			end = n
-		}
-		v, err := IntervalVector(w, start, end)
-		if err != nil {
-			return charzed{}, err
-		}
-		return charzed{start: start, end: end, v: v, sig: v.Signature(o)}, nil
+	a, read := NewAssigner(o), 0
+	next := func() (int, bool, error) {
+		start := read
+		read = min(start+o.IntervalFrames, n)
+		return start, start < n, nil
+	}
+	err := parallel.Ordered(ctx, workers, next, func(_ int, start int) (charzed, error) {
+		v, err := IntervalVector(w, start, min(start+o.IntervalFrames, n))
+		return charzed{v, v.Signature(o)}, err
+	}, func(i int, c charzed) error {
+		start := i * o.IntervalFrames
+		a.Assign(start, min(start+o.IntervalFrames, n), c.v, c.sig)
+		return nil
 	})
 	if err != nil {
 		return Detection{}, err
 	}
-
-	det := Detection{Opt: o}
-	phases := NewAssigner(o)
-	for _, c := range chars {
-		id, founded := phases.Assign(c.v, c.sig)
-		if founded {
-			det.Representatives = append(det.Representatives, len(det.Intervals))
-		}
-		det.Intervals = append(det.Intervals, Interval{Start: c.start, End: c.end, Sig: c.sig, Phase: id})
-	}
-	det.NumPhases = phases.NumPhases()
-	if run := obs.RunFromContext(ctx); run != nil {
-		run.Metrics().Counter("phase.intervals").Add(int64(len(det.Intervals)))
-		run.Metrics().Counter("phase.phases").Add(int64(det.NumPhases))
-	}
-	return det, nil
+	return a.Finish(ctx), nil
 }
 
-// Assigner numbers phases in first-seen order as characterized
-// intervals arrive in capture order: an interval joins the phase of an
-// equal signature or, when MatchCosine is set, the first phase whose
-// founding vector is at least that similar to its own; otherwise it
-// founds a new phase. DetectContext and the streaming subsetter both
-// assign through it, so batch and stream detection agree.
+// Assigner builds a Detection as characterized intervals arrive in
+// capture order: it numbers phases in first-seen order, an interval
+// joining the phase of an equal signature or, when MatchCosine is set,
+// the first phase whose founding vector is at least that similar to
+// its own, and otherwise founding a new phase. DetectContext and the
+// core pass both detect through it, so phase assignment has one
+// definition.
 type Assigner struct {
-	opt        Options
-	sigToPhase map[Signature]int
-	reps       []Vector // per phase, the founding vector (cosine mode)
-	n          int
+	det        Detection
+	sigToPhase map[Signature]int // the phase each signature founded
+	reps       []Vector          // per phase, the founding vector
 }
 
-// NewAssigner returns an assigner with no phases yet.
+// NewAssigner returns an assigner with no intervals yet.
 func NewAssigner(o Options) *Assigner {
-	return &Assigner{opt: o, sigToPhase: map[Signature]int{}}
+	return &Assigner{det: Detection{Opt: o}, sigToPhase: map[Signature]int{}}
 }
 
-// Assign returns the phase of the next interval, whose shader vector
-// is v and signature sig, and whether the interval founded it.
-func (a *Assigner) Assign(v Vector, sig Signature) (id int, founded bool) {
-	if a.opt.MatchCosine > 0 {
+// Assign records the next interval, frames [start, end) with shader
+// vector v and signature sig, and returns its phase and whether the
+// interval founded it.
+func (a *Assigner) Assign(start, end int, v Vector, sig Signature) (id int, founded bool) {
+	id, joined := a.sigToPhase[sig]
+	if a.det.Opt.MatchCosine > 0 {
+		id, joined = 0, false
 		for p, rv := range a.reps {
-			if Cosine(v, rv) >= a.opt.MatchCosine {
-				return p, false
+			if joined = Cosine(v, rv) >= a.det.Opt.MatchCosine; joined {
+				id = p
+				break
 			}
 		}
-		a.reps = append(a.reps, v)
-	} else {
-		if id, ok := a.sigToPhase[sig]; ok {
-			return id, false
-		}
-		a.sigToPhase[sig] = a.n
 	}
-	a.n++
-	return a.n - 1, true
+	if !joined {
+		id = a.det.NumPhases
+		a.det.NumPhases++
+		a.sigToPhase[sig], a.reps = id, append(a.reps, v)
+		a.det.Representatives = append(a.det.Representatives, len(a.det.Intervals))
+	}
+	a.det.Intervals = append(a.det.Intervals, Interval{Start: start, End: end, Sig: sig, Phase: id})
+	return id, !joined
 }
 
-// NumPhases returns how many phases have been founded so far.
-func (a *Assigner) NumPhases() int { return a.n }
+// Finish returns the detection of the intervals assigned so far and
+// adds their counts to ctx's run metrics.
+func (a *Assigner) Finish(ctx context.Context) Detection {
+	if run := obs.RunFromContext(ctx); run != nil {
+		run.Metrics().Counter("phase.intervals").Add(int64(len(a.det.Intervals)))
+		run.Metrics().Counter("phase.phases").Add(int64(a.det.NumPhases))
+	}
+	return a.det
+}
 
 // RepresentativeFrames returns the frame indices covered by the
 // representative interval of each phase, in phase order.

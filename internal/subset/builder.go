@@ -46,6 +46,8 @@ func (sf *Frame) SimDraws() int { return len(sf.Draws) }
 // the parent's resource tables (shaders, textures, render targets):
 // only the draw population shrinks.
 type Subset struct {
+	// Parent is the workload the subset was cut from; after a streamed
+	// pass, the source's frameless shell (its resource tables).
 	Parent    *trace.Workload
 	Detection phase.Detection
 	Frames    []Frame
@@ -82,67 +84,75 @@ func Build(w *trace.Workload, opt Options) (*Subset, error) {
 // goroutines; the frame selection and assembly stay sequential, so the
 // subset is bit-identical at any worker count.
 func BuildContext(ctx context.Context, w *trace.Workload, opt Options) (*Subset, error) {
-	return BuildWith(ctx, nil, w, opt)
-}
-
-// BuildWith is BuildContext for a caller that already holds a frame
-// clusterer for w under opt.Method (nil builds one, as BuildContext
-// does): a pipeline pass shares one clusterer, and so one feature
-// extractor and one workload validation, across its stages.
-func BuildWith(ctx context.Context, fc *FrameClusterer, w *trace.Workload, opt Options) (*Subset, error) {
 	ctx, sp := obs.StartSpan(ctx, "subset-build")
 	defer sp.End()
 	det, err := phase.DetectContext(ctx, w, opt.Phase, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
-	if fc == nil {
-		if fc, err = NewFrameClusterer(w, opt.Method); err != nil {
-			return nil, err
-		}
+	fc, err := NewFrameClusterer(w, opt.Method)
+	if err != nil {
+		return nil, err
 	}
-	phaseFrames := make([]int, det.NumPhases) // parent frames per phase
-	for _, iv := range det.Intervals {
-		phaseFrames[iv.Phase] += iv.End - iv.Start
-	}
-	s := &Subset{Parent: w, Detection: det, ParentDraws: w.NumDraws()}
-
-	// Select the kept frames sequentially, cluster them in parallel,
-	// then assemble in phase order. Each kept frame stands for all of
-	// its phase's parent frames.
-	keep := make([]int, len(det.Representatives))
-	for p, ii := range det.Representatives {
-		iv := det.Intervals[ii]
-		keep[p] = iv.Start + (iv.End-iv.Start)/2
-	}
-	// Each frame's clustering is independent (normalizers, PCA fits and
-	// the k-means RNG, seeded per frame index, are per-call state), so
-	// the subset is bit-identical at any worker count.
+	// Each kept frame's clustering is independent (normalizers, PCA
+	// fits and the k-means RNG, seeded per frame index, are per-call
+	// state), so the subset is bit-identical at any worker count.
 	cctx, csp := obs.StartSpan(ctx, "cluster-frames")
-	csp.AddItems(int64(len(keep)))
-	cfs, err := parallel.MapSlice(cctx, opt.Workers, keep, func(_ context.Context, _ int, fi int) (ClusteredFrame, error) {
-		return fc.ClusterFrame(&w.Frames[fi], fi)
+	csp.AddItems(int64(len(det.Representatives)))
+	kept, err := parallel.MapSlice(cctx, opt.Workers, det.Representatives, func(_ context.Context, p, ii int) (Frame, error) {
+		iv := det.Intervals[ii]
+		return Keep(fc, w.Frames[iv.Start:iv.End], iv.Start, p, nil)
 	})
 	csp.End()
 	if err != nil {
 		return nil, err
 	}
-	for p, cf := range cfs {
-		fi := keep[p]
-		sf := Frame{
-			ParentFrame: fi,
-			Phase:       p,
-			Weights:     cf.Weights,
-			PhaseScale:  float64(phaseFrames[p]),
-			Draws:       make([]trace.DrawCall, len(cf.RepDraws)),
+	sp.AddItems(int64(len(kept)))
+	return Assemble(w, det, w.NumDraws(), kept), nil
+}
+
+// Keep returns the frame a subset keeps for phase p, founded by the
+// interval frames (the parent's from index start on): its middle frame,
+// reduced to copies of its clusters' representatives, each weighted by
+// its cluster's size. cfs are the interval's clusterings if the caller
+// has them; nil clusters the middle frame with fc. Build and the core
+// pass both keep frames through it.
+func Keep(fc *FrameClusterer, frames []trace.Frame, start, p int, cfs []ClusteredFrame) (Frame, error) {
+	mid := len(frames) / 2
+	f := &frames[mid]
+	var cf ClusteredFrame
+	if cfs != nil {
+		cf = cfs[mid]
+	} else {
+		var err error
+		if cf, err = fc.ClusterFrame(f, start+mid); err != nil {
+			return Frame{}, err
 		}
-		for c, di := range cf.RepDraws {
-			sf.Draws[c] = w.Frames[fi].Draws[di]
-		}
-		s.Frames = append(s.Frames, sf)
 	}
-	sp.AddItems(int64(len(s.Frames)))
-	return s, nil
+	sf := Frame{
+		ParentFrame: start + mid,
+		Phase:       p,
+		Weights:     cf.Weights,
+		Draws:       make([]trace.DrawCall, len(cf.RepDraws)),
+	}
+	for c, di := range cf.RepDraws {
+		sf.Draws[c] = f.Draws[di]
+	}
+	return sf, nil
+}
+
+// Assemble returns the subset of parent, which has parentDraws draws,
+// made of kept, one frame per phase of det in phase order (Keep): each
+// kept frame stands for all of its phase's parent frames.
+func Assemble(parent *trace.Workload, det phase.Detection, parentDraws int, kept []Frame) *Subset {
+	phaseFrames := make([]int, det.NumPhases)
+	for _, iv := range det.Intervals {
+		phaseFrames[iv.Phase] += iv.End - iv.Start
+	}
+	for i := range kept {
+		kept[i].PhaseScale = float64(phaseFrames[kept[i].Phase])
+	}
+	return &Subset{Parent: parent, Detection: det, Frames: kept, ParentDraws: parentDraws}
 }
 
 // NumDraws returns the subset's total simulated draw count.
@@ -220,10 +230,16 @@ func (s *Subset) Validate() error {
 			return fmt.Errorf("subset: phase %d has no representative frame", p)
 		}
 	}
+	// A streamed pass's parent is the frameless shell of its source:
+	// its frames are the ones the detection covers.
+	parentFrames := len(s.Parent.Frames)
+	if parentFrames == 0 && len(s.Detection.Intervals) > 0 {
+		parentFrames = s.Detection.Intervals[len(s.Detection.Intervals)-1].End
+	}
 	var scaleSum float64
 	for i := range s.Frames {
 		sf := &s.Frames[i]
-		if sf.ParentFrame < 0 || sf.ParentFrame >= len(s.Parent.Frames) {
+		if sf.ParentFrame < 0 || sf.ParentFrame >= parentFrames {
 			return fmt.Errorf("subset: frame %d references parent frame %d", i, sf.ParentFrame)
 		}
 		if len(sf.Draws) == 0 {
@@ -242,8 +258,8 @@ func (s *Subset) Validate() error {
 		}
 		scaleSum += sf.PhaseScale
 	}
-	if math.Abs(scaleSum-float64(len(s.Parent.Frames))) > 1e-6 {
-		return fmt.Errorf("subset: phase scales sum to %v, parent has %d frames", scaleSum, len(s.Parent.Frames))
+	if math.Abs(scaleSum-float64(parentFrames)) > 1e-6 {
+		return fmt.Errorf("subset: phase scales sum to %v, parent has %d frames", scaleSum, parentFrames)
 	}
 	return nil
 }

@@ -201,9 +201,10 @@ func NewFrameClusterer(w *trace.Workload, m Method) (*FrameClusterer, error) {
 	return newClusterer(ex, m)
 }
 
-// NewShellFrameClusterer is the streaming variant: it binds to a
-// frameless shell workload (trace.Header.Shell) and clusters frames
-// that are not stored in the workload.
+// NewShellFrameClusterer is NewFrameClusterer without the workload
+// validation: it binds to a frameless shell (trace.Header.Shell) or a
+// workload its caller validated, and clusters frames that need not be
+// stored in it. The core pass clusters through one.
 func NewShellFrameClusterer(w *trace.Workload, m Method) (*FrameClusterer, error) {
 	ex, err := features.NewShellExtractor(w)
 	if err != nil {

@@ -65,7 +65,7 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte("junk"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := trace.NewStreamDecoder(bytes.NewReader(data))
+		dec, err := trace.NewStreamReader(bytes.NewReader(data), trace.ReaderOptions{})
 		if err != nil {
 			return
 		}

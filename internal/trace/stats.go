@@ -3,10 +3,9 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"sort"
-
-	"repro/internal/dcmath"
 )
 
 // Summary holds descriptive statistics of a workload, the numbers a
@@ -28,38 +27,64 @@ type Summary struct {
 
 // Summarize computes the workload summary.
 func Summarize(w *Workload) Summary {
-	s := Summary{Name: w.Name, Frames: len(w.Frames)}
-	ids := new([3]idSet) // VS, PS, materials
-	sceneSeen := map[string]bool{}
-	perFrame := make([]float64, 0, len(w.Frames))
+	z := NewSummarizer(w.Name)
 	for fi := range w.Frames {
-		f := &w.Frames[fi]
-		if !sceneSeen[f.Scene] {
-			sceneSeen[f.Scene] = true
-			s.Scenes = append(s.Scenes, f.Scene)
-		}
-		n := len(f.Draws)
-		s.Draws += n
-		perFrame = append(perFrame, float64(n))
-		if s.MinDrawsFrame == 0 || n < s.MinDrawsFrame {
-			s.MinDrawsFrame = n
-		}
-		if n > s.MaxDrawsFrame {
-			s.MaxDrawsFrame = n
-		}
-		for di := range f.Draws {
-			d := &f.Draws[di]
-			ids[0].add(uint32(d.VS))
-			ids[1].add(uint32(d.PS))
-			ids[2].add(d.MaterialID)
-			s.TotalVertices += d.TotalVertices()
-			s.TotalPrimitives += d.TotalPrimitives()
-		}
+		z.Add(&w.Frames[fi])
 	}
-	s.DrawsPerFrame = dcmath.Mean(perFrame)
-	s.UniqueVS = ids[0].len()
-	s.UniquePS = ids[1].len()
-	s.UniqueMaterials = ids[2].len()
+	return z.Summary()
+}
+
+// Summarizer accumulates a workload summary one frame at a time, in
+// capture order: Summarize feeds it a workload's frames, and the core
+// pass feeds it each frame as the source yields it.
+type Summarizer struct {
+	s         Summary
+	ids       [3]idSet // VS, PS, materials
+	sceneSeen map[string]bool
+}
+
+// NewSummarizer starts the summary of the named workload.
+func NewSummarizer(name string) *Summarizer {
+	return &Summarizer{s: Summary{Name: name}, sceneSeen: map[string]bool{}}
+}
+
+// Add counts the next frame.
+func (z *Summarizer) Add(f *Frame) {
+	s := &z.s
+	s.Frames++
+	if !z.sceneSeen[f.Scene] {
+		z.sceneSeen[f.Scene] = true
+		s.Scenes = append(s.Scenes, f.Scene)
+	}
+	n := len(f.Draws)
+	s.Draws += n
+	if s.MinDrawsFrame == 0 || n < s.MinDrawsFrame {
+		s.MinDrawsFrame = n
+	}
+	if n > s.MaxDrawsFrame {
+		s.MaxDrawsFrame = n
+	}
+	for di := range f.Draws {
+		d := &f.Draws[di]
+		z.ids[0].add(uint32(d.VS))
+		z.ids[1].add(uint32(d.PS))
+		z.ids[2].add(d.MaterialID)
+		s.TotalVertices += d.TotalVertices()
+		s.TotalPrimitives += d.TotalPrimitives()
+	}
+}
+
+// Summary returns the summary of the frames added so far. Per-frame
+// draw counts are integers, so their mean is exactly Draws / Frames.
+func (z *Summarizer) Summary() Summary {
+	s := z.s
+	s.DrawsPerFrame = math.NaN()
+	if s.Frames > 0 {
+		s.DrawsPerFrame = float64(s.Draws) / float64(s.Frames)
+	}
+	s.UniqueVS = z.ids[0].len()
+	s.UniquePS = z.ids[1].len()
+	s.UniqueMaterials = z.ids[2].len()
 	return s
 }
 

@@ -133,31 +133,3 @@ func ReadStream(in io.Reader, opt ReaderOptions) (*Workload, traceerr.Diagnostic
 	w.Frames = frames
 	return &w, r.Diagnostics(), nil
 }
-
-// StreamDecoder reads header + frames in any format version (as
-// StreamEncoder writes it, or a legacy one), failing fast on the first
-// problem. It is the strict face of StreamReader; use NewStreamReader
-// directly for lenient ingestion of damaged captures.
-type StreamDecoder struct {
-	r *StreamReader
-}
-
-// NewStreamDecoder reads and validates the header.
-func NewStreamDecoder(in io.Reader) (*StreamDecoder, error) {
-	r, err := NewStreamReader(in, ReaderOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &StreamDecoder{r: r}, nil
-}
-
-// Shell returns the frameless workload the stream's frames belong to.
-// Callers must not append frames to it; it exists to resolve resources.
-func (d *StreamDecoder) Shell() *Workload { return d.r.Shell() }
-
-// NextFrame returns the next frame, validating its draws against the
-// shell's resource tables. It returns io.EOF after the last frame.
-func (d *StreamDecoder) NextFrame() (Frame, error) { return d.r.NextFrame() }
-
-// FramesRead returns how many frames have been decoded.
-func (d *StreamDecoder) FramesRead() int { return d.r.FramesRead() }

@@ -17,7 +17,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	if err := trace.EncodeStream(&buf, w); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := trace.NewStreamDecoder(&buf)
+	dec, err := trace.NewStreamReader(&buf, trace.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestStreamEncoderIncremental(t *testing.T) {
 	if enc.Frames() != 3 {
 		t.Errorf("Frames() = %d", enc.Frames())
 	}
-	dec, err := trace.NewStreamDecoder(&buf)
+	dec, err := trace.NewStreamReader(&buf, trace.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestStreamDecoderValidatesFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dec, err := trace.NewStreamDecoder(&buf)
+	dec, err := trace.NewStreamReader(&buf, trace.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestStreamDecoderValidatesFrames(t *testing.T) {
 }
 
 func TestStreamDecoderRejectsGarbage(t *testing.T) {
-	if _, err := trace.NewStreamDecoder(strings.NewReader("garbage")); err == nil {
+	if _, err := trace.NewStreamReader(strings.NewReader("garbage"), trace.ReaderOptions{}); err == nil {
 		t.Error("garbage header accepted")
 	}
 }
