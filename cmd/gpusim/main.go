@@ -5,10 +5,12 @@
 //	gpusim -trace game.trace [-core 1.0] [-mem 1.0] [-frames] [-workers N]
 //	gpusim -trace game.trace -lenient -manifest run.json
 //
-// It prints the total runtime, FPS and aggregate statistics; -frames
-// additionally lists per-frame times. -lenient sanitizes a damaged
-// trace (dropping invalid draws and unusable frames) instead of
-// rejecting it, and reports what was skipped.
+// -trace reads a trace in any form: the container tracegen writes, the
+// JSON tracegen -json writes, or a legacy gob form. It prints the total
+// runtime, FPS and aggregate statistics; -frames additionally lists
+// per-frame times. -lenient sanitizes a damaged trace (dropping invalid
+// draws and unusable frames) instead of rejecting it, and reports what
+// was skipped.
 //
 // -cache-dir/-cache-mem enable the content-addressed result cache: a
 // repeat pricing of the same trace on the same config is then served
@@ -61,7 +63,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sweep"
 	"repro/internal/trace"
-	"repro/internal/traceerr"
 )
 
 type config struct {
@@ -171,15 +172,7 @@ func loadWorkload(ctx context.Context, run *obs.Run, cfg config) (*trace.Workloa
 		return nil, err
 	}
 	defer f.Close()
-	var (
-		w    *trace.Workload
-		diag traceerr.Diagnostics
-	)
-	if cfg.lenient {
-		w, diag, err = trace.DecodeLenient(f, 0)
-	} else {
-		w, err = trace.Decode(f)
-	}
+	w, diag, err := trace.ReadStream(f, trace.ReaderOptions{Lenient: cfg.lenient})
 	if err != nil {
 		dsp.End()
 		return nil, err

@@ -8,11 +8,15 @@
 //	subset3d -stream game.stream [-lenient] [-timeout 30s]
 //	subset3d -trace game.trace -manifest run.json -log-level info
 //
+// -trace and -stream read a trace in any form: the container tracegen
+// writes, the JSON tracegen -json writes, or a legacy gob form.
+//
 // -fast skips the per-frame clustering evaluation (the expensive part)
 // and only builds and validates the subset. -stream subsets a trace
 // (any .trace tracegen writes is a frame stream) in one bounded-memory
-// pass straight off the file, without the clustering evaluation or the
-// validation sweep: the parent never exists in memory. Both print the
+// pass straight off the file, without the clustering evaluation, the
+// validation sweep or a cache: the parent never exists in memory, and
+// -fast, -cache-dir and -cache-mem are errors with it. Both print the
 // same report format.
 //
 // -lenient ingests damaged captures gracefully: corrupt records are
@@ -153,8 +157,9 @@ func execute(ctx context.Context, cfg config) error {
 }
 
 // subsetter builds the pipeline the flags select. -stream runs without
-// the clustering evaluation or the validation sweep, so the parent
-// never exists in memory; -trace runs with the cache the flags ask for.
+// the clustering evaluation, the validation sweep or a cache, so the
+// parent never exists in memory, and it refuses the flags that ask for
+// them; -trace runs with the cache the flags ask for.
 func subsetter(cfg config) (*core.Subsetter, error) {
 	opt := core.DefaultOptions()
 	opt.Subset.Method.Threshold = cfg.threshold
@@ -162,6 +167,14 @@ func subsetter(cfg config) (*core.Subsetter, error) {
 	opt.Workers = cfg.workers
 	opt.SkipClusteringEval = cfg.fast || cfg.streamIn != ""
 	if cfg.streamIn != "" {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-fast", cfg.fast}, {"-cache-dir", cfg.cacheDir != ""}, {"-cache-mem", cfg.cacheMem != 0}} {
+			if f.set {
+				return nil, fmt.Errorf("%s does not apply to -stream, which neither evaluates the clustering nor caches", f.name)
+			}
+		}
 		opt.ValidationClocks = nil
 	} else {
 		var err error
@@ -203,15 +216,7 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config, s *core.Subsetter) 
 	// Under -lenient the reader resyncs past corrupt records and drops
 	// invalid frames and draws as they arrive; its accounting is the
 	// report's.
-	var (
-		w    *trace.Workload
-		diag traceerr.Diagnostics
-	)
-	if cfg.lenient {
-		w, diag, err = trace.DecodeLenient(f, 0)
-	} else {
-		w, err = trace.Decode(f)
-	}
+	w, diag, err := trace.ReadStream(f, trace.ReaderOptions{Lenient: cfg.lenient})
 	if err != nil {
 		sp.End()
 		return nil, diag, err

@@ -408,6 +408,77 @@ func TestStrictStreamOutput(t *testing.T) {
 	}
 }
 
+// TestStreamRefusesFlagsItCannotHonour: -stream neither evaluates the
+// clustering nor caches, so -fast, -cache-dir and -cache-mem are
+// errors that name the flag, and no cache directory appears.
+func TestStreamRefusesFlagsItCannotHonour(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTestTrace(t, dir)
+	cacheDir := filepath.Join(dir, "cache")
+	for _, tc := range []struct {
+		flag string
+		set  func(*config)
+	}{
+		{"-fast", func(c *config) { c.fast = true }},
+		{"-cache-dir", func(c *config) { c.cacheDir = cacheDir }},
+		{"-cache-mem", func(c *config) { c.cacheMem = 8 }},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			var out bytes.Buffer
+			cfg := defaultTestConfig(t)
+			cfg.streamIn = path
+			cfg.out = &out
+			tc.set(&cfg)
+			err := execute(context.Background(), cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Fatalf("err = %v, want an error naming %s", err, tc.flag)
+			}
+			if out.Len() != 0 {
+				t.Errorf("refused run printed a report:\n%s", out.String())
+			}
+			if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
+				t.Errorf("refused run made the cache directory (stat: %v)", err)
+			}
+		})
+	}
+}
+
+// TestTraceReadsJSON: a trace in the JSON form EncodeJSON writes gives
+// the same report as its container, under -trace and -stream.
+func TestTraceReadsJSON(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTestTrace(t, dir)
+	w, err := synth.Generate(testProfile(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js bytes.Buffer
+	if err := w.EncodeJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	jsonPath := filepath.Join(dir, "game.json")
+	if err := os.WriteFile(jsonPath, js.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report := func(set func(*config)) string {
+		t.Helper()
+		var out bytes.Buffer
+		cfg := defaultTestConfig(t)
+		cfg.out = &out
+		set(&cfg)
+		if err := execute(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	if got, want := report(func(c *config) { c.tracePath = jsonPath }), report(func(c *config) { c.tracePath = path }); got != want {
+		t.Errorf("-trace JSON report:\n%s\nwant the container's:\n%s", got, want)
+	}
+	if got, want := report(func(c *config) { c.streamIn = jsonPath }), report(func(c *config) { c.streamIn = path }); got != want {
+		t.Errorf("-stream JSON report:\n%s\nwant the container's:\n%s", got, want)
+	}
+}
+
 // outsideShare is the share of a run's wall time outside its
 // top-level stages.
 func outsideShare(m obs.Manifest) float64 {

@@ -7,11 +7,11 @@
 //
 // It writes one .trace file per game — the checksummed stream container
 // that subset3d reads with either -trace or -stream — plus .json when
-// -json is set, and prints the corpus summary table. -inject-faults
-// additionally writes a deliberately damaged copy of the container,
-// .faulty.stream, per game (bit flips, zero runs, tears, truncation —
-// see internal/faultinject) for end-to-end ingestion drills against
-// subset3d -lenient.
+// -json is set, which subset3d and gpusim read as well, and prints the
+// corpus summary table. -inject-faults additionally writes a
+// deliberately damaged copy of the container, .faulty.stream, per game
+// (bit flips, zero runs, tears, truncation — see internal/faultinject)
+// for end-to-end ingestion drills against subset3d -lenient.
 //
 // Observability: -log-level {debug,info,warn,error,off} enables
 // structured stderr logging, -manifest out.json exports the run

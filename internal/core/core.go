@@ -133,11 +133,11 @@ type Report struct {
 	Validation sweep.Result
 	Validated  bool
 
-	// Diagnostics accounts for draws and frames a lenient reader
-	// dropped before the run (trace.DecodeLenient, or a lenient
-	// trace.StreamReader); the caller that read the workload fills it
-	// in. A run never sanitizes: a damaged workload fails its
-	// validation.
+	// Diagnostics accounts for what a lenient trace.StreamReader
+	// (directly, or through trace.ReadStream) dropped before the run,
+	// in whatever form the trace came; the caller that read the
+	// workload fills it in. A run never repairs: a damaged workload
+	// fails its validation.
 	Diagnostics traceerr.Diagnostics
 }
 

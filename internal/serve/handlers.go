@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -139,45 +136,21 @@ type UploadResponse struct {
 	Diagnostics traceerr.Diagnostics `json:"diagnostics"`
 }
 
-// handleUpload ingests a workload in any of its encodings, sniffed from
-// the first bytes: a stream container ("3DWS" magic — what Encode and
-// EncodeStream write), JSON ('{'), or else a legacy gob .trace. Lenient
+// handleUpload ingests a workload in any of its forms, which the trace
+// reader sniffs: a stream container (what Encode and EncodeStream
+// write), JSON (what EncodeJSON writes), or a legacy gob form. Lenient
 // by default — damaged uploads are repaired with the damage accounted
 // in the response — strict when the server was configured Strict.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 	defer body.Close()
-	br := bufio.NewReader(body)
-
-	head, err := br.Peek(len(trace.StreamMagic))
-	if err != nil && len(head) == 0 {
-		s.writeErr(w, fmt.Errorf("empty upload: %w", traceerr.ErrTruncated))
-		return
-	}
-
 	var (
-		wl     *trace.Workload
-		diag   traceerr.Diagnostics
-		format string
+		wl   *trace.Workload
+		diag traceerr.Diagnostics
 	)
-	switch {
-	case bytes.HasPrefix(head, []byte(trace.StreamMagic)) || bytes.HasPrefix([]byte(trace.StreamMagic), head):
-		format = "stream"
-		wl, diag, err = trace.ReadStream(br, trace.ReaderOptions{Lenient: !s.opt.Strict})
-	case head[0] == '{':
-		format = "json"
-		if s.opt.Strict {
-			wl, err = trace.DecodeJSONLimited(br, s.opt.MaxBodyBytes)
-		} else {
-			wl, diag, err = trace.DecodeJSONLenient(br, s.opt.MaxBodyBytes)
-		}
-	default:
-		format = "gob"
-		if s.opt.Strict {
-			wl, err = trace.DecodeLimited(br, s.opt.MaxBodyBytes)
-		} else {
-			wl, diag, err = trace.DecodeLenient(br, s.opt.MaxBodyBytes)
-		}
+	tr, err := trace.NewStreamReader(body, trace.ReaderOptions{Lenient: !s.opt.Strict})
+	if err == nil {
+		wl, diag, err = tr.ReadAll()
 	}
 	if err != nil {
 		s.writeErr(w, err)
@@ -189,7 +162,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		FP:      wl.Fingerprint(),
 		Summary: trace.Summarize(wl),
 		Diag:    diag,
-		Format:  format,
+		Format:  tr.Format(),
 	}
 	created, err := s.reg.register(e)
 	if err != nil {
@@ -234,7 +207,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		Fingerprint:       e.FP.String(),
 		Frames:            e.Summary.Frames,
 		Draws:             e.Summary.Draws,
-		Format:            format,
+		Format:            tr.Format(),
 		AlreadyRegistered: !created,
 		Degraded:          diag.Any(),
 		Diagnostics:       diag,

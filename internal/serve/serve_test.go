@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -82,6 +83,78 @@ func gobFixture(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return data
+}
+
+// v1Fixture is tracetest.Tiny() as the legacy v1 stream writer encoded
+// it.
+func v1Fixture(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "trace", "testdata", "tiny.v1.stream"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// wireTrace is the whole-workload form a JSON or gob .trace upload
+// carries, field for field, so tests can write either form of any
+// workload, broken ones included.
+type wireTrace struct {
+	Name          string
+	Frames        []trace.Frame
+	Shaders       []shader.Program
+	Textures      []trace.Texture
+	RenderTargets []trace.RenderTarget
+}
+
+// tinyWire is tracetest.Tiny() in the wire form, for tests to break.
+func tinyWire() wireTrace {
+	w := tracetest.Tiny()
+	h := trace.HeaderOf(w)
+	return wireTrace{Name: h.Name, Frames: w.Frames, Shaders: h.Shaders,
+		Textures: h.Textures, RenderTargets: h.RenderTargets}
+}
+
+// dupShaderWire is Tiny with two programs sharing an id: a header that
+// describes no usable workload.
+func dupShaderWire() wireTrace {
+	v := tinyWire()
+	v.Shaders = append([]shader.Program{}, v.Shaders...)
+	v.Shaders[1].ID = v.Shaders[0].ID
+	return v
+}
+
+// invalidDrawWire is Tiny with one draw out of range: a damaged frame.
+func invalidDrawWire() wireTrace {
+	v := tinyWire()
+	v.Frames = append([]trace.Frame{}, v.Frames...)
+	v.Frames[1].Draws = append([]trace.DrawCall{}, v.Frames[1].Draws...)
+	v.Frames[1].Draws[0].CoverageFrac = 2
+	return v
+}
+
+// uploadForms encodes v as a container, as JSON and as a gob .trace.
+func uploadForms(tb testing.TB, v wireTrace) map[string][]byte {
+	tb.Helper()
+	var container, gobBuf bytes.Buffer
+	enc, err := trace.NewStreamEncoder(&container, trace.Header{Name: v.Name, Shaders: v.Shaders,
+		Textures: v.Textures, RenderTargets: v.RenderTargets})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := range v.Frames {
+		if err := enc.WriteFrame(&v.Frames[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	js, err := json.Marshal(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := gob.NewEncoder(&gobBuf).Encode(v); err != nil {
+		tb.Fatal(err)
+	}
+	return map[string][]byte{"container": container.Bytes(), "json": js, "gob": gobBuf.Bytes()}
 }
 
 func TestUploadFormats(t *testing.T) {
@@ -184,6 +257,63 @@ func TestUploadDegradedStream(t *testing.T) {
 	}
 	if eb.Class != "corrupt_record" && eb.Class != "truncated" {
 		t.Errorf("strict class = %q, want corrupt_record or truncated", eb.Class)
+	}
+}
+
+// TestUploadRejectionsTypedInEveryForm: a lenient and a strict server
+// answer JSON and gob .trace uploads with the status and class the same
+// content gets as a container, and never with 5xx. A clean v1 stream
+// registers like a clean container.
+func TestUploadRejectionsTypedInEveryForm(t *testing.T) {
+	clean := uploadForms(t, tinyWire())
+	truncated := map[string][]byte{}
+	for form, body := range clean {
+		truncated[form] = body[:20] // inside the header, in every form
+	}
+	empty := uploadForms(t, wireTrace{})
+	empty["json"] = []byte("{}")
+	noName := tinyWire()
+	noName.Name = ""
+	cases := []struct {
+		name                    string
+		bodies                  map[string][]byte
+		lenientWant, strictWant string // class; "" registers the workload
+	}{
+		{"truncated", truncated, "truncated", "truncated"},
+		{"empty document", empty, "corrupt_record", "corrupt_record"},
+		{"empty name", uploadForms(t, noName), "corrupt_record", "corrupt_record"},
+		{"duplicate shader id", uploadForms(t, dupShaderWire()), "corrupt_record", "corrupt_record"},
+		{"invalid draw", uploadForms(t, invalidDrawWire()), "", "invalid_frame"},
+		{"clean v1 stream", map[string][]byte{"container": clean["container"], "v1": v1Fixture(t)}, "", ""},
+	}
+	for _, strict := range []bool{false, true} {
+		s := newTestServer(t, Options{Strict: strict})
+		for _, tc := range cases {
+			want := tc.lenientWant
+			if strict {
+				want = tc.strictWant
+			}
+			// Every form of a case carries the same content, so after
+			// the first registers the rest answer 200.
+			for _, form := range []string{"container", "json", "gob", "v1"} {
+				body, ok := tc.bodies[form]
+				if !ok {
+					continue
+				}
+				rec := do(s.Handler(), "POST", "/v1/workloads", body)
+				var eb errorBody
+				if rec.Code >= 400 {
+					if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+						t.Fatal(err)
+					}
+				}
+				accepted := rec.Code == http.StatusCreated || rec.Code == http.StatusOK
+				if rec.Code >= 500 || eb.Class != want || accepted != (want == "") {
+					t.Errorf("strict=%v %s as %s: %d %q, want class %q: %s",
+						strict, tc.name, form, rec.Code, eb.Class, want, rec.Body)
+				}
+			}
+		}
 	}
 }
 

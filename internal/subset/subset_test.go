@@ -414,8 +414,10 @@ func TestSingleFrameWorkloadSubsetNearExact(t *testing.T) {
 	// One frame, interval 1: the subset is the frame's own clustering;
 	// its estimate must equal the clustering prediction exactly and be
 	// close to the true frame cost.
-	w := testGame(t)
-	w.Frames = w.Frames[:1]
+	// Cut the frames of a copy: testGame's workload is shared.
+	one := *testGame(t)
+	one.Frames = one.Frames[:1]
+	w := &one
 	opt := DefaultOptions()
 	opt.Phase.IntervalFrames = 1
 	s, err := Build(w, opt)

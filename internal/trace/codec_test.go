@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -25,58 +26,69 @@ import (
 
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite the FuzzDecode seed corpus under testdata/fuzz")
 
-// TestLegacyFixtures reads every legacy fixture through every decoder
-// its format applies to: testdata/tiny.gob.trace, tiny.v2.stream and
-// tiny.v1.stream are tracetest.Tiny() as the gob .trace writer, the v2
-// stream writer and the v1 stream writer encoded it. None of those
-// writers exists any more; the readers must keep returning Tiny.
+// TestLegacyFixtures reads every form of a trace through every entry
+// point: a v3 container and Tiny's JSON, written here, and
+// testdata/tiny.v2.stream, tiny.v1.stream and tiny.gob.trace, which are
+// tracetest.Tiny() as the v2 stream writer, the v1 stream writer and
+// the gob .trace writer encoded it. None of those writers exists any
+// more; the reader must keep returning Tiny, strict and lenient, with
+// clean diagnostics.
 func TestLegacyFixtures(t *testing.T) {
 	want := tracetest.Tiny()
+	var container, js bytes.Buffer
+	if err := want.Encode(&container); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.EncodeJSON(&js); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		file    string
-		decode  bool // a .trace: Decode and DecodeLenient apply
-		stream  bool // a stream: NewStreamReader applies
+		name    string
+		data    []byte
+		format  string
 		version int
 	}{
-		{file: "tiny.gob.trace", decode: true},
-		{file: "tiny.v2.stream", decode: true, stream: true, version: 2},
-		{file: "tiny.v1.stream", stream: true, version: 1},
+		{name: "container", data: container.Bytes(), format: "stream", version: trace.StreamVersion},
+		{name: "json", data: js.Bytes(), format: "json"},
+		{name: "tiny.v2.stream", format: "stream", version: 2},
+		{name: "tiny.v1.stream", format: "gob", version: 1},
+		{name: "tiny.gob.trace", format: "gob"},
 	} {
-		t.Run(tc.file, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.decode {
-				got, err := trace.Decode(bytes.NewReader(data))
-				if err != nil {
-					t.Fatalf("Decode: %v", err)
+		t.Run(tc.name, func(t *testing.T) {
+			data := tc.data
+			if data == nil {
+				var err error
+				if data, err = os.ReadFile(filepath.Join("testdata", tc.name)); err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("Decode: workload differs from Tiny's")
-				}
-				got, diag, err := trace.DecodeLenient(bytes.NewReader(data), 0)
-				if err != nil || diag.Any() {
-					t.Fatalf("DecodeLenient: diag %v, err %v", diag, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("DecodeLenient: workload differs from Tiny's")
-				}
-			}
-			if !tc.stream {
-				return
 			}
 			for _, lenient := range []bool{false, true} {
-				r, err := trace.NewStreamReader(bytes.NewReader(data), trace.ReaderOptions{Lenient: lenient})
+				opt := trace.ReaderOptions{Lenient: lenient}
+				r, err := trace.NewStreamReader(bytes.NewReader(data), opt)
 				if err != nil {
-					t.Fatalf("lenient=%v: %v", lenient, err)
+					t.Fatalf("lenient=%v: NewStreamReader: %v", lenient, err)
 				}
-				if r.Version() != tc.version {
-					t.Errorf("lenient=%v: Version = %d, want %d", lenient, r.Version(), tc.version)
+				if r.Format() != tc.format || r.Version() != tc.version {
+					t.Errorf("lenient=%v: Format, Version = %q, %d, want %q, %d",
+						lenient, r.Format(), r.Version(), tc.format, tc.version)
 				}
-				if got := drainFrames(t, r); !reflect.DeepEqual(got, want.Frames) {
-					t.Errorf("lenient=%v: frames differ from Tiny's", lenient)
+				if got := drainFrames(t, r); !reflect.DeepEqual(got, want.Frames) || r.Diagnostics().Any() {
+					t.Errorf("lenient=%v: NewStreamReader: frames differ from Tiny's or diagnostics %v", lenient, r.Diagnostics())
 				}
+				got, diag, err := trace.ReadStream(bytes.NewReader(data), opt)
+				if err != nil || diag.Any() {
+					t.Fatalf("lenient=%v: ReadStream: diag %v, err %v", lenient, diag, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("lenient=%v: ReadStream: workload differs from Tiny's", lenient)
+				}
+			}
+			got, err := trace.Decode(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Decode: workload differs from Tiny's")
 			}
 		})
 	}
@@ -89,9 +101,10 @@ func shortBioshock1() synth.Profile {
 	return p
 }
 
-// gobTrace mirrors the legacy .trace wire form field for field, so the
-// differential test below can write gob .trace files for any workload.
-type gobTrace struct {
+// wireTrace mirrors the whole-workload wire form field for field, so
+// tests can write gob .trace files and JSON documents for any
+// workload, including ones EncodeJSON cannot (a broken shader table).
+type wireTrace struct {
 	Name          string
 	Frames        []trace.Frame
 	Shaders       []shader.Program
@@ -99,15 +112,25 @@ type gobTrace struct {
 	RenderTargets []trace.RenderTarget
 }
 
+func wireOf(w *trace.Workload) wireTrace {
+	h := trace.HeaderOf(w)
+	return wireTrace{Name: w.Name, Frames: w.Frames, Shaders: h.Shaders,
+		Textures: w.Textures, RenderTargets: w.RenderTargets}
+}
+
 func encodeGobTrace(t *testing.T, w *trace.Workload) []byte {
 	t.Helper()
-	h := trace.HeaderOf(w)
 	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(gobTrace{
-		Name: w.Name, Frames: w.Frames, Shaders: h.Shaders,
-		Textures: w.Textures, RenderTargets: w.RenderTargets,
-	})
-	if err != nil {
+	if err := gob.NewEncoder(&buf).Encode(wireOf(w)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func encodeJSON(t *testing.T, w *trace.Workload) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := w.EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -192,8 +215,9 @@ func withFrameRecord(t *testing.T, p payload) []byte {
 	return append(out, p...)
 }
 
-// decodeCases are the FuzzDecode seed corpus: each input with the class
-// Decode must answer it with (nil for a valid input).
+// decodeCases are the FuzzDecode seed corpus, which holds every form of
+// a trace: each input with the class Decode must answer it with (nil
+// for a valid input).
 func decodeCases(t *testing.T) []struct {
 	name string
 	data []byte
@@ -226,9 +250,22 @@ func decodeCases(t *testing.T) []struct {
 		}
 		return buf.Bytes()
 	}
-	gobFixture, err := os.ReadFile(filepath.Join("testdata", "tiny.gob.trace"))
-	if err != nil {
-		t.Fatal(err)
+	fixture := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	tinyJSON := encodeJSON(t, tiny)
+	dupShaderJSON := func() []byte {
+		v := wireOf(tracetest.Tiny())
+		v.Shaders[1].ID = v.Shaders[0].ID
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
 	return []struct {
 		name string
@@ -246,7 +283,12 @@ func decodeCases(t *testing.T) []struct {
 		{"inf-overdraw", encode(func(d *trace.DrawCall) { d.Overdraw = math.Inf(1) }), traceerr.ErrInvalidFrame},
 		{"neg-inf-locality", encode(func(d *trace.DrawCall) { d.TexLocality = math.Inf(-1) }), traceerr.ErrInvalidFrame},
 		{"duplicate-shader-id", dupShader(), traceerr.ErrCorruptRecord},
-		{"gob-fixture", gobFixture, nil},
+		{"gob-fixture", fixture("tiny.gob.trace"), nil},
+		{"v1-fixture", fixture("tiny.v1.stream"), nil},
+		{"json-fixture", tinyJSON, nil},
+		{"json-truncated", tinyJSON[:len(tinyJSON)/2], traceerr.ErrTruncated},
+		{"json-empty-object", []byte("{}"), traceerr.ErrCorruptRecord},
+		{"json-duplicate-shader-id", dupShaderJSON(), traceerr.ErrCorruptRecord},
 	}
 }
 

@@ -16,9 +16,14 @@
 // can scan forward for the next sync marker and re-lock onto the record
 // stream, accounting for every byte it had to discard.
 //
-// StreamReader also reads the legacy forms of legacy.go: v2 containers
-// (this framing around gob payloads) and v1 streams (bare gob, no magic;
-// fail-fast, since gob's stateful wire format cannot be resynced).
+// StreamReader is the one decoder of a trace, whatever its form. It
+// sniffs the first bytes once: the magic is a container; a '{' is a
+// JSON document of the whole workload (what EncodeJSON writes);
+// anything else is one of legacy.go's gob forms, a gob .trace or a v1
+// stream (bare gob, no magic; fail-fast, since gob's stateful wire
+// format cannot be resynced). It also reads v2 containers, this framing
+// around gob payloads. Every form's header binds through Header.Shell
+// and every frame passes the same strict check or lenient repair.
 package trace
 
 import (
@@ -35,9 +40,9 @@ import (
 // StreamVersion is the container version written by NewStreamEncoder.
 const StreamVersion = 3
 
-// StreamMagic is the byte string that opens a stream container,
-// exported so ingestion layers can sniff the format from a peek at the
-// first bytes before committing to a reader.
+// StreamMagic is the byte string that opens a stream container.
+// NewStreamReader's sniff is the only one: ingestion layers hand any
+// trace to it rather than peek at the bytes themselves.
 const StreamMagic = "3DWS"
 
 // DefaultMaxRecordBytes caps a single record's payload. Lengths above
@@ -232,36 +237,53 @@ type ReaderOptions struct {
 	MaxRecordBytes int
 }
 
-// StreamReader reads frame streams in any format version with optional
-// graceful degradation. Construct with NewStreamReader.
+// StreamReader reads a trace in any of its forms, frame by frame, with
+// optional graceful degradation. Construct with NewStreamReader.
 type StreamReader struct {
 	opt     ReaderOptions
 	shell   *Workload
 	checker drawChecker // over shell, built once with it
+	format  string
 	version int
 	diag    traceerr.Diagnostics
 	frames  int // frames delivered
 	records int // records consumed (v2 and later)
 
+	pending     []Frame                        // frames of a whole-workload value, delivered first
 	sc          *recordScanner                 // v2 and later
 	decodeFrame func(p []byte, f *Frame) error // the version's payload codec
 	v1          *v1Stream                      // legacy v1
 }
 
-// NewStreamReader sniffs the format version, reads and validates the
-// stream header, and returns a reader positioned at the first frame.
+// NewStreamReader sniffs the trace's form, reads and validates its
+// header, and returns a reader positioned at the first frame.
 func NewStreamReader(in io.Reader, opt ReaderOptions) (*StreamReader, error) {
 	if opt.MaxRecordBytes <= 0 {
 		opt.MaxRecordBytes = DefaultMaxRecordBytes
 	}
 	sc := &recordScanner{r: in, max: opt.MaxRecordBytes}
 	sc.fill(len(streamMagic) + 1)
-	r := &StreamReader{opt: opt}
+	r := &StreamReader{opt: opt, format: "stream"}
 	if len(sc.buf) < len(streamMagic)+1 || !bytes.Equal(sc.buf[:len(streamMagic)], streamMagic) {
-		// No magic: legacy v1 raw gob. Replay the sniffed bytes.
-		if err := r.openV1(io.MultiReader(bytes.NewReader(sc.buf), in)); err != nil {
-			return nil, err
+		// No magic: a whole-workload value, JSON or gob, which carries
+		// the header and maybe the frames. Replay the sniffed bytes.
+		rest := io.MultiReader(bytes.NewReader(sc.buf), in)
+		var ww wire
+		var err error
+		if len(sc.buf) > 0 && sc.buf[0] == '{' {
+			r.format, err = "json", decodeJSON(rest, &ww)
+		} else {
+			r.format, err = "gob", r.decodeGob(rest, &ww)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
+				Kind: classifyDecodeErr(err), Record: 0, Frame: -1, Offset: -1, Cause: err})
+		}
+		if err := r.bind(ww.header()); err != nil {
+			return nil, fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
+				Kind: traceerr.ErrCorruptRecord, Record: 0, Frame: -1, Offset: -1, Cause: err})
+		}
+		r.pending = ww.Frames
 		return r, nil
 	}
 	decodeHdr := decodeHeader
@@ -329,9 +351,13 @@ func (r *StreamReader) atRecord(err error) error {
 // Callers must not append frames to it; it exists to resolve resources.
 func (r *StreamReader) Shell() *Workload { return r.shell }
 
-// Version reports the container version being read (1 to
-// StreamVersion).
+// Version reports the stream version being read: 1 to StreamVersion,
+// or 0 for a whole-workload value (JSON or a gob .trace).
 func (r *StreamReader) Version() int { return r.version }
+
+// Format names the form the reader sniffed: "stream" for a container,
+// "json", or "gob" for the legacy gob forms.
+func (r *StreamReader) Format() string { return r.format }
 
 // FramesRead returns how many frames have been delivered.
 func (r *StreamReader) FramesRead() int { return r.frames }
@@ -347,11 +373,16 @@ func (r *StreamReader) Diagnostics() traceerr.Diagnostics { return r.diag }
 func (r *StreamReader) NextFrame() (Frame, error) {
 	for {
 		var f Frame
-		if r.v1 != nil {
+		switch {
+		case len(r.pending) > 0:
+			f, r.pending = r.pending[0], r.pending[1:]
+		case r.v1 != nil:
 			if err := r.nextV1(&f); err != nil {
 				return Frame{}, err
 			}
-		} else {
+		case r.sc == nil:
+			return Frame{}, io.EOF
+		default:
 			kind, payload, err := r.sc.next(r.opt.Lenient, &r.diag)
 			if errors.Is(err, io.EOF) {
 				return Frame{}, io.EOF
@@ -392,8 +423,7 @@ func (r *StreamReader) NextFrame() (Frame, error) {
 			continue
 		}
 		if r.opt.Lenient {
-			dropped, _ := r.checker.sanitize(&f)
-			r.diag.DrawsDropped += dropped
+			r.diag.DrawsDropped += r.checker.sanitize(&f)
 			if len(f.Draws) == 0 {
 				r.diag.FramesSkipped++
 				continue

@@ -3,6 +3,8 @@ package trace_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,11 +42,36 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"Name": "tiny"`) {
 		t.Error("JSON output missing expected field")
 	}
-	got, err := trace.DecodeJSON(&buf)
+	got, err := trace.Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertWorkloadsEqual(t, w, got)
+	if !reflect.DeepEqual(got, w) {
+		t.Fatal("decoded workload is not DeepEqual to the encoded one")
+	}
+}
+
+// TestJSONEmptyListsReadAsNil: JSON spells an empty list [], which the
+// reader takes as the nil the container decodes, so a JSON workload
+// re-encodes as a container that reads back DeepEqual.
+func TestJSONEmptyListsReadAsNil(t *testing.T) {
+	w := tracetest.Tiny()
+	var buf bytes.Buffer
+	if err := w.EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.ReplaceAll(buf.String(), `"Textures": null`, `"Textures": []`)
+	if doc == buf.String() {
+		t.Fatal("Tiny's JSON has no empty texture list to respell")
+	}
+	got, err := trace.Decode(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, w) {
+		t.Fatal("a JSON workload with [] lists differs from the container's")
+	}
 }
 
 func assertWorkloadsEqual(t *testing.T, want, got *trace.Workload) {
@@ -97,53 +124,71 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := trace.Decode(strings.NewReader("not a gob stream")); err == nil {
 		t.Error("garbage binary input accepted")
 	}
-	if _, err := trace.DecodeJSON(strings.NewReader("{")); err == nil {
+	if _, err := trace.Decode(strings.NewReader("{")); err == nil {
 		t.Error("garbage JSON accepted")
 	}
 }
 
-func TestDecodeLimitedEnforcesSizeCap(t *testing.T) {
+// TestReadStreamEnforcesSizeCap holds ReadStream's cap to the input's
+// exact size, in every form and in either mode: a lenient read does not
+// repair an input the cap cut.
+func TestReadStreamEnforcesSizeCap(t *testing.T) {
 	w := tracetest.Tiny()
-	var binBuf, jsonBuf bytes.Buffer
-	if err := w.Encode(&binBuf); err != nil {
+	var bin, js bytes.Buffer
+	if err := w.Encode(&bin); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.EncodeJSON(&jsonBuf); err != nil {
+	if err := w.EncodeJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	size := int64(binBuf.Len())
-
-	// A cap below the encoded size must reject with ErrTooLarge.
-	_, err := trace.DecodeLimited(bytes.NewReader(binBuf.Bytes()), size/2)
-	if !errors.Is(err, traceerr.ErrTooLarge) {
-		t.Fatalf("binary over cap: err = %v, want ErrTooLarge", err)
+	fixture := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	_, err = trace.DecodeJSONLimited(bytes.NewReader(jsonBuf.Bytes()), int64(jsonBuf.Len())/2)
-	if !errors.Is(err, traceerr.ErrTooLarge) {
-		t.Fatalf("json over cap: err = %v, want ErrTooLarge", err)
-	}
-	// One byte over the cap, either way round, is too large.
-	_, err = trace.DecodeLimited(bytes.NewReader(binBuf.Bytes()), size-1)
-	if !errors.Is(err, traceerr.ErrTooLarge) {
-		t.Fatalf("binary at cap len-1: err = %v, want ErrTooLarge", err)
-	}
-	_, err = trace.DecodeLimited(bytes.NewReader(append(binBuf.Bytes(), 0)), size)
-	if !errors.Is(err, traceerr.ErrTooLarge) {
-		t.Fatalf("binary of len+1 bytes at cap len: err = %v, want ErrTooLarge", err)
-	}
-
-	// At or above the encoded size both decoders succeed.
-	if _, err := trace.DecodeLimited(bytes.NewReader(binBuf.Bytes()), size); err != nil {
-		t.Fatalf("binary at exact cap: %v", err)
-	}
-	if _, err := trace.DecodeJSONLimited(bytes.NewReader(jsonBuf.Bytes()), int64(jsonBuf.Len())+1); err != nil {
-		t.Fatalf("json within cap: %v", err)
-	}
-
-	// A truncated-but-small input must NOT be misreported as too large.
-	_, err = trace.DecodeLimited(bytes.NewReader(binBuf.Bytes()[:size/2]), size)
-	if err == nil || errors.Is(err, traceerr.ErrTooLarge) {
-		t.Fatalf("truncated input: err = %v, want decode failure that is not ErrTooLarge", err)
+	for _, form := range []struct {
+		name    string
+		data    []byte
+		drained bool // read to its end, not to the end of one value
+	}{
+		{"container", bin.Bytes(), true},
+		{"v1", fixture("tiny.v1.stream"), true},
+		{"json", bytes.TrimSuffix(js.Bytes(), []byte("\n")), false},
+		{"gob", fixture("tiny.gob.trace"), false},
+	} {
+		size := int64(len(form.data))
+		for _, lenient := range []bool{false, true} {
+			read := func(data []byte, max int64) error {
+				_, _, err := trace.ReadCapped(bytes.NewReader(data), trace.ReaderOptions{Lenient: lenient}, max)
+				return err
+			}
+			// A cap below the encoded size, even by one byte, is too
+			// large.
+			for _, max := range []int64{size / 2, size - 1} {
+				if err := read(form.data, max); !errors.Is(err, traceerr.ErrTooLarge) {
+					t.Fatalf("%s lenient=%v: at cap %d: err = %v, want ErrTooLarge", form.name, lenient, max, err)
+				}
+			}
+			// A stream is drained, so one byte past it is too large; a
+			// whole-workload value ends where the value does.
+			if form.drained {
+				if err := read(append(form.data[:size:size], 0), size); !errors.Is(err, traceerr.ErrTooLarge) {
+					t.Fatalf("lenient=%v: %d+1 bytes at cap %d: err = %v, want ErrTooLarge", lenient, size, size, err)
+				}
+			}
+			// At the exact size the read succeeds.
+			if err := read(form.data, size); err != nil {
+				t.Fatalf("%s lenient=%v: at exact cap: %v", form.name, lenient, err)
+			}
+			// A truncated but small input is not misreported as too
+			// large; a lenient read may repair it.
+			if err := read(form.data[:size/2], size); (err == nil && !lenient) || errors.Is(err, traceerr.ErrTooLarge) {
+				t.Fatalf("%s lenient=%v: truncated input: err = %v, want a failure that is not ErrTooLarge",
+					form.name, lenient, err)
+			}
+		}
 	}
 }
 

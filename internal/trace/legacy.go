@@ -7,6 +7,11 @@
 //   - v1 streams: a bare gob stream of a Header, then one Frame per
 //     value, with no magic, framing or checksums.
 //
+// A gob .trace and a v1 stream read through one branch: the first gob
+// value decodes into the wire form, which a .trace fills with its
+// frames and a v1 Header leaves without any; a v1 stream's frames then
+// follow as further values.
+//
 // Nothing writes these forms any more. testdata/tiny.gob.trace,
 // tiny.v2.stream and tiny.v1.stream pin that they stay readable.
 package trace
@@ -20,20 +25,6 @@ import (
 
 	"repro/internal/traceerr"
 )
-
-// decodeGobTrace reads a gob .trace: strict validates it, lenient
-// repairs it. Undecodable gob classifies onto the taxonomy.
-func decodeGobTrace(in io.Reader, lenient bool) (*Workload, traceerr.Diagnostics, error) {
-	var ww wire
-	if err := gob.NewDecoder(in).Decode(&ww); err != nil {
-		return nil, traceerr.Diagnostics{}, fmt.Errorf("%w: %v", classifyDecodeErr(err), err)
-	}
-	if lenient {
-		return fromWireLenient(ww)
-	}
-	w, err := fromWire(ww)
-	return w, traceerr.Diagnostics{}, err
-}
 
 // decodeGobHeader and decodeGobFrame are the v2 record payload codec.
 func decodeGobHeader(p []byte) (Header, error) {
@@ -50,29 +41,46 @@ func decodeGobFrame(p []byte, f *Frame) error {
 // stateful, so after a decode error the rest of the stream is lost.
 type v1Stream struct {
 	dec  *gob.Decoder
+	src  *sourceErr // under dec, to tell a failing source from damage
 	dead bool
 }
 
-// openV1 makes the v1 stream in the reader's source and reads its
-// header.
-func (r *StreamReader) openV1(in io.Reader) error {
-	r.version = 1
-	r.v1 = &v1Stream{dec: gob.NewDecoder(in)}
-	var h Header
-	if err := r.v1.dec.Decode(&h); err != nil {
-		return fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
-			Kind: classifyDecodeErr(err), Record: 0, Frame: -1, Offset: -1, Cause: err})
+// sourceErr remembers the first error other than io.EOF its reader
+// returned.
+type sourceErr struct {
+	r   io.Reader
+	err error
+}
+
+func (s *sourceErr) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err != nil && err != io.EOF && s.err == nil {
+		s.err = err
 	}
-	if err := r.bind(h); err != nil {
-		return fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
-			Kind: traceerr.ErrCorruptRecord, Record: 0, Frame: -1, Offset: -1, Cause: err})
+	return n, err
+}
+
+// decodeGob decodes the first gob value of in into ww. When it carries
+// no frames it is a v1 stream's header, and the reader goes on to read
+// the stream's frames.
+func (r *StreamReader) decodeGob(in io.Reader, ww *wire) error {
+	src := &sourceErr{r: in}
+	dec := gob.NewDecoder(src)
+	if err := dec.Decode(ww); err != nil {
+		return err
+	}
+	if len(ww.Frames) == 0 {
+		r.version = 1
+		r.v1 = &v1Stream{dec: dec, src: src}
 	}
 	return nil
 }
 
 // nextV1 decodes the next v1 frame into f, returning io.EOF at the end.
 // Strict mode fails on a decode error; lenient mode counts the frame
-// skipped and ends the stream there.
+// skipped and ends the stream there, unless the source itself failed
+// (a size cap, an I/O error), which fails either mode, as it does a
+// container.
 func (r *StreamReader) nextV1(f *Frame) error {
 	if r.v1.dead {
 		return io.EOF
@@ -84,7 +92,7 @@ func (r *StreamReader) nextV1(f *Frame) error {
 	if errors.Is(err, io.EOF) {
 		return io.EOF
 	}
-	if !r.opt.Lenient {
+	if !r.opt.Lenient || r.v1.src.err != nil {
 		return fmt.Errorf("trace: decoding frame %d: %w", r.frames, &traceerr.RecordError{
 			Kind: classifyDecodeErr(err), Record: -1, Frame: r.frames, Offset: -1, Cause: err})
 	}

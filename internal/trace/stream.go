@@ -104,17 +104,34 @@ func EncodeStream(out io.Writer, w *Workload) error {
 	return nil
 }
 
-// ReadStream reads a whole stream into a workload, strict or lenient as
-// opt says: the one container decode behind Decode, serve's uploads and
-// the cache's workload store. The reader checks every draw as it
-// arrives, so the workload needs no second Validate pass; ReadStream
-// adds the one check a frame-by-frame reader cannot make, that at
-// least one frame survives.
+// ReadStream reads a whole trace, in any form NewStreamReader sniffs,
+// into a workload, strict or lenient as opt says: the one
+// whole-workload read behind Decode, the CLIs and the cache's workload
+// store. It refuses inputs beyond DefaultMaxDecodeBytes with
+// traceerr.ErrTooLarge. The reader checks every draw as it arrives, so
+// the workload needs no second Validate pass.
 func ReadStream(in io.Reader, opt ReaderOptions) (*Workload, traceerr.Diagnostics, error) {
-	r, err := NewStreamReader(in, opt)
+	return readCapped(in, opt, DefaultMaxDecodeBytes)
+}
+
+// readCapped is ReadStream under a cap of maxBytes.
+func readCapped(in io.Reader, opt ReaderOptions, maxBytes int64) (*Workload, traceerr.Diagnostics, error) {
+	capped := &cappedReader{r: in, left: maxBytes}
+	r, err := NewStreamReader(capped, opt)
 	if err != nil {
-		return nil, traceerr.Diagnostics{}, err
+		return nil, traceerr.Diagnostics{}, capped.capErr(err, maxBytes)
 	}
+	w, diag, err := r.ReadAll()
+	if err != nil {
+		return nil, diag, capped.capErr(err, maxBytes)
+	}
+	return w, diag, nil
+}
+
+// ReadAll reads the remaining frames into a workload over the shell and
+// returns it with the reader's diagnostics. It adds the one check a
+// frame-by-frame reader cannot make: at least one frame must survive.
+func (r *StreamReader) ReadAll() (*Workload, traceerr.Diagnostics, error) {
 	var frames []Frame
 	for {
 		f, err := r.NextFrame()
@@ -122,14 +139,14 @@ func ReadStream(in io.Reader, opt ReaderOptions) (*Workload, traceerr.Diagnostic
 			break
 		}
 		if err != nil {
-			return nil, r.Diagnostics(), err
+			return nil, r.diag, err
 		}
 		frames = append(frames, f)
 	}
 	if len(frames) == 0 {
-		return nil, r.Diagnostics(), fmt.Errorf("trace: stream yields no usable frames: %w", traceerr.ErrInvalidFrame)
+		return nil, r.diag, fmt.Errorf("trace: stream yields no usable frames: %w", traceerr.ErrInvalidFrame)
 	}
-	w := *r.Shell()
+	w := *r.shell
 	w.Frames = frames
-	return &w, r.Diagnostics(), nil
+	return &w, r.diag, nil
 }

@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/shader"
-	"repro/internal/traceerr"
 )
 
 // Validate checks referential and value integrity of the workload:
@@ -36,93 +34,6 @@ func (w *Workload) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ValidateAll checks the same invariants as Validate but collects
-// every violation instead of stopping at the first, joined with
-// errors.Join. A nil result means the workload is fully valid. Use it
-// when triaging a damaged capture: one pass names everything wrong
-// rather than one problem per run.
-func (w *Workload) ValidateAll() error {
-	var errs []error
-	if w.Name == "" {
-		errs = append(errs, fmt.Errorf("trace: workload has empty name"))
-	}
-	if w.Shaders == nil {
-		errs = append(errs, fmt.Errorf("trace: workload %q has nil shader registry", w.Name))
-		return errors.Join(errs...) // draw checks need the registry
-	}
-	if len(w.Frames) == 0 {
-		errs = append(errs, fmt.Errorf("trace: workload %q has no frames", w.Name))
-	}
-	c := w.newDrawChecker()
-	for fi := range w.Frames {
-		f := &w.Frames[fi]
-		if len(f.Draws) == 0 {
-			errs = append(errs, fmt.Errorf("trace: %q frame %d has no draws", w.Name, fi))
-		}
-		for di := range f.Draws {
-			if err := c.check(&f.Draws[di]); err != nil {
-				errs = append(errs, fmt.Errorf("trace: %q frame %d draw %d: %w", w.Name, fi, di, err))
-			}
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// SanitizeFrame removes draws that fail validation from f in place —
-// the lenient-mode draw filter. It returns how many draws were dropped
-// and their joined violations (nil when the frame was clean). The
-// receiver provides the resource tables; its own frames are untouched.
-func (w *Workload) SanitizeFrame(f *Frame) (int, error) {
-	return w.newDrawChecker().sanitize(f)
-}
-
-func (c drawChecker) sanitize(f *Frame) (int, error) {
-	var errs []error
-	kept := f.Draws[:0]
-	for di := range f.Draws {
-		if err := c.check(&f.Draws[di]); err != nil {
-			errs = append(errs, fmt.Errorf("draw %d: %w", di, err))
-			continue
-		}
-		kept = append(kept, f.Draws[di])
-	}
-	dropped := len(f.Draws) - len(kept)
-	f.Draws = kept
-	return dropped, errors.Join(errs...)
-}
-
-// Sanitize drops invalid draws and unusable frames from w in place —
-// the whole-workload lenient repair pass — returning the accounting.
-// It fails only when the workload is structurally beyond repair (no
-// name or shader registry) or when nothing usable survives.
-func (w *Workload) Sanitize() (traceerr.Diagnostics, error) {
-	var diag traceerr.Diagnostics
-	if w.Name == "" || w.Shaders == nil {
-		// Structurally hopeless content classifies as an invalid frame
-		// for ingestion error mapping: the bytes parsed but don't
-		// describe a usable workload.
-		return diag, fmt.Errorf("trace: workload beyond repair (%v): %w", w.Validate(), traceerr.ErrInvalidFrame)
-	}
-	c := w.newDrawChecker()
-	kept := w.Frames[:0]
-	for fi := range w.Frames {
-		f := &w.Frames[fi]
-		dropped, _ := c.sanitize(f)
-		diag.DrawsDropped += dropped
-		if len(f.Draws) == 0 {
-			diag.FramesSkipped++
-			continue
-		}
-		kept = append(kept, *f)
-	}
-	w.Frames = kept
-	if len(w.Frames) == 0 {
-		return diag, fmt.Errorf("trace: no usable frames survive sanitization (%v): %w",
-			diag, traceerr.ErrInvalidFrame)
-	}
-	return diag, nil
 }
 
 // drawChecker validates draws against one workload's resource tables
@@ -203,4 +114,18 @@ func (c drawChecker) check(d *DrawCall) error {
 		return fmt.Errorf("texture locality %v outside (0, 1]", d.TexLocality)
 	}
 	return nil
+}
+
+// sanitize removes the draws that fail validation from f in place — the
+// lenient reader's repair — and returns how many it dropped.
+func (c drawChecker) sanitize(f *Frame) int {
+	kept := f.Draws[:0]
+	for di := range f.Draws {
+		if c.check(&f.Draws[di]) == nil {
+			kept = append(kept, f.Draws[di])
+		}
+	}
+	dropped := len(f.Draws) - len(kept)
+	f.Draws = kept
+	return dropped
 }

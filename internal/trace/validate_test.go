@@ -1,9 +1,11 @@
 package trace_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -163,31 +165,15 @@ func TestValidateReportsCoordinates(t *testing.T) {
 	}
 }
 
-func TestValidateAllCollectsEveryViolation(t *testing.T) {
-	if err := tracetest.Tiny().ValidateAll(); err != nil {
-		t.Fatalf("clean fixture: ValidateAll = %v, want nil", err)
-	}
-
+// TestValidateStopsAtFirstViolation: with three violations, Validate
+// names the first in frame order and agrees with the reference.
+func TestValidateStopsAtFirstViolation(t *testing.T) {
 	w := tracetest.Tiny()
 	w.Frames[0].Draws[0].CoverageFrac = 1.5
 	w.Frames[1].Draws[1].Overdraw = 0.5
 	w.Frames[2].Draws[0].VS = 999
-	err := w.ValidateAll()
-	if err == nil {
-		t.Fatal("three violations, ValidateAll = nil")
-	}
-	// Validate stops at the first problem; ValidateAll must name all three.
-	for _, want := range []string{
-		"frame 0 draw 0", "coverage 1.5",
-		"frame 1 draw 1", "overdraw 0.5",
-		"frame 2 draw 0", "vertex shader",
-	} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error missing %q:\n%v", want, err)
-		}
-	}
 	first := w.Validate()
-	if first == nil || strings.Contains(first.Error(), "overdraw") {
+	if first == nil || !strings.Contains(first.Error(), "frame 0 draw 0") || strings.Contains(first.Error(), "overdraw") {
 		t.Errorf("Validate should stop at the first violation, got %v", first)
 	}
 	if ref := referenceValidate(w); ref == nil || first == nil || ref.Error() != first.Error() {
@@ -195,42 +181,75 @@ func TestValidateAllCollectsEveryViolation(t *testing.T) {
 	}
 }
 
+// traceForms encodes w in every form a writer can still produce: a
+// container, JSON and a gob .trace.
+func traceForms(t *testing.T, w *trace.Workload) []struct {
+	name string
+	data []byte
+} {
+	t.Helper()
+	var container bytes.Buffer
+	if err := w.Encode(&container); err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"container", container.Bytes()},
+		{"json", encodeJSON(t, w)},
+		{"gob", encodeGobTrace(t, w)},
+	}
+}
+
+// readBack is w as the strict reader returns a clean container of it:
+// the reference a repaired read must equal.
+func readBack(t *testing.T, w *trace.Workload) *trace.Workload {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := w.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestSanitizeFrameDropsOnlyInvalidDraws: a lenient read of a frame
+// with two invalid draws drops exactly those two, in every form, and
+// delivers the survivors and the other frames unaltered.
 func TestSanitizeFrameDropsOnlyInvalidDraws(t *testing.T) {
 	w := tracetest.Tiny()
 	f := &w.Frames[0]
-	total := len(f.Draws)
-	if total < 3 {
-		t.Fatalf("fixture frame 0 has %d draws, need >= 3", total)
+	if len(f.Draws) < 3 {
+		t.Fatalf("fixture frame 0 has %d draws, need >= 3", len(f.Draws))
 	}
-	survivor := f.Draws[1] // untouched draw, must come through intact
 	f.Draws[0].CoverageFrac = 2
 	f.Draws[2].Overdraw = 0
 	if err, ref := w.Validate(), referenceValidate(w); err == nil || ref == nil || err.Error() != ref.Error() {
 		t.Fatalf("indexed validator says %v, per-draw reference says %v", err, ref)
 	}
+	repaired := *w
+	repaired.Frames = append([]trace.Frame{}, w.Frames...)
+	repaired.Frames[0].Draws = append([]trace.DrawCall{f.Draws[1]}, f.Draws[3:]...)
+	want := readBack(t, &repaired)
 
-	dropped, err := w.SanitizeFrame(f)
-	if dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", dropped)
-	}
-	if err == nil || !strings.Contains(err.Error(), "draw 0") || !strings.Contains(err.Error(), "draw 2") {
-		t.Fatalf("joined violations should name draws 0 and 2, got %v", err)
-	}
-	if len(f.Draws) != total-2 {
-		t.Fatalf("frame kept %d draws, want %d", len(f.Draws), total-2)
-	}
-	if f.Draws[0].VS != survivor.VS || f.Draws[0].CoverageFrac != survivor.CoverageFrac {
-		t.Error("surviving draw was altered by sanitization")
-	}
-	// A sanitized frame must validate again.
-	if err := w.Validate(); err != nil {
-		t.Fatalf("workload invalid after sanitization: %v", err)
-	}
-
-	// Clean frames report zero drops and no error.
-	dropped, err = w.SanitizeFrame(&w.Frames[1])
-	if dropped != 0 || err != nil {
-		t.Fatalf("clean frame: dropped=%d err=%v, want 0, nil", dropped, err)
+	for _, form := range traceForms(t, w) {
+		got, diag, err := trace.ReadStream(bytes.NewReader(form.data), trace.ReaderOptions{Lenient: true})
+		if err != nil {
+			t.Fatalf("%s: %v", form.name, err)
+		}
+		if diag != (traceerr.Diagnostics{DrawsDropped: 2}) {
+			t.Errorf("%s: diagnostics %+v, want 2 draws dropped", form.name, diag)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the repair dropped or altered more than the two invalid draws", form.name)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("%s: workload invalid after the repair: %v", form.name, err)
+		}
 	}
 }
 
@@ -252,10 +271,11 @@ func sanitizeGame(t *testing.T) *trace.Workload {
 	return w
 }
 
-// TestSanitizeRepairsDamageForAStrictRun: Sanitize drops exactly the
-// invalid draws and the frame left without any, and the strict
-// pipeline, which rejects the damaged workload, builds a subset from
-// the repaired one.
+// TestSanitizeRepairsDamageForAStrictRun: in every form, a lenient read
+// drops exactly the invalid draws and the frame left without any, and
+// the strict pipeline, which rejects the damaged workload, builds a
+// subset from the repaired one. A strict read rejects the damage as an
+// invalid frame.
 func TestSanitizeRepairsDamageForAStrictRun(t *testing.T) {
 	w := sanitizeGame(t)
 	cleanDraws := w.NumDraws()
@@ -265,6 +285,11 @@ func TestSanitizeRepairsDamageForAStrictRun(t *testing.T) {
 		w.Frames[5].Draws[di].VertexCount = -1
 	}
 	droppedWhole := len(w.Frames[5].Draws)
+	repaired := *w
+	repaired.Frames = append(append([]trace.Frame{}, w.Frames[:5]...), w.Frames[6:]...)
+	repaired.Frames[2].Draws = repaired.Frames[2].Draws[1:]
+	want := readBack(t, &repaired)
+	wantDiag := traceerr.Diagnostics{FramesSkipped: 1, DrawsDropped: droppedWhole + 1}
 
 	opt := core.DefaultOptions()
 	opt.SkipClusteringEval = true
@@ -276,30 +301,36 @@ func TestSanitizeRepairsDamageForAStrictRun(t *testing.T) {
 		t.Fatal("strict run accepted damaged workload")
 	}
 
-	d, err := w.Sanitize()
+	for _, form := range traceForms(t, w) {
+		if _, err := trace.Decode(bytes.NewReader(form.data)); !errors.Is(err, traceerr.ErrInvalidFrame) {
+			t.Errorf("%s: strict read: err = %v, want ErrInvalidFrame", form.name, err)
+		}
+		got, diag, err := trace.ReadStream(bytes.NewReader(form.data), trace.ReaderOptions{Lenient: true})
+		if err != nil {
+			t.Fatalf("%s: lenient read failed: %v", form.name, err)
+		}
+		if diag != wantDiag {
+			t.Errorf("%s: diagnostics %+v, want %+v", form.name, diag, wantDiag)
+		}
+		if got := trace.Summarize(got).Draws; got != cleanDraws-droppedWhole-1 {
+			t.Errorf("%s: summary draws = %d, want %d", form.name, got, cleanDraws-droppedWhole-1)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: repaired workload differs from the damaged one less its invalid draws and frame", form.name)
+		}
+	}
+	rep, err := strict.Run(want)
 	if err != nil {
-		t.Fatalf("Sanitize failed: %v", err)
-	}
-	if d.FramesSkipped != 1 {
-		t.Errorf("FramesSkipped = %d, want 1", d.FramesSkipped)
-	}
-	if d.DrawsDropped != droppedWhole+1 {
-		t.Errorf("DrawsDropped = %d, want %d", d.DrawsDropped, droppedWhole+1)
-	}
-	if got := trace.Summarize(w).Draws; got != cleanDraws-droppedWhole-1 {
-		t.Errorf("summary draws = %d, want %d", got, cleanDraws-droppedWhole-1)
-	}
-	rep, err := strict.Run(w)
-	if err != nil {
-		t.Fatalf("strict run over the sanitized workload failed: %v", err)
+		t.Fatalf("strict run over the repaired workload failed: %v", err)
 	}
 	if rep.Subset == nil || len(rep.Subset.Frames) == 0 {
-		t.Fatal("no subset built from sanitized workload")
+		t.Fatal("no subset built from the repaired workload")
 	}
 }
 
-// TestSanitizeRejectsUnusableWorkload: when no frame survives, Sanitize
-// fails as an invalid frame instead of returning an empty workload.
+// TestSanitizeRejectsUnusableWorkload: when no frame survives, a read
+// in either mode fails as an invalid frame, in every form, instead of
+// returning an empty workload.
 func TestSanitizeRejectsUnusableWorkload(t *testing.T) {
 	w := sanitizeGame(t)
 	for fi := range w.Frames {
@@ -307,7 +338,12 @@ func TestSanitizeRejectsUnusableWorkload(t *testing.T) {
 			w.Frames[fi].Draws[di].VertexCount = -1
 		}
 	}
-	if _, err := w.Sanitize(); !errors.Is(err, traceerr.ErrInvalidFrame) {
-		t.Fatalf("err = %v, want ErrInvalidFrame", err)
+	for _, form := range traceForms(t, w) {
+		for _, lenient := range []bool{false, true} {
+			_, _, err := trace.ReadStream(bytes.NewReader(form.data), trace.ReaderOptions{Lenient: lenient})
+			if !errors.Is(err, traceerr.ErrInvalidFrame) {
+				t.Errorf("%s lenient=%v: err = %v, want ErrInvalidFrame", form.name, lenient, err)
+			}
+		}
 	}
 }
