@@ -134,11 +134,13 @@ bench-parallel:
 	$(GO) test -bench='^BenchmarkParallel' -run '^$$' . | tee bench.out
 	$(GO) run ./cmd/benchjson -match '^Parallel' -o BENCH_parallel.json < bench.out
 
-# bench-cache times the validation sweep against a cold and a warm
-# result cache (warm_speedup_vs_cold; the cache's contract is >= 2x),
-# and one whole pipeline pass uncached, cold and warm (time_vs_uncached:
-# the cold and warm passes as multiples of the uncached one). Each arm
-# keeps the fastest of 5 repetitions; both land in BENCH_cache.json.
+# bench-cache times the cache-bound grid `gpusim -grid-core ...
+# -cache-dir` runs (shard.RunSequential, one entry per config) into an
+# empty and over a filled cache directory (warm_speedup_vs_cold; the
+# cache's contract is >= 2x), and one whole pipeline pass uncached,
+# cold and warm (time_vs_uncached: the cold and warm passes as
+# multiples of the uncached one). Each arm keeps the fastest of 5
+# repetitions; both land in BENCH_cache.json.
 bench-cache:
 	$(GO) test -bench='^BenchmarkCache(Sweep|Pass)$$' -count 5 -run '^$$' . | tee bench-cache.out
 	$(GO) run ./cmd/benchjson -match '^Cache(Sweep|Pass)/' -o BENCH_cache.json < bench-cache.out

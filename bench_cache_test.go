@@ -1,12 +1,14 @@
 // Benchmarks for the content-addressed result cache, recorded by
 // `make bench-cache` in BENCH_cache.json.
 //
-// BenchmarkCacheSweep prices the same 6-config validation sweep with an
-// empty cache (mode=cold, every parent priced from scratch) and with a
-// fully populated one (mode=warm, every parent price served by
-// fingerprint); warm_speedup_vs_cold records cold/warm, which clears
-// 2x by a wide margin because a warm sweep skips parent pricing — the
-// dominant cost — entirely.
+// BenchmarkCacheSweep prices a 6-config grid the way `gpusim -grid-core
+// ... -cache-dir` does, through shard.RunSequential with a disk cache
+// (one sweep.price entry per config): into an empty directory
+// (mode=cold, every config priced and stored) and over the directory a
+// previous run filled, through a fresh handle as a new process would
+// open it (mode=warm, every config a disk hit). warm_speedup_vs_cold
+// records cold/warm, which clears 2x by a wide margin because a warm
+// grid skips parent pricing — the dominant cost — entirely.
 //
 // BenchmarkCachePass is the pipeline-level ledger: one core.RunContext
 // pass with no cache (mode=uncached), into an empty disk cache
@@ -24,7 +26,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/subset"
+	"repro/internal/shard"
 	"repro/internal/sweep"
 )
 
@@ -80,42 +82,36 @@ func BenchmarkCachePass(b *testing.B) {
 
 func BenchmarkCacheSweep(b *testing.B) {
 	w := suite(b)[0]
-	sub, err := subset.Build(w, subset.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfgs := sweep.CoreClockSweep(gpu.BaseConfig(), []float64{0.6, 0.8, 1.0, 1.2, 1.6, 2.0})
-	fp := w.Fingerprint()
+	// grid opens a cache over dir (a new, empty one when dir is "") off
+	// the clock, then prices the grid through it.
+	grid := func(b *testing.B, dir string) {
+		b.StopTimer()
+		if dir == "" {
+			dir = b.TempDir()
+		}
+		c, err := cache.New(cache.Config{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := shard.RunSequential(context.Background(), c, w, cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
 
 	b.Run("mode=cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c, err := cache.New(cache.Config{Dir: b.TempDir(), MaxMemBytes: 256 << 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			ctx := cache.WithWorkload(context.Background(), c, fp)
-			if _, err := sweep.RunParallel(ctx, w, sub, cfgs, 1); err != nil {
-				b.Fatal(err)
-			}
+			grid(b, "")
 		}
 	})
 
 	b.Run("mode=warm", func(b *testing.B) {
-		c, err := cache.New(cache.Config{Dir: b.TempDir(), MaxMemBytes: 256 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := cache.WithWorkload(context.Background(), c, fp)
-		if _, err := sweep.RunParallel(ctx, w, sub, cfgs, 1); err != nil {
-			b.Fatal(err)
-		}
+		dir := b.TempDir()
+		grid(b, dir)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sweep.RunParallel(ctx, w, sub, cfgs, 1); err != nil {
-				b.Fatal(err)
-			}
+			grid(b, dir)
 		}
 	})
 }

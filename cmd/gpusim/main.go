@@ -14,7 +14,9 @@
 //
 // -cache-dir/-cache-mem enable the content-addressed result cache: a
 // repeat pricing of the same trace on the same config is then served
-// from the cache instead of repriced, with byte-identical output.
+// from the cache instead of repriced, with byte-identical output. The
+// entry's key is the one a grid or -shard run stores that config
+// under, so the modes share a cache directory's entries.
 //
 // Grid sweeps and distributed sharding:
 //
@@ -208,15 +210,18 @@ func price(ctx context.Context, run *obs.Run, cfg config) error {
 	}
 	pctx, psp := obs.StartSpan(ctx, "price-frames")
 	psp.AddItems(int64(w.NumFrames()))
+	var key cache.Key // the key a shard or grid run over this workload stores cfgGPU under
 	if rcache != nil {
 		// The fingerprint describes the sanitized workload, so a lenient
 		// and a strict run over the same damaged trace key differently.
 		_, fsp := obs.StartSpan(pctx, "fingerprint")
 		fp := w.Fingerprint()
 		fsp.End()
-		pctx = cache.WithWorkload(pctx, rcache, fp)
+		key = sweep.PriceKey(fp, cfgGPU)
 	}
-	priced, err := sweep.PriceParent(pctx, sim, w, cfgGPU, cfg.workers)
+	priced, err := cache.GetOrCompute(pctx, rcache, key, func() (sweep.PricedParent, error) {
+		return sweep.PriceParent(pctx, sim, w, cfgGPU, cfg.workers)
+	})
 	psp.End()
 	if err != nil {
 		return err

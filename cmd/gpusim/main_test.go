@@ -271,3 +271,47 @@ func TestGridManifestAttributesSetUp(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedPriceEndToEnd: a cached single-config price stores the
+// entry a grid run keys on (sweep.PriceKey). A cold and a warm price
+// print the same bytes, the warm one is one cache hit that prices no
+// draw, and a one-shard grid over the same directory reads that config
+// as a hit and prices only the other.
+func TestCachedPriceEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := writeTrace(t, dir)
+	cacheDir := filepath.Join(dir, "cache")
+	run := func(set func(c *config)) string {
+		var out bytes.Buffer
+		cfg := baseCfg(tracePath, &out)
+		cfg.cacheDir = cacheDir
+		set(&cfg)
+		if err := execute(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	manifest := filepath.Join(dir, "warm.json")
+	cold := run(func(c *config) { c.core = 1.4 })
+	warm := run(func(c *config) { c.core, c.manifest = 1.4, manifest })
+	if cold != warm {
+		t.Fatalf("warm price differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m obs.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if hits, priced := m.Metrics.Counters["cache.hit"], m.Metrics.Counters["sweep.draw_configs_priced"]; hits != 1 || priced != 0 {
+		t.Errorf("warm price: %d cache hits and %d draw x configs priced, want 1 and 0", hits, priced)
+	}
+	grid := run(func(c *config) {
+		c.gridCore, c.shard, c.shardDir = "0.6,1.4", "1/1", filepath.Join(dir, "manifests")
+	})
+	if !strings.Contains(grid, "computed 1  cache hits 1") {
+		t.Errorf("grid over the price's cache dir:\n%s\nwant computed 1  cache hits 1", grid)
+	}
+}

@@ -11,8 +11,10 @@
 // applies the same idea to the pipeline itself. Entries are stage
 // products, not per-frame intermediates: a pipeline pass stores its
 // clustering evaluation and parent pricing as one core.framepass
-// entry, and a grid one sweep.price entry per configuration (DESIGN
-// §9 lists the kinds).
+// entry, a grid one sweep.price entry per configuration, and subsetd
+// one entry per answer, the JSON bytes it sent (DESIGN §9 lists the
+// kinds). The cache is always an argument: every caller passes the
+// *Cache it uses to GetOrCompute.
 //
 // Design rules, enforced by tests:
 //
@@ -46,7 +48,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/traceerr"
 )
 
@@ -394,30 +395,4 @@ func (c *Cache) remove(key Key) {
 			c.errs.Add(1)
 		}
 	}
-}
-
-// binding carries the active cache and the fingerprint of the workload
-// the surrounding pipeline run operates on.
-type binding struct {
-	c  *Cache
-	fp trace.Fingerprint
-}
-
-type bindingKey struct{}
-
-// WithWorkload returns ctx carrying (cache, workload fingerprint) for
-// the stages below: sweep pricing keys its entries on the bound
-// fingerprint. A nil cache returns ctx unchanged.
-func WithWorkload(ctx context.Context, c *Cache, fp trace.Fingerprint) context.Context {
-	if c == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, bindingKey{}, binding{c: c, fp: fp})
-}
-
-// ForWorkload returns the cache and workload fingerprint bound by
-// WithWorkload, or ok == false when the run is uncached.
-func ForWorkload(ctx context.Context) (c *Cache, fp trace.Fingerprint, ok bool) {
-	b, ok := ctx.Value(bindingKey{}).(binding)
-	return b.c, b.fp, ok
 }

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
 
 func testKey(i int) Key { return NewKey("cache-test", 1).Int(int64(i)).Sum() }
@@ -380,23 +378,5 @@ func TestNilCacheAccessors(t *testing.T) {
 	var c *Cache
 	if c.Stats() != (Stats{}) || c.Dir() != "" || c.MemBytes() != 0 || c.MemLen() != 0 {
 		t.Fatal("nil cache accessors not zero")
-	}
-}
-
-func TestWorkloadBinding(t *testing.T) {
-	ctx := context.Background()
-	if _, _, ok := ForWorkload(ctx); ok {
-		t.Fatal("empty context reported a binding")
-	}
-	var fp trace.Fingerprint
-	fp[0] = 0xA5
-	c := mustCache(t, Config{})
-	bound := WithWorkload(ctx, c, fp)
-	gc, gfp, ok := ForWorkload(bound)
-	if !ok || gc != c || gfp != fp {
-		t.Fatalf("binding round trip: ok=%v cache=%p fp=%x", ok, gc, gfp[:4])
-	}
-	if nb := WithWorkload(ctx, nil, fp); nb != ctx {
-		t.Fatal("nil cache changed the context")
 	}
 }

@@ -272,8 +272,9 @@ type SubsetRequest struct {
 	Validate bool `json:"validate"`
 }
 
-// SubsetResponse is the query result; it is also the unit the result
-// cache stores, so a warm query skips the pipeline entirely.
+// SubsetResponse is the query result. The result cache stores its JSON
+// body, the bytes the query answers, so a warm query skips the
+// pipeline and the encoding entirely.
 type SubsetResponse struct {
 	Workload      string  `json:"workload"`
 	SubsetFrames  []int   `json:"subset_frames"`
@@ -304,15 +305,13 @@ func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	key := cache.NewKey("serve.subset", 3).
+	key := cache.NewKey("serve.subset", 4).
 		Bytes(e.FP[:]).
 		Bool(req.ClusteringEval).
 		Bool(req.Validate).
 		Sum()
-	s.runQuery(w, r, "subset:"+key.String(), func(ctx context.Context) (any, error) {
-		return cache.GetOrCompute(ctx, s.opt.Cache, key, func() (SubsetResponse, error) {
-			return s.computeSubset(ctx, e, req)
-		})
+	s.runQuery(w, r, key, s.opt.Cache, func(ctx context.Context) (any, error) {
+		return s.computeSubset(ctx, e, req)
 	})
 }
 
@@ -383,14 +382,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	if len(req.CoreClocks) == 0 {
-		req.CoreClocks = sweep.DefaultCoreClocks()
-	}
-	if len(req.MemClocks) == 0 {
-		req.MemClocks = []float64{1.0}
-	}
-	if n := len(req.CoreClocks) * len(req.MemClocks); n > MaxSweepConfigs {
-		s.writeErr(w, badRequest("sweep grid has %d configs, max %d", n, MaxSweepConfigs))
+	cfgs, err := queryGrid(&req.CoreClocks, &req.MemClocks)
+	if err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	e, err := s.reg.get(req.Workload)
@@ -398,26 +392,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	kb := cache.NewKey("serve.sweep", 1).Bytes(e.FP[:]).Int(int64(len(req.CoreClocks)))
+	kb := cache.NewKey("serve.sweep", 2).Bytes(e.FP[:]).Int(int64(len(req.CoreClocks)))
 	for _, c := range req.CoreClocks {
 		kb.Float(c)
 	}
 	for _, c := range req.MemClocks {
 		kb.Float(c)
 	}
-	key := kb.Sum()
-	s.runQuery(w, r, "sweep:"+key.String(), func(ctx context.Context) (any, error) {
-		return cache.GetOrCompute(ctx, s.opt.Cache, key, func() (SweepResponse, error) {
-			return s.computeSweep(ctx, e, req)
-		})
+	s.runQuery(w, r, kb.Sum(), s.opt.Cache, func(ctx context.Context) (any, error) {
+		return s.computeSweep(ctx, e, cfgs)
 	})
 }
 
 // computeSweep prices the whole grid in one sweep.PriceGrid pass, its
 // frames claimed on -workers goroutines; the response is the one cache
 // entry.
-func (s *Server) computeSweep(ctx context.Context, e *workloadEntry, req SweepRequest) (SweepResponse, error) {
-	cfgs := sweep.Grid(gpu.BaseConfig(), req.CoreClocks, req.MemClocks)
+func (s *Server) computeSweep(ctx context.Context, e *workloadEntry, cfgs []gpu.Config) (SweepResponse, error) {
 	base, err := gpu.NewSimulator(cfgs[0], e.W)
 	if err != nil {
 		return SweepResponse{}, err
@@ -468,41 +458,43 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	if req.MemClockGHz == 0 {
 		req.MemClockGHz = 1.0
 	}
+	cfg := gpu.BaseConfig().WithCoreClock(req.CoreClockGHz).WithMemClock(req.MemClockGHz)
+	if err := checkConfigs(cfg); err != nil {
+		s.writeErr(w, err)
+		return
+	}
 	e, err := s.reg.get(req.Workload)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	key := cache.NewKey("serve.price", 1).
+	key := cache.NewKey("serve.price", 2).
 		Bytes(e.FP[:]).
 		Float(req.CoreClockGHz).
 		Float(req.MemClockGHz).
 		Sum()
-	s.runQuery(w, r, "price:"+key.String(), func(ctx context.Context) (any, error) {
-		return cache.GetOrCompute(ctx, s.opt.Cache, key, func() (PriceResponse, error) {
-			cfg := gpu.BaseConfig().WithCoreClock(req.CoreClockGHz).WithMemClock(req.MemClockGHz)
-			sim, err := gpu.NewSimulator(cfg, e.W)
-			if err != nil {
-				return PriceResponse{}, err
-			}
-			// One goroutine: up to -max-concurrent queries already run
-			// at once, so one request does not fan out.
-			priced, err := sweep.PriceParent(ctx, sim, e.W, cfg, 1)
-			if err != nil {
-				return PriceResponse{}, err
-			}
-			fps := 0.0
-			if priced.TotalNs > 0 {
-				fps = float64(len(priced.FrameNs)) / (priced.TotalNs * 1e-9)
-			}
-			return PriceResponse{
-				Workload:     e.FP.String(),
-				CoreClockGHz: req.CoreClockGHz,
-				MemClockGHz:  req.MemClockGHz,
-				TotalNs:      priced.TotalNs,
-				FPS:          fps,
-			}, nil
-		})
+	s.runQuery(w, r, key, s.opt.Cache, func(ctx context.Context) (any, error) {
+		sim, err := gpu.NewSimulator(cfg, e.W)
+		if err != nil {
+			return nil, err
+		}
+		// One goroutine: up to -max-concurrent queries already run at
+		// once, so one request does not fan out.
+		priced, err := sweep.PriceParent(ctx, sim, e.W, cfg, 1)
+		if err != nil {
+			return nil, err
+		}
+		fps := 0.0
+		if priced.TotalNs > 0 {
+			fps = float64(len(priced.FrameNs)) / (priced.TotalNs * 1e-9)
+		}
+		return PriceResponse{
+			Workload:     e.FP.String(),
+			CoreClockGHz: req.CoreClockGHz,
+			MemClockGHz:  req.MemClockGHz,
+			TotalNs:      priced.TotalNs,
+			FPS:          fps,
+		}, nil
 	})
 }
 
@@ -528,21 +520,28 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, stats)
 }
 
-// runQuery is the execution path every compute query rides:
-// single-flight coalescing over the response bytes, then (inside fn,
-// for every kind but the shard sweep) the response's one cache entry.
-// Followers of a coalesced computation get the
-// leader's bytes with X-Subsetd-Coalesced set. The computation runs
-// under its own panic shield: a panic must end as the leader's error,
-// which releases its followers and clears the flight key, instead of
-// unwinding past the flight group.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, flightKey string, fn func(ctx context.Context) (any, error)) {
-	data, shared, err := s.flight.do(r.Context(), flightKey, func() (data []byte, err error) {
-		err = parallel.Call(-1, func() error {
-			v, err := fn(r.Context())
-			if err == nil {
-				data, err = json.Marshal(v)
-			}
+// runQuery is the execution path every compute query rides, and the
+// one place a query meets the result cache: single-flight coalescing
+// on key's hex, then, inside the flight, one cache.GetOrCompute under
+// key in c whose compute runs fn and marshals its value. The entry is
+// the JSON body, so a hit answers the stored bytes as they are. c is
+// the server's cache, or nil for a query whose answer is never stored.
+// Followers of a coalesced computation get the leader's bytes with
+// X-Subsetd-Coalesced set. The computation runs under its own panic
+// shield: a panic must end as the leader's error, which releases its
+// followers and clears the flight key, instead of unwinding past the
+// flight group.
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, key cache.Key, c *cache.Cache, fn func(ctx context.Context) (any, error)) {
+	ctx := r.Context()
+	data, shared, err := s.flight.do(ctx, key.String(), func() (data []byte, err error) {
+		err = parallel.Call(-1, func() (err error) {
+			data, err = cache.GetOrCompute(ctx, c, key, func() ([]byte, error) {
+				v, err := fn(ctx)
+				if err != nil {
+					return nil, err
+				}
+				return json.Marshal(v)
+			})
 			return err
 		})
 		return data, err
@@ -558,6 +557,36 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, flightKey stri
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
+}
+
+// queryGrid fills a grid query's default clocks (the standard core
+// ladder, memory at 1.0) and builds its configs in grid order. An
+// oversized grid or a config the simulator would refuse is the
+// client's error.
+func queryGrid(core, mem *[]float64) ([]gpu.Config, error) {
+	if len(*core) == 0 {
+		*core = sweep.DefaultCoreClocks()
+	}
+	if len(*mem) == 0 {
+		*mem = []float64{1.0}
+	}
+	if n := len(*core) * len(*mem); n > MaxSweepConfigs {
+		return nil, badRequest("sweep grid has %d configs, max %d", n, MaxSweepConfigs)
+	}
+	cfgs := sweep.Grid(gpu.BaseConfig(), *core, *mem)
+	return cfgs, checkConfigs(cfgs...)
+}
+
+// checkConfigs answers a config the simulator would refuse, such as a
+// clock that is not positive, as the client's error before anything is
+// priced.
+func checkConfigs(cfgs ...gpu.Config) error {
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return badRequest("%v", err)
+		}
+	}
+	return nil
 }
 
 // decodeReq parses a JSON query body strictly: unknown fields are

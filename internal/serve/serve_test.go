@@ -3,15 +3,18 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -317,6 +320,24 @@ func TestUploadRejectionsTypedInEveryForm(t *testing.T) {
 	}
 }
 
+// TestUploadCutByBodyCapIsTooLarge: a container cut by -max-body part
+// way through a record is 413 too_large to a strict server as to a
+// lenient one; the cap, not the record it cut, is the failure.
+func TestUploadCutByBodyCapIsTooLarge(t *testing.T) {
+	body := streamBody(t, tracetest.Tiny())
+	for _, strict := range []bool{false, true} {
+		s := newTestServer(t, Options{Strict: strict, MaxBodyBytes: int64(len(body)) - 100})
+		rec := do(s.Handler(), "POST", "/v1/workloads", body)
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("strict=%v: %v: %s", strict, err, rec.Body)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || eb.Class != "too_large" {
+			t.Errorf("strict=%v: %d %q, want 413 too_large: %s", strict, rec.Code, eb.Class, rec.Body)
+		}
+	}
+}
+
 // TestSubsetColdWarmIdentical is the service-level caching contract: a
 // warm query's response bytes are identical to the cold query's.
 func TestSubsetColdWarmIdentical(t *testing.T) {
@@ -393,6 +414,58 @@ func TestOneCacheEntryPerQuery(t *testing.T) {
 		if !bytes.Equal(cold.Body.Bytes(), warm.Body.Bytes()) {
 			t.Errorf("warm %s differs from cold:\ncold: %s\nwarm: %s", q.path, cold.Body, warm.Body)
 		}
+	}
+}
+
+// TestResponseEntryIgnoresProcessHistory: a response's cache entry is
+// the answered JSON body, so its bytes depend on the answer alone. Gob
+// numbers struct types per process in the order it first meets them,
+// so the test first gob-encodes an unrelated struct, which would have
+// shifted a gob-encoded response struct, then answers a /v1/price
+// query through a disk cache and holds the one entry to the body and
+// to a frozen digest.
+func TestResponseEntryIgnoresProcessHistory(t *testing.T) {
+	type unrelated struct {
+		A int
+		B []string
+	}
+	if err := gob.NewEncoder(io.Discard).Encode(unrelated{A: 1, B: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	c, err := cache.New(cache.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Cache: c})
+	h := s.Handler()
+	fp := upload(t, h, streamBody(t, tracetest.Tiny()))
+	rec := do(h, "POST", "/v1/price", []byte(fmt.Sprintf(`{"workload":%q,"core_clock_ghz":1.3}`, fp)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("price: %d: %s", rec.Code, rec.Body)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*", "*.s3dc"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("entries %v (%v), want one", paths, err)
+	}
+	raw, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := cache.DecodeFramed(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body []byte
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&body); err != nil {
+		t.Fatalf("entry payload is not the body's bytes: %v", err)
+	}
+	if !bytes.Equal(body, rec.Body.Bytes()) {
+		t.Fatalf("entry holds %s, the query answered %s", body, rec.Body)
+	}
+	const want = "04f24df57c8399f7bdc80f6e90b27e150ce627cc4407886ac1d327d65acf2008"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+		t.Fatalf("entry digest %s, want %s: the entry's bytes changed", got, want)
 	}
 }
 
@@ -533,21 +606,35 @@ func TestSparseShaderIDsUploadAndPrice(t *testing.T) {
 func TestQueryValidation(t *testing.T) {
 	s := newTestServer(t, Options{})
 	h := s.Handler()
+	fp := upload(t, h, streamBody(t, tracetest.Tiny()))
 	cases := []struct {
-		name string
-		body string
-		want int
+		name, path, body string
+		want             int
+		detail           string // the error names it
 	}{
-		{"unknown workload", `{"workload":"0000000000000000000000000000000000000000000000000000000000000000"}`, http.StatusNotFound},
-		{"malformed fingerprint", `{"workload":"nope"}`, http.StatusNotFound},
-		{"bad json", `{"workload":`, http.StatusBadRequest},
-		{"unknown field", `{"workload":"x","typo_field":1}`, http.StatusBadRequest},
+		{"unknown workload", "/v1/subset", `{"workload":"0000000000000000000000000000000000000000000000000000000000000000"}`, http.StatusNotFound, ""},
+		{"malformed fingerprint", "/v1/subset", `{"workload":"nope"}`, http.StatusNotFound, ""},
+		{"bad json", "/v1/subset", `{"workload":`, http.StatusBadRequest, ""},
+		{"unknown field", "/v1/subset", `{"workload":"x","typo_field":1}`, http.StatusBadRequest, ""},
+		{"negative core clock", "/v1/price", fmt.Sprintf(`{"workload":%q,"core_clock_ghz":-1}`, fp), http.StatusBadRequest, "core clock -1"},
+		{"negative mem clock", "/v1/price", fmt.Sprintf(`{"workload":%q,"mem_clock_ghz":-0.5}`, fp), http.StatusBadRequest, "mem clock -0.5"},
+		{"negative clock in a grid", "/v1/sweep", fmt.Sprintf(`{"workload":%q,"core_clocks":[1,-2]}`, fp), http.StatusBadRequest, "core clock -2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := do(h, "POST", "/v1/subset", []byte(tc.body))
+			rec := do(h, "POST", tc.path, []byte(tc.body))
 			if rec.Code != tc.want {
 				t.Errorf("status = %d, want %d (%s)", rec.Code, tc.want, rec.Body)
+			}
+			var eb errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+				t.Fatal(err)
+			}
+			if tc.want == http.StatusBadRequest && eb.Class != "bad_request" {
+				t.Errorf("class = %q, want bad_request", eb.Class)
+			}
+			if !strings.Contains(eb.Error, tc.detail) {
+				t.Errorf("error %q does not name %q", eb.Error, tc.detail)
 			}
 		})
 	}
@@ -867,10 +954,14 @@ func TestAdmitterHonorsContext(t *testing.T) {
 
 // --- query execution path ---
 
-// query runs one compute query through runQuery under ctx.
-func query(s *Server, ctx context.Context, key string, fn func(context.Context) (any, error)) *httptest.ResponseRecorder {
+// queryKey is the key of the test query named name.
+func queryKey(name string) cache.Key { return cache.NewKey("test.query", 1).String(name).Sum() }
+
+// query runs the compute query named name through runQuery under ctx,
+// with no cache.
+func query(s *Server, ctx context.Context, name string, fn func(context.Context) (any, error)) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	s.runQuery(rec, httptest.NewRequest("POST", "/v1/subset", nil).WithContext(ctx), key, fn)
+	s.runQuery(rec, httptest.NewRequest("POST", "/v1/subset", nil).WithContext(ctx), queryKey(name), nil, fn)
 	return rec
 }
 
@@ -929,7 +1020,7 @@ func TestQueryPanicReleasesFollowers(t *testing.T) {
 			})
 		}()
 	}
-	parkedOn(t, s.flight, key, followers)
+	parkedOn(t, s.flight, queryKey(key).String(), followers)
 	close(release)
 	wg.Wait()
 
@@ -1009,7 +1100,7 @@ func TestQueryFollowerOutlivesLeader(t *testing.T) {
 					return "follower", nil
 				})
 			}()
-			parkedOn(t, s.flight, key, 1)
+			parkedOn(t, s.flight, queryKey(key).String(), 1)
 			if tc.cancelLeader {
 				cancel()
 			}

@@ -7,9 +7,7 @@ import (
 	"net/http"
 
 	"repro/internal/cache"
-	"repro/internal/gpu"
 	"repro/internal/shard"
-	"repro/internal/sweep"
 )
 
 // ShardSweepRequest asks the server to price ONE shard of a config
@@ -42,25 +40,20 @@ type ShardSweepResponse struct {
 
 // handleShardSweep prices one shard of a sweep with shard.RunShard,
 // through the server's result cache when it has one. It rides the same
-// admission/coalescing path as every compute query, and its key is a
-// flight key only: the response is never stored. The cache holds
-// RunShard's per-task entries instead, the unit a rerun resumes from,
-// and the response's stats report which tasks this request priced and
-// which it read from the cache.
+// admission/coalescing path as every compute query, but its answer is
+// never stored (runQuery gets no cache). The cache holds RunShard's
+// per-task entries instead, the unit a rerun resumes from, and the
+// response's stats report which tasks this request priced and which it
+// read from the cache.
 func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 	var req ShardSweepRequest
 	if err := s.decodeReq(r, &req); err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	if len(req.CoreClocks) == 0 {
-		req.CoreClocks = sweep.DefaultCoreClocks()
-	}
-	if len(req.MemClocks) == 0 {
-		req.MemClocks = []float64{1.0}
-	}
-	if n := len(req.CoreClocks) * len(req.MemClocks); n > MaxSweepConfigs {
-		s.writeErr(w, badRequest("sweep grid has %d configs, max %d", n, MaxSweepConfigs))
+	cfgs, err := queryGrid(&req.CoreClocks, &req.MemClocks)
+	if err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	spec, err := shard.ParseSpec(req.Shard)
@@ -84,9 +77,7 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 	for _, c := range req.MemClocks {
 		kb.Float(c)
 	}
-	flightKey := "shardsweep:" + kb.Sum().String()
-	s.runQuery(w, r, flightKey, func(ctx context.Context) (any, error) {
-		cfgs := sweep.Grid(gpu.BaseConfig(), req.CoreClocks, req.MemClocks)
+	s.runQuery(w, r, kb.Sum(), nil, func(ctx context.Context) (any, error) {
 		m, st, err := shard.RunShard(ctx, s.opt.Cache, e.W, e.FP, cfgs, spec)
 		if err != nil {
 			return nil, err

@@ -87,6 +87,7 @@ func TestShardSweepRejectsBadRequests(t *testing.T) {
 		"missing spec":   fmt.Sprintf(`{"workload": %q}`, fp),
 		"unparseable":    fmt.Sprintf(`{"workload": %q, "shard": "a/b"}`, fp),
 		"oversized grid": fmt.Sprintf(`{"workload": %q, "shard": "1/2", "core_clocks": %s, "mem_clocks": %s}`, fp, bigList(64), bigList(64)),
+		"negative clock": fmt.Sprintf(`{"workload": %q, "shard": "1/2", "core_clocks": [1, -2]}`, fp),
 	} {
 		rec := do(h, "POST", "/v1/shard/sweep", []byte(body))
 		if rec.Code != http.StatusBadRequest {

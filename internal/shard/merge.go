@@ -213,8 +213,7 @@ func Merge(ms []*Manifest) (*RunManifest, error) {
 // reference the determinism suite compares every sharded run against;
 // it is also gpusim's single-process sweep mode. It prices through the
 // same priceTasks as RunShard, so sequential and sharded runs read and
-// write the same entries of one cache. c is the only cache it uses;
-// ctx must carry no cache binding (see priceTasks).
+// write the same entries of one cache.
 func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu.Config) (*RunManifest, error) {
 	fp := fingerprint(ctx, w)
 	tasks, grid, err := Plan(fp, cfgs)
@@ -237,13 +236,10 @@ func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs 
 //
 // Without a cache it prices every task in one sweep.PriceGrid pass,
 // its frames claimed on GOMAXPROCS goroutines. With one, each task is
-// one cache entry,
-// resolved by one cache.GetOrCompute on this goroutine: an entry is
-// stored as soon as its config is priced, which is what a rerun after
-// a crash resumes from. The compute prices through sweep.PriceConfig
-// on ctx, so ctx must carry no cache binding (cache.WithWorkload):
-// under one, PriceConfig would look the task's key up a second time,
-// and a cold task would count two misses and be stored twice.
+// one cache entry, resolved by one cache.GetOrCompute on this
+// goroutine whose compute is sweep.PriceConfig: an entry is stored as
+// soon as its config is priced, which is what a rerun after a crash
+// resumes from.
 func priceTasks(ctx context.Context, c *cache.Cache, base *gpu.Simulator, w *trace.Workload, tasks []Task) ([]Entry, int, error) {
 	var entries []Entry // nil for a shard that owns no task
 	if c == nil {

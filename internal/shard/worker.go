@@ -23,10 +23,9 @@ type WorkerStats struct {
 // holds it, so a shard does not hash the workload again. With a cache,
 // each owned task is one cache entry, so a rerun after a crash reads
 // the tasks that already landed as cache hits and prices only the
-// rest. c is the only cache it uses; ctx must carry no cache binding
-// (see priceTasks). The manifest depends only on (workload, grid,
-// spec): rerunning a shard over any cache state, or racing it against
-// an overlapping shard, yields byte-identical manifests.
+// rest. The manifest depends only on (workload, grid, spec): rerunning
+// a shard over any cache state, or racing it against an overlapping
+// shard, yields byte-identical manifests.
 func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, fp trace.Fingerprint, cfgs []gpu.Config, spec Spec) (*Manifest, WorkerStats, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, WorkerStats{}, err

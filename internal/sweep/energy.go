@@ -58,7 +58,7 @@ func RunEnergyParallel(ctx context.Context, w *trace.Workload, s *subset.Subset,
 	if err != nil {
 		return EnergyResult{}, err
 	}
-	parents, err := priceParents(ctx, base, w, cfgs, workers)
+	parents, err := PriceGrid(ctx, base, w, cfgs, workers)
 	if err != nil {
 		return EnergyResult{}, err
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/gpu"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
@@ -25,10 +24,10 @@ type PricedParent struct {
 
 // PriceKey is the content address of PriceParent's product: the cache
 // key under which pricing workload fp on cfg is stored. It is exported
-// because the shard layer stores each grid task under exactly this
-// key — a shard, the sequential path and PriceParent must always agree
-// on the address or a rerun would recompute the entries already
-// stored.
+// because every cached pricing path stores under exactly this key —
+// gpusim's single-config price and each shard task — so the paths
+// must always agree on the address or a rerun would recompute the
+// entries already stored.
 func PriceKey(fp trace.Fingerprint, cfg gpu.Config) cache.Key {
 	cfgFp := cfg.Fingerprint()
 	return cache.NewKey("sweep.price", gpu.ModelVersion).
@@ -38,37 +37,25 @@ func PriceKey(fp trace.Fingerprint, cfg gpu.Config) cache.Key {
 }
 
 // PriceParent prices every frame of w on the simulator, with at most
-// workers goroutines (<= 0 selects GOMAXPROCS), served through the
-// result cache when ctx carries a binding (cache.WithWorkload) for w.
-// The key is PriceKey (workload fingerprint, config cost-model
-// fingerprint, gpu.ModelVersion); a hit skips the full per-draw
-// pricing pass — the dominant cost of a grid sweep. Without a binding
-// it prices directly. sim must have been built on w with cfg. A miss
-// is a one-config PriceGrid pass, and every pass folds in the same
-// order (gpu.Simulator.PriceGrid), so cached, direct and batched
-// pricing are bit-identical at any worker count.
+// workers goroutines (<= 0 selects GOMAXPROCS), in a one-config
+// PriceGrid pass. sim must have been built on w with cfg. Every pass
+// folds in the same order (gpu.Simulator.PriceGrid), so one config
+// priced alone or in a grid is bit-identical at any worker count.
 func PriceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfg gpu.Config, workers int) (PricedParent, error) {
-	price := func() (PricedParent, error) {
-		p, err := PriceGrid(ctx, sim, w, []gpu.Config{cfg}, workers)
-		if err != nil {
-			return PricedParent{}, err
-		}
-		return p[0], nil
+	p, err := PriceGrid(ctx, sim, w, []gpu.Config{cfg}, workers)
+	if err != nil {
+		return PricedParent{}, err
 	}
-	c, fp, ok := cache.ForWorkload(ctx)
-	if !ok {
-		return price()
-	}
-	return cache.GetOrCompute(ctx, c, PriceKey(fp, cfg), price)
+	return p[0], nil
 }
 
-// PriceConfig is the one per-config setup path every cache-bound grid
-// consumer shares: derive the per-config simulator from base (skipping
-// re-validation) and price the parent on it, on the calling goroutine,
-// through the result cache when ctx carries one. Cached sweeps and the
-// shard layer go through it, so a distributed shard can never drift
-// from the sequential path's setup or fold order. i and n only shape
-// the error context ("config i+1/n").
+// PriceConfig derives cfg's simulator from base (skipping
+// re-validation) and prices the parent on it, on the calling
+// goroutine. It is the compute of a cached grid's task, which stores
+// one entry per config (shard.RunSequential and shard.RunShard with a
+// cache), so a distributed shard can never drift from the sequential
+// path's setup or fold order. i and n only shape the error context
+// ("config i+1/n").
 func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfg gpu.Config, i, n int) (*gpu.Simulator, PricedParent, error) {
 	sim, err := base.WithConfig(cfg)
 	if err != nil {
@@ -82,22 +69,19 @@ func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cf
 }
 
 // PriceGrid prices the parent w on every config of cfgs in one
-// gpu.Simulator.PriceGrid pass, bypassing the result cache: frames are
-// claimed on at most workers goroutines (<= 0 selects GOMAXPROCS), and
-// each frame is priced on every config at once, so a draw's
-// config-independent terms are computed once per pass. base must have
-// been built on w. Results land in grid order and are bit-identical at
-// any worker count. The pass is a price-grid span with draws x configs
-// as its item count, and bumps the sweep.pricing_passes and
-// sweep.draw_configs_priced counters, from which any run manifest
-// yields ns per draw x config.
+// gpu.Simulator.PriceGrid pass: frames are claimed on at most workers
+// goroutines (<= 0 selects GOMAXPROCS), and each frame is priced on
+// every config at once, so a draw's config-independent terms are
+// computed once per pass. base must have been built on w. Results land
+// in grid order and are bit-identical at any worker count. The pass is
+// a price-grid span with draws x configs as its item count, and bumps
+// the sweep.pricing_passes and sweep.draw_configs_priced counters,
+// from which any run manifest yields ns per draw x config.
 //
-// Only grids without a cache are batched: the cache-free sweeps here,
-// subsetd's /v1/sweep (whose response is its one cache entry), and
-// shard.RunSequential and shard.RunShard without a cache. A cached
-// grid prices one config per cache entry (PriceConfig) so that each
-// entry is stored as soon as its config is priced — the unit a shard
-// rerun resumes from and the cache deduplicates.
+// It looks nothing up: a caller that caches wraps it in
+// cache.GetOrCompute. A cached grid prices one config per cache entry
+// (PriceConfig), so that each entry is stored as soon as its config is
+// priced — the unit a shard rerun resumes from.
 func PriceGrid(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config, workers int) ([]PricedParent, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
@@ -118,19 +102,6 @@ func PriceGrid(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs
 		out[i] = PricedParent{FrameNs: r.FrameNs, TotalNs: r.TotalNs, Totals: r.Totals}
 	}
 	return out, nil
-}
-
-// priceParents prices the parent on every config for a sweep: in one
-// PriceGrid pass when ctx carries no cache binding, otherwise one
-// PriceConfig per config (and per cache entry) across the pool.
-func priceParents(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs []gpu.Config, workers int) ([]PricedParent, error) {
-	if _, _, cached := cache.ForWorkload(ctx); !cached {
-		return PriceGrid(ctx, base, w, cfgs, workers)
-	}
-	return parallel.MapSlice(ctx, workers, cfgs, func(ctx context.Context, i int, cfg gpu.Config) (PricedParent, error) {
-		_, p, err := PriceConfig(ctx, base, w, cfg, i, len(cfgs))
-		return p, err
-	})
 }
 
 // RunResult converts the priced parent back to the simulator-level

@@ -96,15 +96,14 @@ func RunContext(ctx context.Context, w *trace.Workload, s *subset.Subset, cfgs [
 }
 
 // RunParallel prices the grid with at most workers goroutines
-// (<= 0 selects GOMAXPROCS). Without a result cache the parent is
-// priced in one pass over the draws, its frames claimed on the workers
-// and each frame priced on every config (PriceGrid); with one, each
-// config is priced through the cache on its own (PriceConfig). The
-// subset's reconstruction is ~100x cheaper and always priced fresh,
-// one config per task. The correlation statistics are folded
-// sequentially over the points in grid order, so the Result is
-// bit-identical at any worker count. Cancellation is checked once per
-// parent frame inside each pricing pass.
+// (<= 0 selects GOMAXPROCS). The parent is priced in one pass over the
+// draws, its frames claimed on the workers and each frame priced on
+// every config (PriceGrid); nothing is looked up in a cache. The
+// subset's reconstruction is ~100x cheaper, one config per task. The
+// correlation statistics are folded sequentially over the points in
+// grid order, so the Result is bit-identical at any worker count.
+// Cancellation is checked once per parent frame inside each pricing
+// pass.
 func RunParallel(ctx context.Context, w *trace.Workload, s *subset.Subset, cfgs []gpu.Config, workers int) (Result, error) {
 	return RunWith(ctx, nil, w, s, cfgs, nil, workers)
 }
@@ -136,7 +135,7 @@ func RunWith(ctx context.Context, base *gpu.Simulator, w *trace.Workload, s *sub
 		}
 	}
 	if parentNs == nil {
-		parents, err := priceParents(ctx, base, w, cfgs, workers)
+		parents, err := PriceGrid(ctx, base, w, cfgs, workers)
 		if err != nil {
 			return Result{}, err
 		}

@@ -178,10 +178,11 @@ func TestMemSweepShapesDiffer(t *testing.T) {
 
 // TestPricingDeterministicAcrossPathsAndWorkers: the parent priced on a
 // grid in one PriceGrid pass with its frames on 1, 2 or 3 goroutines,
-// and one cached PriceConfig per config, cold and then read back from
-// disk by a fresh cache, is the same bits on every path, and each
-// config's Totals.TotalNs is its TotalNs. So a cached and a cache-free
-// sweep hand the power model and the shard manifests the same totals.
+// and one PriceConfig per config through cache.GetOrCompute under
+// PriceKey, cold and then read back from disk by a fresh cache, is the
+// same bits on every path, and each config's Totals.TotalNs is its
+// TotalNs. So a cached and a cache-free sweep hand the power model and
+// the shard manifests the same totals.
 func TestPricingDeterministicAcrossPathsAndWorkers(t *testing.T) {
 	w, _ := sweepGame(t)
 	cfgs := Grid(gpu.BaseConfig(), []float64{0.6, 1.4}, []float64{0.8, 1.2})
@@ -226,10 +227,14 @@ func TestPricingDeterministicAcrossPathsAndWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := cache.WithWorkload(context.Background(), c, w.Fingerprint())
+		ctx, fp := context.Background(), w.Fingerprint()
 		got := make([]PricedParent, len(cfgs))
 		for i, cfg := range cfgs {
-			if _, got[i], err = PriceConfig(ctx, base, w, cfg, i, len(cfgs)); err != nil {
+			got[i], err = cache.GetOrCompute(ctx, c, PriceKey(fp, cfg), func() (PricedParent, error) {
+				_, p, err := PriceConfig(ctx, base, w, cfg, i, len(cfgs))
+				return p, err
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 		}

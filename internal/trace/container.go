@@ -130,6 +130,16 @@ func (s *recordScanner) discard(n int) {
 	s.off += int64(n)
 }
 
+// cut is the cause of a record cut short: why, and the source's own
+// error when a failing source (a body cap, an I/O error), not the end
+// of input, cut it, so a strict read reports what a lenient one does.
+func (s *recordScanner) cut(why error) error {
+	if s.rerr == nil || errors.Is(s.rerr, io.EOF) {
+		return why
+	}
+	return fmt.Errorf("%v: %w", why, s.rerr)
+}
+
 // next extracts one record. The payload aliases the scanner's window
 // and is valid until the next call. It returns io.EOF at a clean end
 // of input. In lenient mode, bytes skipped while regaining record lock
@@ -158,7 +168,7 @@ func (s *recordScanner) next(lenient bool, diag *traceerr.Diagnostics) (byte, []
 			if !lenient {
 				return 0, nil, &traceerr.RecordError{
 					Kind: traceerr.ErrTruncated, Record: -1, Frame: -1, Offset: s.off,
-					Cause: fmt.Errorf("%d trailing bytes, record header needs %d", len(s.buf), recHeaderLen),
+					Cause: s.cut(fmt.Errorf("%d trailing bytes, record header needs %d", len(s.buf), recHeaderLen)),
 				}
 			}
 			skip(len(s.buf))
@@ -202,7 +212,7 @@ func (s *recordScanner) next(lenient bool, diag *traceerr.Diagnostics) (byte, []
 			if !lenient {
 				return 0, nil, &traceerr.RecordError{
 					Kind: traceerr.ErrTruncated, Record: -1, Frame: -1, Offset: s.off,
-					Cause: fmt.Errorf("record needs %d bytes, %d remain", total, len(s.buf)),
+					Cause: s.cut(fmt.Errorf("record needs %d bytes, %d remain", total, len(s.buf))),
 				}
 			}
 			skip(1)

@@ -2,12 +2,15 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/trace"
+	"repro/internal/traceerr"
 	"repro/internal/tracetest"
 )
 
@@ -110,6 +113,42 @@ func TestStreamDecoderValidatesFrames(t *testing.T) {
 	}
 	if _, err := dec.NextFrame(); err == nil {
 		t.Fatal("corrupt frame 1 accepted")
+	}
+}
+
+// TestReadKeepsSourceError: a record cut short because its source
+// failed (a body cap, an I/O error), not because the input ended, fails
+// a strict read as it fails a lenient one, with the source's error in
+// the chain, whether the cut falls in the record's header or in its
+// payload. Cut at the end of input, a strict read still reports the
+// record as truncated.
+func TestReadKeepsSourceError(t *testing.T) {
+	var buf bytes.Buffer
+	if err := tracetest.Tiny().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// Walk the records (13-byte header: sync, kind, length, CRC) to the
+	// start of the last one.
+	last := 5 // past the magic and the version byte
+	for {
+		next := last + 13 + int(binary.LittleEndian.Uint32(data[last+5:]))
+		if next >= len(data) {
+			break
+		}
+		last = next
+	}
+	errSource := errors.New("source failed")
+	for name, n := range map[string]int{"in a record header": last + 6, "in a payload": last + 20} {
+		for _, lenient := range []bool{false, true} {
+			src := io.MultiReader(bytes.NewReader(data[:n]), iotest.ErrReader(errSource))
+			if _, _, err := trace.ReadStream(src, trace.ReaderOptions{Lenient: lenient}); !errors.Is(err, errSource) {
+				t.Errorf("cut %s, lenient=%v: err = %v, want the source's error", name, lenient, err)
+			}
+		}
+		if _, _, err := trace.ReadStream(bytes.NewReader(data[:n]), trace.ReaderOptions{}); !errors.Is(err, traceerr.ErrTruncated) {
+			t.Errorf("cut %s at the end of input: err = %v, want ErrTruncated", name, err)
+		}
 	}
 }
 
