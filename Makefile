@@ -44,22 +44,26 @@ test:
 test-nofma:
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./...
 
-# fma-check cross-compiles internal/dcmath with -S for the four
-# architectures whose Go compilers fuse x*y + z into one rounding
-# (arm64, ppc64le, s390x, riscv64) and fails on any fused multiply-add
-# in the listing: a fused product skips a rounding, so the package
-# would return other bits there than on amd64. An explicit float64()
-# on a product that feeds a sum stops the fusion. It needs no emulator.
+# fma-check cross-compiles internal/dcmath and internal/gpu (the
+# pricing kernel) with -S for the four architectures whose Go
+# compilers fuse x*y + z into one rounding (arm64, ppc64le, s390x,
+# riscv64) and fails on any fused multiply-add in the listing: a fused
+# product skips a rounding, so the package would return other bits
+# there than on amd64. An explicit float64() on a product that feeds a
+# sum stops the fusion. It needs no emulator.
 FMA_ARCHS = arm64 ppc64le s390x riscv64
+FMA_PKGS = internal/dcmath internal/gpu
 
 fma-check:
 	@fail=0; \
 	for arch in $(FMA_ARCHS); do \
-		asm=$$(GOARCH=$$arch $(GO) build -o /dev/null -gcflags='repro/internal/dcmath=-S' ./internal/dcmath 2>&1) || { echo "$$asm"; exit 1; }; \
-		fused=$$(printf '%s\n' "$$asm" | grep -E '\bF(N)?M(ADD|SUB)[A-Z]*\b' | awk '{ print "  " $$3, $$4 }'); \
-		n=$$(printf '%s' "$$fused" | grep -c . || true); \
-		echo "$$arch: $$n fused multiply-adds in internal/dcmath"; \
-		if [ "$$n" -ne 0 ]; then printf '%s\n' "$$fused"; fail=1; fi; \
+		for pkg in $(FMA_PKGS); do \
+			asm=$$(GOARCH=$$arch $(GO) build -o /dev/null -gcflags="repro/$$pkg=-S" ./$$pkg 2>&1) || { echo "$$asm"; exit 1; }; \
+			fused=$$(printf '%s\n' "$$asm" | grep -E '\bF(N)?M(ADD|SUB)[A-Z]*\b' | awk '{ print "  " $$3, $$4 }'); \
+			n=$$(printf '%s' "$$fused" | grep -c . || true); \
+			echo "$$arch: $$n fused multiply-adds in $$pkg"; \
+			if [ "$$n" -ne 0 ]; then printf '%s\n' "$$fused"; fail=1; fi; \
+		done; \
 	done; \
 	exit $$fail
 

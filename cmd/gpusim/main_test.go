@@ -237,7 +237,9 @@ func TestTraceLenientResyncsDamage(t *testing.T) {
 // TestGridManifestAttributesSetUp: a grid sweep's manifest records its
 // set-up, the input's digest, the fingerprint and the base simulator,
 // as spans beside the decode and the pricing pass, so none of it falls
-// outside the tree.
+// outside the tree. The cache-free grid hashes the workload beside its
+// pricing; its -sweep-out must be the bytes of a -cache-dir run, which
+// hashes before its first lookup.
 func TestGridManifestAttributesSetUp(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
@@ -245,8 +247,26 @@ func TestGridManifestAttributesSetUp(t *testing.T) {
 	cfg.gridCore = "0.6,1.0,1.4,1.8"
 	cfg.gridMem = "0.75,1.0,1.25,1.5"
 	cfg.manifest = filepath.Join(dir, "run.json")
+	cfg.sweepOut = filepath.Join(dir, "free.json")
 	if err := execute(context.Background(), cfg); err != nil {
 		t.Fatal(err)
+	}
+	cached := cfg
+	cached.out = &bytes.Buffer{}
+	cached.manifest = ""
+	cached.cacheDir = filepath.Join(dir, "cache")
+	cached.sweepOut = filepath.Join(dir, "cached.json")
+	if err := execute(context.Background(), cached); err != nil {
+		t.Fatal(err)
+	}
+	free, err := os.ReadFile(cfg.sweepOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := os.ReadFile(cached.sweepOut); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(free, want) {
+		t.Errorf("cache-free -sweep-out differs from the -cache-dir run's:\n%s\nwant:\n%s", free, want)
 	}
 	data, err := os.ReadFile(cfg.manifest)
 	if err != nil {

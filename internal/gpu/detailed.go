@@ -63,7 +63,7 @@ func (s *Simulator) DetailedTexTraffic(d *trace.DrawCall, maxSamples int) (Detai
 	seed := uint64(d.VS)<<40 ^ uint64(d.PS)<<20 ^ uint64(d.VertexCount) ^ uint64(d.MaterialID)<<8
 	rng := dcmath.NewRNG(seed)
 
-	wsTexels := uint64(ws / texelBytes)
+	wsTexels := uint64(float64(ws / texelBytes))
 	if wsTexels == 0 {
 		wsTexels = 1
 	}

@@ -84,7 +84,7 @@ func (tb *tables) terms(d *trace.DrawCall, t *drawTerms) {
 	t.prims = float64(d.TotalPrimitives())
 	t.vsWork = t.verts * vsPC.clocksPerElem
 	covered := d.CoverageFrac * tb.rtPixels[d.RT]
-	t.shaded = covered * d.Overdraw
+	t.shaded = float64(covered * d.Overdraw)
 	t.psWork = t.shaded * psPC.clocksPerElem
 	t.ropPixels = t.shaded
 	if d.BlendEnable {
@@ -112,13 +112,13 @@ func (tb *tables) terms(d *trace.DrawCall, t *drawTerms) {
 			t.ws = maxWS
 		}
 	}
-	t.rtBytes = covered * tb.rtBPP[d.RT]
+	t.rtBytes = float64(covered * tb.rtBPP[d.RT])
 	if d.BlendEnable {
 		t.rtBytes *= 2 // destination read + write
 	}
 	t.depthBytes = 0
 	if d.DepthEnable && tb.rtDepth[d.RT] {
-		t.depthBytes = t.shaded * 4 * 2 // 32-bit Z read + write
+		t.depthBytes = float64(t.shaded*4) * 2 // 32-bit Z read + write
 	}
 	t.noiseZ = drawNoiseZ(d)
 }
@@ -162,21 +162,29 @@ func (cfg *Config) arch(t *drawTerms, tex *texTraffic, dc *DrawCost) {
 }
 
 // clock is the clock half of pricing: it times a draw of the given
-// core cycles and DRAM traffic on cfg — compute and memory time, their
-// partially overlapped combination plus the draw overhead, and the
-// noise factor for the draw's drawNoiseZ z. memoryBound reports which
-// domain dominated.
+// core cycles and DRAM traffic on cfg — compute and memory time, then
+// their combination (combine). memoryBound reports which domain
+// dominated. The kernel makes the same two divisions once per column
+// (FramePricer) and then calls combine, so every path shares one
+// formula.
 func (cfg *Config) clock(cycles, traffic, z float64) (computeNs, memoryNs, totalNs float64, memoryBound bool) {
 	computeNs = cycles / cfg.CoreClockGHz
 	memoryNs = traffic / cfg.bandwidth() // GB/s == bytes/ns
+	totalNs, memoryBound = cfg.combine(computeNs, memoryNs, z)
+	return computeNs, memoryNs, totalNs, memoryBound
+}
 
+// combine is the rest of the clock half: the partially overlapped
+// combination of a draw's compute and memory time plus the draw
+// overhead, scaled by the noise factor for the draw's drawNoiseZ z.
+func (cfg *Config) combine(computeNs, memoryNs, z float64) (totalNs float64, memoryBound bool) {
 	// Bottleneck combination with partial overlap.
 	tc, tm := computeNs, memoryNs
 	if tm > tc {
 		memoryBound = true
 		tc, tm = tm, tc
 	}
-	totalNs = tc + cfg.OverlapBeta*tm + cfg.DrawOverheadNs
+	totalNs = tc + float64(cfg.OverlapBeta*tm) + cfg.DrawOverheadNs
 	if cfg.NoiseAmp > 0 {
 		sigma := cfg.NoiseAmp * math.Sqrt(cfg.NoiseRefNs/totalNs)
 		if sigma > 0.5 {
@@ -184,7 +192,7 @@ func (cfg *Config) clock(cycles, traffic, z float64) (computeNs, memoryNs, total
 		}
 		totalNs *= dcmath.Exp(sigma * z)
 	}
-	return computeNs, memoryNs, totalNs, memoryBound
+	return totalNs, memoryBound
 }
 
 // finalize times dc on cfg from its CoreCycles and traffic fields
@@ -206,35 +214,43 @@ func (s *Simulator) price(d *trace.DrawCall, t *drawTerms, dc *DrawCost) {
 	s.cfg.finalize(dc, t.noiseZ)
 }
 
-// clockFrame runs cfg's clock half over one frame's draws, given each
-// draw's core cycles and traffic on cfg's architecture class and its
-// noise z. It returns the frame's Totals, every field summed in draw
-// order; the frame's time is their TotalNs.
-func (cfg *Config) clockFrame(cycles, traffic, z []float64) (tot Totals) {
-	traffic, z = traffic[:len(cycles)], z[:len(cycles)]
-	for di, cyc := range cycles {
-		computeNs, memoryNs, totalNs, _ := cfg.clock(cyc, traffic[di], z[di])
-		tot.TotalNs += totalNs
-		tot.ComputeNs += computeNs
-		tot.MemoryNs += memoryNs
-		tot.TrafficBytes += traffic[di]
+// clockFrame runs the rest of cfg's clock half (combine) over one
+// frame's draws, given each draw's compute and memory time on cfg and
+// its noise z, and returns the frame's time: the draws' TotalNs summed
+// in draw order.
+func (cfg *Config) clockFrame(computeNs, memoryNs, z []float64) (frameNs float64) {
+	memoryNs, z = memoryNs[:len(computeNs)], z[:len(computeNs)]
+	for di, cn := range computeNs {
+		totalNs, _ := cfg.combine(cn, memoryNs[di], z[di])
+		frameNs += totalNs
 	}
-	return tot
+	return frameNs
 }
 
-// clockDraws is clockFrame for a column whose per-draw times are
-// wanted instead of its Totals: it writes each draw's time into drawNs
-// and returns the frame's time. It is a loop of its own so that the
-// Totals loop, the inner loop of every grid, carries no per-draw
-// branch or store.
-func (cfg *Config) clockDraws(cycles, traffic, z, drawNs []float64) (frameNs float64) {
-	traffic, z, drawNs = traffic[:len(cycles)], z[:len(cycles)], drawNs[:len(cycles)]
-	for di, cyc := range cycles {
-		_, _, totalNs, _ := cfg.clock(cyc, traffic[di], z[di])
+// clockDraws is clockFrame that also writes each draw's time into
+// drawNs. It is a loop of its own so that clockFrame, the inner loop
+// of every grid, carries no per-draw branch or store.
+func (cfg *Config) clockDraws(computeNs, memoryNs, z, drawNs []float64) (frameNs float64) {
+	memoryNs, z, drawNs = memoryNs[:len(computeNs)], z[:len(computeNs)], drawNs[:len(computeNs)]
+	for di, cn := range computeNs {
+		totalNs, _ := cfg.combine(cn, memoryNs[di], z[di])
 		frameNs += totalNs
 		drawNs[di] = totalNs
 	}
 	return frameNs
+}
+
+// divide sets dst[i] = src[i] / div, the clock half's division, and
+// returns the sums of src and of dst, each in order. dst may be src.
+func divide(dst, src []float64, div float64) (srcSum, dstSum float64) {
+	src = src[:len(dst)]
+	for i, x := range src {
+		q := x / div
+		dst[i] = q
+		srcSum += x
+		dstSum += q
+	}
+	return srcSum, dstSum
 }
 
 // FramePricer is the per-frame pricing kernel: it prices one frame of
@@ -242,9 +258,12 @@ func (cfg *Config) clockDraws(cycles, traffic, z, drawNs []float64) (frameNs flo
 // differ only in Name and clocks form one architecture class. Per
 // frame, each draw's config-independent terms are computed once, its
 // texture traffic once per distinct cache geometry, and its core
-// cycles and traffic (arch) once per class, into frame-sized scratch;
-// then, per config, the clock half runs over the frame's draws in
-// draw order.
+// cycles and traffic (arch) once per class, into frame-sized scratch.
+// Then the clock half's two divisions run once per column: a compute
+// column divides a class's cycles by one of its distinct core clocks,
+// a memory column its traffic by one of its distinct bandwidths. Last,
+// per config, the rest of the clock half (combine) runs over the
+// frame's draws in draw order, reading the config's two columns.
 //
 // A FramePricer is read-only once built, so frames may be priced
 // concurrently, each goroutine with its own FrameScratch.
@@ -253,23 +272,40 @@ type FramePricer struct {
 	cfgs    []Config
 	geoms   []geometry
 	classes []priceClass
-	classOf []int // per config: its class
+	cols    []column    // in the order found; Price divides them in reverse
+	uses    []configUse // per config
+	slots   int         // frame-sized scratch slots: two per class, one per column that does not divide in place
 }
 
 type geometry struct{ cacheBytes, lineB int }
 
 type priceClass struct {
-	cfg  *Config // the first config of the class
-	geom int
+	cfg             *Config // the first config of the class
+	geom            int
+	cycles, traffic int // scratch slots arch fills
 }
+
+// A column divides the draws in scratch slot src by div into slot dst.
+// A slot's first column divides it in place; the others, found after
+// it, run before it and write slots of their own.
+type column struct {
+	src, dst int
+	div      float64
+}
+
+// configUse is where a config's clock half reads: its compute and
+// memory columns' slots and its class's traffic slot.
+type configUse struct{ compute, memory, traffic int }
 
 // FrameScratch is one goroutine's working memory for
 // FramePricer.Price. The zero value is ready; it grows to the largest
 // frame priced through it.
 type FrameScratch struct {
-	cycles, traffic []float64 // per class and draw, class-major
-	noiseZ          []float64 // per draw
-	tex             []texTraffic
+	slots  []float64 // per slot and draw, slot-major
+	sums   []float64 // per slot: its column's sum over the frame's draws, in draw order
+	raw    []float64 // per slot: its sum before division, in draw order
+	noiseZ []float64 // per draw
+	tex    []texTraffic
 }
 
 func growTo(buf []float64, n int) []float64 {
@@ -279,12 +315,13 @@ func growTo(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// grow sizes sc for a frame of n draws on p's classes and geometries.
+// grow sizes sc for a frame of n draws on p's columns and geometries.
 // Sized once for a workload's largest frame, it prices every frame
 // without allocating.
 func (sc *FrameScratch) grow(p *FramePricer, n int) {
-	sc.cycles = growTo(sc.cycles, len(p.classes)*n)
-	sc.traffic = growTo(sc.traffic, len(p.classes)*n)
+	sc.slots = growTo(sc.slots, p.slots*n)
+	sc.sums = growTo(sc.sums, p.slots)
+	sc.raw = growTo(sc.raw, p.slots)
 	sc.noiseZ = growTo(sc.noiseZ, n)
 	if len(sc.tex) < len(p.geoms) {
 		sc.tex = make([]texTraffic, len(p.geoms))
@@ -292,14 +329,36 @@ func (sc *FrameScratch) grow(p *FramePricer, n int) {
 }
 
 // NewFramePricer validates cfgs and groups them into architecture
-// classes and cache geometries. The pricer keeps its own copy of cfgs.
+// classes, cache geometries and columns. The pricer keeps its own copy
+// of cfgs.
 func (s *Simulator) NewFramePricer(cfgs []Config) (*FramePricer, error) {
 	cfgs = slices.Clone(cfgs)
-	p := &FramePricer{t: s.t, cfgs: cfgs, classOf: make([]int, len(cfgs))}
+	p := &FramePricer{t: s.t, cfgs: cfgs, uses: make([]configUse, len(cfgs))}
 	geomIndex := map[geometry]int{}
 	// A class key is the config with Name and clocks cleared; Validate
 	// keeps NaN, which is unequal to itself, out of the keys.
 	classIndex := map[Config]int{}
+	// columnOf returns the slot of the column that divides slot src by
+	// div, adding the column if it is new. The source slot names the
+	// class, and the divisor is compared by value: two memory clocks
+	// whose bandwidths round to one number share a column, since their
+	// divisions have equal operands.
+	columnOf := func(src int, div float64) int {
+		inPlace := true
+		for _, c := range p.cols {
+			if c.src == src && c.div == div {
+				return c.dst
+			}
+			inPlace = inPlace && c.src != src
+		}
+		col := column{src: src, dst: src, div: div}
+		if !inPlace {
+			col.dst = p.slots
+			p.slots++
+		}
+		p.cols = append(p.cols, col)
+		return col.dst
+	}
 	for c := range cfgs {
 		cfg := &cfgs[c]
 		if err := cfg.Validate(); err != nil {
@@ -318,9 +377,15 @@ func (s *Simulator) NewFramePricer(cfgs []Config) (*FramePricer, error) {
 			}
 			k = len(p.classes)
 			classIndex[key] = k
-			p.classes = append(p.classes, priceClass{cfg: cfg, geom: gi})
+			p.classes = append(p.classes, priceClass{cfg: cfg, geom: gi, cycles: p.slots, traffic: p.slots + 1})
+			p.slots += 2
 		}
-		p.classOf[c] = k
+		cl := &p.classes[k]
+		p.uses[c] = configUse{
+			compute: columnOf(cl.cycles, cfg.CoreClockGHz),
+			memory:  columnOf(cl.traffic, cfg.bandwidth()),
+			traffic: cl.traffic,
+		}
 	}
 	return p, nil
 }
@@ -332,8 +397,9 @@ func (s *Simulator) NewFramePricer(cfgs []Config) (*FramePricer, error) {
 // field summed in draw order, so tot[c].TotalNs is frameNs[c]. A
 // non-nil drawNs[c] receives config c's per-draw TotalNs instead, each
 // bit-identical to DrawNs on a simulator for config c: both run terms,
-// arch and clock on the same operands in the same order. No caller
-// needs both for one config, so such a config's tot[c] is not written.
+// arch and the clock half on the same operands in the same order. No
+// caller needs both for one config, so such a config's tot[c] is not
+// written.
 //
 // Price panics on dangling VS/PS/RT/texture references, as DrawCost
 // does.
@@ -341,7 +407,8 @@ func (p *FramePricer) Price(f *trace.Frame, sc *FrameScratch, frameNs []float64,
 	draws := f.Draws
 	n := len(draws)
 	sc.grow(p, n)
-	cycles, traffic, noiseZ, tex := sc.cycles, sc.traffic, sc.noiseZ, sc.tex
+	slots, noiseZ, tex := sc.slots, sc.noiseZ, sc.tex
+	slot := func(i int) []float64 { return slots[i*n : (i+1)*n] }
 	var t drawTerms
 	var dc DrawCost
 	for di := range draws {
@@ -350,23 +417,27 @@ func (p *FramePricer) Price(f *trace.Frame, sc *FrameScratch, frameNs []float64,
 			tex[g] = t.texTraffic(p.geoms[g].cacheBytes, p.geoms[g].lineB)
 		}
 		for k := range p.classes {
-			p.classes[k].cfg.arch(&t, &tex[p.classes[k].geom], &dc)
-			cycles[k*n+di] = dc.CoreCycles
-			traffic[k*n+di] = dc.traffic()
+			cl := &p.classes[k]
+			cl.cfg.arch(&t, &tex[cl.geom], &dc)
+			slots[cl.cycles*n+di] = dc.CoreCycles
+			slots[cl.traffic*n+di] = dc.traffic()
 		}
 		noiseZ[di] = t.noiseZ
 	}
+	for i := len(p.cols) - 1; i >= 0; i-- {
+		col := &p.cols[i]
+		sc.raw[col.src], sc.sums[col.dst] = divide(slot(col.dst), slot(col.src), col.div)
+	}
 	for c := range p.cfgs {
-		off := p.classOf[c] * n
-		cy, tr := cycles[off:off+n], traffic[off:off+n]
+		u := &p.uses[c]
+		cn, mn := slot(u.compute), slot(u.memory)
 		if drawNs != nil && drawNs[c] != nil {
-			frameNs[c] = p.cfgs[c].clockDraws(cy, tr, noiseZ, drawNs[c])
+			frameNs[c] = p.cfgs[c].clockDraws(cn, mn, noiseZ, drawNs[c])
 			continue
 		}
-		ft := p.cfgs[c].clockFrame(cy, tr, noiseZ)
-		frameNs[c] = ft.TotalNs
+		frameNs[c] = p.cfgs[c].clockFrame(cn, mn, noiseZ)
 		if tot != nil {
-			tot[c] = ft
+			tot[c] = Totals{TotalNs: frameNs[c], ComputeNs: sc.sums[u.compute], MemoryNs: sc.sums[u.memory], TrafficBytes: sc.raw[u.traffic]}
 		}
 	}
 }

@@ -209,6 +209,91 @@ func TestFramePricerDrawColumnsEqualDrawNs(t *testing.T) {
 	}
 }
 
+// bandwidthTwins returns two adjacent memory clocks near m whose
+// bandwidths on cfg round to one number.
+func bandwidthTwins(t *testing.T, cfg gpu.Config, m float64) (float64, float64) {
+	t.Helper()
+	a := m
+	for range 1000 {
+		b := math.Nextafter(a, math.Inf(1))
+		if cfg.WithMemClock(a).BandwidthGBs() == cfg.WithMemClock(b).BandwidthGBs() {
+			return a, b
+		}
+		a = b
+	}
+	t.Fatalf("no two adjacent memory clocks above %v share a bandwidth", m)
+	return 0, 0
+}
+
+// TestFramePricerColumnsPerClassAndDivisor prices, in one pass, two
+// architecture classes on the same clocks (a BaseConfig family and a
+// LowPowerConfig family, each with repeated core clocks, repeated
+// memory clocks and two memory clocks whose bandwidths round to one
+// number) and a third class holding a single config. A column shared
+// across classes, or across configs whose divisors differ, would time
+// a config on another's cycles, traffic or clock. Each config's
+// PricedRun must equal the frozen reference priced alone, at 1, 2 and
+// 3 workers, and each per-draw column DrawNs.
+func TestFramePricerColumnsPerClassAndDivisor(t *testing.T) {
+	twinA, twinB := bandwidthTwins(t, gpu.BaseConfig(), 1.5)
+	var cfgs []gpu.Config
+	for _, family := range []gpu.Config{gpu.BaseConfig(), gpu.LowPowerConfig()} {
+		cfgs = append(cfgs, sweep.Grid(family, []float64{0.6, 1.0, 1.4}, []float64{0.75, 1.0})...)
+		cfgs = append(cfgs, family.WithMemClock(twinA), family.WithMemClock(twinB))
+	}
+	cfgs = append(cfgs, gpu.EnthusiastConfig().WithCoreClock(1.0))
+	for _, p := range diffProfiles() {
+		w, err := tracetest.CachedWorkload(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := gpu.NewSimulator(cfgs[0], w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			runs, err := base.PriceGrid(context.Background(), cfgs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, cfg := range cfgs {
+				frameNs, totalNs, totals := gpu.NewReferenceSim(cfg, w).PriceParent()
+				got := runs[c]
+				if got.ConfigName != cfg.Name || !sameBits(got.FrameNs, frameNs) ||
+					!sameBits([]float64{got.TotalNs}, []float64{totalNs}) || !sameTotals(got.Totals, totals) {
+					t.Fatalf("%s workers %d config %d (%s): total %v totals %+v, reference %v %+v",
+						p.Name, workers, c, cfg.Name, got.TotalNs, got.Totals, totalNs, totals)
+				}
+			}
+		}
+		pricer, err := base.NewFramePricer(cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc gpu.FrameScratch
+		frameNs := make([]float64, len(cfgs))
+		drawNs := make([][]float64, len(cfgs))
+		for fi := range w.Frames {
+			f := &w.Frames[fi]
+			for c := range drawNs {
+				drawNs[c] = make([]float64, len(f.Draws))
+			}
+			pricer.Price(f, &sc, frameNs, nil, drawNs)
+			for c, cfg := range cfgs {
+				sim, err := base.WithConfig(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for di := range f.Draws {
+					if got, want := drawNs[c][di], sim.DrawNs(&f.Draws[di]); !sameBits([]float64{got}, []float64{want}) {
+						t.Fatalf("%s config %d (%s) frame %d draw %d: column %v, DrawNs %v", p.Name, c, cfg.Name, fi, di, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPriceGridChunkingsMatchReference prices a 9-config sweep through
 // sweep.PriceGrid with its frames claimed on 1, 2, 4 and 9 goroutines
 // and checks every config against the reference.

@@ -63,7 +63,7 @@ func (pm PowerModel) Validate() error {
 
 // VoltageRatio returns V(f)/V0 for a core clock in GHz.
 func (pm PowerModel) VoltageRatio(coreGHz float64) float64 {
-	v := 1 + pm.VSlope*(coreGHz-1)
+	v := 1 + float64(pm.VSlope*(coreGHz-1))
 	if v < pm.VMinRatio {
 		v = pm.VMinRatio
 	}
@@ -90,9 +90,9 @@ func (pm PowerModel) Energy(cfg Config, t Totals) Energy {
 	coreBusyS := t.ComputeNs * 1e-9
 	v := pm.VoltageRatio(cfg.CoreClockGHz)
 	var e Energy
-	e.CoreJ = pm.CoreDynW * cfg.CoreClockGHz * v * v * coreBusyS
-	e.MemJ = pm.MemPJPerByte * 1e-12 * t.TrafficBytes
-	e.IdleJ = pm.IdleW * wallS
+	e.CoreJ = float64(pm.CoreDynW * cfg.CoreClockGHz * v * v * coreBusyS)
+	e.MemJ = float64(pm.MemPJPerByte * 1e-12 * t.TrafficBytes)
+	e.IdleJ = float64(pm.IdleW * wallS)
 	e.TotalJ = e.CoreJ + e.MemJ + e.IdleJ
 	if wallS > 0 {
 		e.AvgW = e.TotalJ / wallS
@@ -113,10 +113,10 @@ type Totals struct {
 // Add folds a draw cost into the totals with the given weight (weight
 // 1 for plain simulation; cluster/phase weights for subsets).
 func (t *Totals) Add(dc DrawCost, weight float64) {
-	t.TotalNs += dc.TotalNs * weight
-	t.ComputeNs += dc.ComputeNs * weight
-	t.MemoryNs += dc.MemoryNs * weight
-	t.TrafficBytes += dc.TrafficBytes() * weight
+	t.TotalNs += float64(dc.TotalNs * weight)
+	t.ComputeNs += float64(dc.ComputeNs * weight)
+	t.MemoryNs += float64(dc.MemoryNs * weight)
+	t.TrafficBytes += float64(dc.TrafficBytes() * weight)
 }
 
 // DrawTotals returns the components the power model needs for one

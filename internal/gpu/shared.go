@@ -87,7 +87,7 @@ func (s *Simulator) replayShared(cache *TexCache, d *trace.DrawCall, samples flo
 			return 0, err
 		}
 		touched := float64(tex.Footprint()) * d.TexLocality
-		texels := uint64(touched / texelBytes)
+		texels := uint64(float64(touched / texelBytes))
 		if texels == 0 {
 			continue
 		}
@@ -103,7 +103,7 @@ func (s *Simulator) replayShared(cache *TexCache, d *trace.DrawCall, samples flo
 		scale := float64(maxT) / float64(totalTexels)
 		totalTexels = 0
 		for i := range regions {
-			regions[i].texels = uint64(float64(regions[i].texels) * scale)
+			regions[i].texels = uint64(float64(float64(regions[i].texels) * scale))
 			if regions[i].texels == 0 {
 				regions[i].texels = 1
 			}

@@ -147,7 +147,7 @@ func drawNoiseZ(d *trace.DrawCall) float64 {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
-		sum += float64(z>>11) / (1 << 53)
+		sum += float64(float64(z>>11) / (1 << 53))
 	}
 	// Irwin-Hall(4): mean 2, variance 1/3 -> standardize.
 	return (sum - 2) * math.Sqrt(3)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/parallel"
+	"repro/internal/sweep"
 	"repro/internal/traceerr"
 )
 
@@ -71,6 +72,10 @@ func classify(err error) (int, string) {
 	switch {
 	case errors.As(err, &ae):
 		return ae.status, ae.class
+	case errors.Is(err, sweep.ErrNotFinite):
+		// A clock the config check admits priced to a time no answer
+		// can carry: the client's clock, not the server.
+		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests, "overloaded"
 	case errors.Is(err, ErrDraining):

@@ -619,6 +619,11 @@ func TestQueryValidation(t *testing.T) {
 		{"negative core clock", "/v1/price", fmt.Sprintf(`{"workload":%q,"core_clock_ghz":-1}`, fp), http.StatusBadRequest, "core clock -1"},
 		{"negative mem clock", "/v1/price", fmt.Sprintf(`{"workload":%q,"mem_clock_ghz":-0.5}`, fp), http.StatusBadRequest, "mem clock -0.5"},
 		{"negative clock in a grid", "/v1/sweep", fmt.Sprintf(`{"workload":%q,"core_clocks":[1,-2]}`, fp), http.StatusBadRequest, "core clock -2"},
+		// Valid clocks whose price overflows to +Inf, which no JSON
+		// answer can carry.
+		{"subnormal core clock", "/v1/price", fmt.Sprintf(`{"workload":%q,"core_clock_ghz":1e-310}`, fp), http.StatusBadRequest, "core clock 1e-310"},
+		{"subnormal mem clock", "/v1/price", fmt.Sprintf(`{"workload":%q,"mem_clock_ghz":1e-310}`, fp), http.StatusBadRequest, "mem clock 1e-310"},
+		{"subnormal clock in a grid", "/v1/sweep", fmt.Sprintf(`{"workload":%q,"core_clocks":[1,1e-310]}`, fp), http.StatusBadRequest, "core clock 1e-310"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

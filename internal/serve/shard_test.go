@@ -83,11 +83,12 @@ func TestShardSweepRejectsBadRequests(t *testing.T) {
 	fp := upload(t, h, streamBody(t, tracetest.Tiny()))
 
 	for name, body := range map[string]string{
-		"bad spec":       fmt.Sprintf(`{"workload": %q, "shard": "0/2"}`, fp),
-		"missing spec":   fmt.Sprintf(`{"workload": %q}`, fp),
-		"unparseable":    fmt.Sprintf(`{"workload": %q, "shard": "a/b"}`, fp),
-		"oversized grid": fmt.Sprintf(`{"workload": %q, "shard": "1/2", "core_clocks": %s, "mem_clocks": %s}`, fp, bigList(64), bigList(64)),
-		"negative clock": fmt.Sprintf(`{"workload": %q, "shard": "1/2", "core_clocks": [1, -2]}`, fp),
+		"bad spec":        fmt.Sprintf(`{"workload": %q, "shard": "0/2"}`, fp),
+		"missing spec":    fmt.Sprintf(`{"workload": %q}`, fp),
+		"unparseable":     fmt.Sprintf(`{"workload": %q, "shard": "a/b"}`, fp),
+		"oversized grid":  fmt.Sprintf(`{"workload": %q, "shard": "1/2", "core_clocks": %s, "mem_clocks": %s}`, fp, bigList(64), bigList(64)),
+		"negative clock":  fmt.Sprintf(`{"workload": %q, "shard": "1/2", "core_clocks": [1, -2]}`, fp),
+		"subnormal clock": fmt.Sprintf(`{"workload": %q, "shard": "1/1", "core_clocks": [1, 1e-310]}`, fp),
 	} {
 		rec := do(h, "POST", "/v1/shard/sweep", []byte(body))
 		if rec.Code != http.StatusBadRequest {

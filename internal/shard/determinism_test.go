@@ -153,10 +153,10 @@ func TestKilledShardResumesByRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var owned []Task
+	var owned []gpu.Config
 	for _, task := range tasks {
 		if spec.Owns(task.Seq) {
-			owned = append(owned, task)
+			owned = append(owned, task.Config)
 		}
 	}
 	base, err := gpu.NewSimulator(cfgs[0], w)
@@ -166,7 +166,7 @@ func TestKilledShardResumesByRerun(t *testing.T) {
 	for k := 0; k <= len(owned); k++ {
 		cacheDir := t.TempDir()
 		killed := newDiskCache(t, cacheDir)
-		if _, _, err := priceTasks(context.Background(), killed, base, w, owned[:k]); err != nil {
+		if _, _, err := priceTasks(context.Background(), killed, base, w, w.Fingerprint, owned[:k]); err != nil {
 			t.Fatal(err)
 		}
 		killed.Flush()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/gpu"
@@ -214,59 +215,60 @@ func Merge(ms []*Manifest) (*RunManifest, error) {
 // it is also gpusim's single-process sweep mode. It prices through the
 // same priceTasks as RunShard, so sequential and sharded runs read and
 // write the same entries of one cache.
+//
+// The workload's fingerprint is needed only for the cache keys, before
+// the first lookup, and for the plan after pricing, so it is hashed on
+// a goroutine of its own beside the simulator's build and, without a
+// cache, beside the pricing. The goroutine is joined on every return.
 func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu.Config) (*RunManifest, error) {
-	fp := fingerprint(ctx, w)
-	tasks, grid, err := Plan(fp, cfgs)
-	if err != nil {
-		return nil, err
+	if len(cfgs) == 0 {
+		return nil, errEmptyGrid
 	}
+	hashed := make(chan trace.Fingerprint, 1)
+	go func() { hashed <- fingerprint(ctx, w) }()
+	fp := sync.OnceValue(func() trace.Fingerprint { return <-hashed })
+	defer fp()
 	base, err := newSimulator(ctx, cfgs[0], w)
 	if err != nil {
 		return nil, err
 	}
-	entries, _, err := priceTasks(ctx, c, base, w, tasks)
+	priced, _, err := priceTasks(ctx, c, base, w, fp, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	return foldRun(fp, grid, len(tasks), entries)
+	tasks, grid, err := Plan(fp(), cfgs)
+	if err != nil {
+		return nil, err
+	}
+	return foldRun(fp(), grid, len(tasks), newEntries(tasks, priced))
 }
 
-// priceTasks prices tasks and returns their entries in task order and
-// the number of tasks it priced rather than read from c.
+// priceTasks prices the parent on cfgs and returns the priced parents
+// in order and the number it priced rather than read from c.
 //
-// Without a cache it prices every task in one sweep.PriceGrid pass,
-// its frames claimed on GOMAXPROCS goroutines. With one, each task is
-// one cache entry, resolved by one cache.GetOrCompute on this
-// goroutine whose compute is sweep.PriceConfig: an entry is stored as
-// soon as its config is priced, which is what a rerun after a crash
-// resumes from.
-func priceTasks(ctx context.Context, c *cache.Cache, base *gpu.Simulator, w *trace.Workload, tasks []Task) ([]Entry, int, error) {
-	var entries []Entry // nil for a shard that owns no task
+// Without a cache it prices every config in one sweep.PriceGrid pass,
+// its frames claimed on GOMAXPROCS goroutines, and never calls fp.
+// With one, each config is one cache entry under sweep.PriceKey(fp(),
+// cfg), resolved by one cache.GetOrCompute on this goroutine whose
+// compute is sweep.PriceConfig: an entry is stored as soon as its
+// config is priced, which is what a rerun after a crash resumes from.
+func priceTasks(ctx context.Context, c *cache.Cache, base *gpu.Simulator, w *trace.Workload, fp func() trace.Fingerprint, cfgs []gpu.Config) ([]sweep.PricedParent, int, error) {
 	if c == nil {
-		cfgs := make([]gpu.Config, len(tasks))
-		for i, t := range tasks {
-			cfgs[i] = t.Config
-		}
-		parents, err := sweep.PriceGrid(ctx, base, w, cfgs, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		for i, t := range tasks {
-			entries = append(entries, newEntry(t, parents[i]))
-		}
-		return entries, len(tasks), nil
+		priced, err := sweep.PriceGrid(ctx, base, w, cfgs, 0)
+		return priced, len(cfgs), err
 	}
+	priced := make([]sweep.PricedParent, len(cfgs))
 	computed := 0
-	for i, t := range tasks {
-		priced, err := cache.GetOrCompute(ctx, c, t.Key, func() (sweep.PricedParent, error) {
+	for i, cfg := range cfgs {
+		var err error
+		priced[i], err = cache.GetOrCompute(ctx, c, sweep.PriceKey(fp(), cfg), func() (sweep.PricedParent, error) {
 			computed++
-			_, p, err := sweep.PriceConfig(ctx, base, w, t.Config, i, len(tasks))
+			_, p, err := sweep.PriceConfig(ctx, base, w, cfg, i, len(cfgs))
 			return p, err
 		})
 		if err != nil {
 			return nil, 0, err
 		}
-		entries = append(entries, newEntry(t, priced))
 	}
-	return entries, computed, nil
+	return priced, computed, nil
 }

@@ -24,6 +24,7 @@ package shard
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -93,6 +94,8 @@ type Task struct {
 	Key    cache.Key
 }
 
+var errEmptyGrid = errors.New("shard: empty config grid")
+
 // GridDigest fingerprints a config grid: the count and every config's
 // cost-model fingerprint, in grid order. Manifests carry it so a merge
 // can refuse to mix shards of different sweeps (or differently ordered
@@ -107,7 +110,7 @@ func (g GridDigest) String() string { return fmt.Sprintf("%x", g[:]) }
 // validation — derives its view of the sweep from this one function.
 func Plan(fp trace.Fingerprint, cfgs []gpu.Config) ([]Task, GridDigest, error) {
 	if len(cfgs) == 0 {
-		return nil, GridDigest{}, fmt.Errorf("shard: empty config grid")
+		return nil, GridDigest{}, errEmptyGrid
 	}
 	h := sha256.New()
 	var buf [8]byte

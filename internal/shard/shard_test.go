@@ -1,8 +1,12 @@
 package shard
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/gpu"
 	"repro/internal/sweep"
@@ -145,5 +149,40 @@ func TestPlanRejectsEmptyGrid(t *testing.T) {
 	w := testWorkload(t, 7)
 	if _, _, err := Plan(w.Fingerprint(), nil); err == nil {
 		t.Fatal("Plan accepted an empty grid")
+	}
+}
+
+// TestRunSequentialLeavesNoGoroutine: a cache-free RunSequential hashes
+// the workload on a goroutine of its own beside the pricing. An empty
+// grid still fails first, an invalid workload and a canceled context
+// return their errors, and after each the goroutine count is back
+// where it started.
+func TestRunSequentialLeavesNoGoroutine(t *testing.T) {
+	w := testWorkload(t, 7)
+	invalid := tracetest.Tiny()
+	invalid.Frames[1].Draws[0].VS = 999
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		w    *trace.Workload
+		cfgs []gpu.Config
+		ok   func(error) bool
+	}{
+		{"empty grid", context.Background(), w, nil, func(err error) bool { return err.Error() == "shard: empty config grid" }},
+		{"invalid workload", context.Background(), invalid, testGrid(2, 2), func(err error) bool { return strings.Contains(err.Error(), "999") }},
+		{"canceled", canceled, w, testGrid(2, 2), func(err error) bool { return errors.Is(err, context.Canceled) }},
+	} {
+		rm, err := RunSequential(tc.ctx, nil, tc.w, tc.cfgs)
+		if rm != nil || err == nil || !tc.ok(err) {
+			t.Errorf("%s: manifest %v, error %v", tc.name, rm != nil, err)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before the call", tc.name, runtime.NumGoroutine(), start)
+			}
+		}
 	}
 }

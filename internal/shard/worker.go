@@ -44,15 +44,18 @@ func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, fp trace.F
 		return nil, WorkerStats{}, err
 	}
 	var owned []Task
+	var ownedCfgs []gpu.Config
 	for _, t := range tasks {
 		if spec.Owns(t.Seq) {
 			owned = append(owned, t)
+			ownedCfgs = append(ownedCfgs, t.Config)
 		}
 	}
-	entries, computed, err := priceTasks(ctx, c, base, w, owned)
+	priced, computed, err := priceTasks(ctx, c, base, w, func() trace.Fingerprint { return fp }, ownedCfgs)
 	if err != nil {
 		return nil, WorkerStats{}, err
 	}
+	entries := newEntries(owned, priced)
 	stats := WorkerStats{Owned: len(owned), Computed: computed, CacheHits: len(owned) - computed}
 	sp.AddItems(int64(stats.Owned))
 	mtr := obs.RunFromContext(ctx).Metrics()
@@ -83,17 +86,22 @@ func newSimulator(ctx context.Context, cfg gpu.Config, w *trace.Workload) (*gpu.
 	return gpu.NewSimulator(cfg, w)
 }
 
-// newEntry records task t's priced parent as a manifest entry.
-func newEntry(t Task, priced sweep.PricedParent) Entry {
-	return Entry{
-		Seq:          t.Seq,
-		CoreClockGHz: t.Config.CoreClockGHz,
-		MemClockGHz:  t.Config.MemClockGHz,
-		ConfigFP:     t.Config.Fingerprint(),
-		Key:          t.Key,
-		Frames:       len(priced.FrameNs),
-		FrameDigest:  frameDigest(priced.FrameNs),
-		TotalNs:      priced.TotalNs,
-		Totals:       priced.Totals,
+// newEntries records each task's priced parent as a manifest entry,
+// in task order; nil for no task.
+func newEntries(tasks []Task, priced []sweep.PricedParent) []Entry {
+	var entries []Entry
+	for i, t := range tasks {
+		entries = append(entries, Entry{
+			Seq:          t.Seq,
+			CoreClockGHz: t.Config.CoreClockGHz,
+			MemClockGHz:  t.Config.MemClockGHz,
+			ConfigFP:     t.Config.Fingerprint(),
+			Key:          t.Key,
+			Frames:       len(priced[i].FrameNs),
+			FrameDigest:  frameDigest(priced[i].FrameNs),
+			TotalNs:      priced[i].TotalNs,
+			Totals:       priced[i].Totals,
+		})
 	}
+	return entries
 }

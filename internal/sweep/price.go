@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/gpu"
@@ -68,6 +70,13 @@ func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cf
 	return sim, priced, nil
 }
 
+// ErrNotFinite fails a pass on a config whose time is not a finite
+// number: a clock so small that a draw's time overflows float64.
+// Config.Validate admits any positive clock, and no bound on it would
+// do, since a longer workload overflows sooner; no JSON answer or
+// manifest can carry the result.
+var ErrNotFinite = errors.New("not a finite time")
+
 // PriceGrid prices the parent w on every config of cfgs in one
 // gpu.Simulator.PriceGrid pass: frames are claimed on at most workers
 // goroutines (<= 0 selects GOMAXPROCS), and each frame is priced on
@@ -76,7 +85,9 @@ func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cf
 // in grid order and are bit-identical at any worker count. The pass is
 // a price-grid span with draws x configs as its item count, and bumps
 // the sweep.pricing_passes and sweep.draw_configs_priced counters,
-// from which any run manifest yields ns per draw x config.
+// from which any run manifest yields ns per draw x config. A config
+// whose total or Totals are not finite fails the pass with
+// ErrNotFinite, naming its clocks.
 //
 // It looks nothing up: a caller that caches wraps it in
 // cache.GetOrCompute. A cached grid prices one config per cache entry
@@ -99,9 +110,22 @@ func PriceGrid(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfgs
 	m.Counter("sweep.draw_configs_priced").Add(items)
 	out := make([]PricedParent, len(runs))
 	for i, r := range runs {
+		if t := r.Totals; !finite(t.TotalNs, t.ComputeNs, t.MemoryNs, t.TrafficBytes) {
+			return nil, fmt.Errorf("sweep: core clock %v GHz, mem clock %v GHz: the parent prices to %v ns, %w",
+				cfgs[i].CoreClockGHz, cfgs[i].MemClockGHz, r.TotalNs, ErrNotFinite)
+		}
 		out[i] = PricedParent{FrameNs: r.FrameNs, TotalNs: r.TotalNs, Totals: r.Totals}
 	}
 	return out, nil
+}
+
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // RunResult converts the priced parent back to the simulator-level
